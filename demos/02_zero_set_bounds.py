@@ -22,8 +22,8 @@ report = bound_free_zero_set(U, V)
 print(report.to_text())
 print()
 
-# When the gap concentrates on few characters the greedy flag search alone
-# would dead-end; the pipeline first passes to the fixed space of a maximal
+# When the gap concentrates on few characters no admissible flag of the whole
+# group exists; the pipeline first passes to the fixed space of a maximal
 # subgroup, then finds the flag for the quotient group.
 U = RepE(2, {alpha: 2})
 V = RepE(2, {})

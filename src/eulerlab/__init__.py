@@ -63,7 +63,6 @@ from .sympow import (
     sym_power_table,
 )
 from .torusmaps import (
-    CircleExampleParams,
     EquivarianceReport,
     LineDecomposition,
     MapDescription,

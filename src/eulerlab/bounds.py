@@ -20,6 +20,7 @@ from .reps import (
     RepT,
     decompose,
     flag_to_doc,
+    require_int,
 )
 
 PASS = "pass"
@@ -74,18 +75,25 @@ class BoundReport:
         }
 
 
+def _check(report, description, ok, evidence=""):
+    """Record one checklist item; a failed item makes the report not applicable."""
+    report.hypotheses.append(HypothesisItem(description, PASS if ok else FAIL, evidence))
+    if not ok:
+        report.bound = None
+        report.notes.append("not applicable: a hypothesis failed")
+    return ok
+
+
 def _fail(report, description, evidence=""):
-    report.hypotheses.append(HypothesisItem(description, FAIL, evidence))
-    report.bound = None
-    report.notes.append("not applicable: a hypothesis failed")
+    _check(report, description, False, evidence)
     return report
 
 
 def bound_free_zero_set(U, V):
     """Zero-set bound dim U - dim V for maps U -> V of (Z/2)^l modules.
 
-    Pipeline: maximal fixed subgroup, restriction to its fixed space, greedy
-    flag, Euler-class nonvanishing.  The certified zero set sits inside the
+    Pipeline: maximal fixed subgroup, restriction to its fixed space, flag
+    search, Euler-class nonvanishing.  The certified zero set sits inside the
     fixed space of the subgroup and carries a free action of the quotient.
     """
     if not isinstance(U, RepE) or not isinstance(V, RepE):
@@ -94,15 +102,13 @@ def bound_free_zero_set(U, V):
         raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
     report = BoundReport(theorem="free-zero-set", hypotheses=[])
 
-    if V.fixed_dim:
-        return _fail(report, "V^E = 0", f"dim V^E = {V.fixed_dim}")
-    report.hypotheses.append(HypothesisItem("V^E = 0", PASS, "dim V^E = 0"))
+    if not _check(report, "V^E = 0", not V.fixed_dim, f"dim V^E = {V.fixed_dim}"):
+        return report
 
     gap = U.dim - V.dim
     evidence = f"dim U - dim V = {U.dim} - {V.dim} = {gap}, dim U^E = {U.fixed_dim}"
-    if gap <= U.fixed_dim:
-        return _fail(report, "dim U - dim V > dim U^E", evidence)
-    report.hypotheses.append(HypothesisItem("dim U - dim V > dim U^E", PASS, evidence))
+    if not _check(report, "dim U - dim V > dim U^E", gap > U.fixed_dim, evidence):
+        return report
 
     try:
         search = reduced_flag_search(U, V)
@@ -121,33 +127,24 @@ def bound_free_zero_set(U, V):
 
     u_dims = decompose(U1, search.flag).dims
     v_dims = decompose(V1, search.flag).dims
-    blocks_ok = all(a > b for a, b in zip(u_dims, v_dims))
-    report.hypotheses.append(
-        HypothesisItem(
-            "flag with dim U_i > dim V_i for every i (over the quotient group)",
-            PASS if blocks_ok else FAIL,
-            f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
-        )
-    )
-    if not blocks_ok:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+    if not _check(
+        report,
+        "flag with dim U_i > dim V_i for every i (over the quotient group)",
+        all(a > b for a, b in zip(u_dims, v_dims)),
+        f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
+    ):
         return report
 
     try:
         nonzero, certificate = euler_nonvanishing(U1, V1, search.flag)
     except HypothesisError as exc:
         return _fail(report, "euler class nonvanishing", str(exc))
-    report.hypotheses.append(
-        HypothesisItem(
-            "euler class of V^F survives in the quotient presentation",
-            PASS if nonzero else FAIL,
-            f"normal form {certificate.text()}",
-        )
-    )
-    if not nonzero:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+    if not _check(
+        report,
+        "euler class of V^F survives in the quotient presentation",
+        nonzero,
+        f"normal form {certificate.text()}",
+    ):
         return report
 
     quotient_rank = U.rank - F.dim
@@ -194,14 +191,13 @@ def bound_stiefel(P, Q, n, kind="real"):
         raise InputError("complex case expects torus tables")
     if P.rank != Q.rank:
         raise InputError(f"rank mismatch: {P.rank} vs {Q.rank}")
-    n = int(n)
+    n = require_int(n, "n")
     l = P.rank
     fixed_name = "P^E = 0" if real else "P^T = 0"
     report = BoundReport(theorem="stiefel-real" if real else "stiefel-complex", hypotheses=[])
 
-    if P.fixed_dim:
-        return _fail(report, fixed_name, f"fixed dimension {P.fixed_dim}")
-    report.hypotheses.append(HypothesisItem(fixed_name, PASS, "fixed dimension 0"))
+    if not _check(report, fixed_name, not P.fixed_dim, f"fixed dimension {P.fixed_dim}"):
+        return report
 
     lines_desc = "labels of P form l independent lines, each of multiplicity 1"
     mults_ok = len(P.items()) == l and all(m == 1 for _, m in P.items())
@@ -216,26 +212,18 @@ def bound_stiefel(P, Q, n, kind="real"):
     report.hypotheses.append(HypothesisItem(lines_desc, PASS, f"dim P = {P.dim} = l"))
 
     q_fixed_name = "Q^E = 0" if real else "Q^T = 0"
-    if Q.fixed_dim:
-        return _fail(report, q_fixed_name, f"fixed dimension {Q.fixed_dim}")
-    report.hypotheses.append(HypothesisItem(q_fixed_name, PASS, "fixed dimension 0"))
-
-    if n <= l:
-        return _fail(report, "n > l", f"n = {n}, l = {l}")
-    report.hypotheses.append(HypothesisItem("n > l", PASS, f"n = {n}, l = {l}"))
+    if not _check(report, q_fixed_name, not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}"):
+        return report
+    if not _check(report, "n > l", n > l, f"n = {n}, l = {l}"):
+        return report
 
     q_dims = decompose(Q, flag).dims
-    dims_ok = all(q_dims[i] <= n - (i + 1) for i in range(l))
-    report.hypotheses.append(
-        HypothesisItem(
-            "dim Q_i <= n - i for every i",
-            PASS if dims_ok else FAIL,
-            f"Q blocks {list(q_dims)}, caps {[n - i for i in range(1, l + 1)]}",
-        )
-    )
-    if not dims_ok:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+    if not _check(
+        report,
+        "dim Q_i <= n - i for every i",
+        all(q_dims[i] <= n - (i + 1) for i in range(l)),
+        f"Q blocks {list(q_dims)}, caps {[n - i for i in range(1, l + 1)]}",
+    ):
         return report
 
     if real:
@@ -290,9 +278,8 @@ def bound_torus(U, V, variant="interior"):
 
     if variant == "annulus":
         evidence = f"dim_C U = {U.dim}, dim_C V = {V.dim}"
-        if gap <= 0:
-            return _fail(report, "dim_C U > dim_C V", evidence)
-        report.hypotheses.append(HypothesisItem("dim_C U > dim_C V", PASS, evidence))
+        if not _check(report, "dim_C U > dim_C V", gap > 0, evidence):
+            return report
         report.hypotheses.append(
             HypothesisItem(
                 "boundary condition assumed: the invariant scalar map is negative at the "
@@ -313,33 +300,24 @@ def bound_torus(U, V, variant="interior"):
         return _fail(report, "rational flag with dim U_i > dim V_i for every i", str(exc))
     u_dims = decompose(U, flag).dims
     v_dims = decompose(V, flag).dims
-    blocks_ok = all(a > b for a, b in zip(u_dims, v_dims))
-    report.hypotheses.append(
-        HypothesisItem(
-            "rational flag with dim U_i > dim V_i for every i",
-            PASS if blocks_ok else FAIL,
-            f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
-        )
-    )
-    if not blocks_ok:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+    if not _check(
+        report,
+        "rational flag with dim U_i > dim V_i for every i",
+        all(a > b for a, b in zip(u_dims, v_dims)),
+        f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
+    ):
         return report
 
     try:
         nonzero, certificate = euler_nonvanishing(U, V, flag)
     except HypothesisError as exc:
         return _fail(report, "euler class nonvanishing", str(exc))
-    report.hypotheses.append(
-        HypothesisItem(
-            "euler class of V survives in the quotient presentation",
-            PASS if nonzero else FAIL,
-            f"normal form {certificate.text()}",
-        )
-    )
-    if not nonzero:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+    if not _check(
+        report,
+        "euler class of V survives in the quotient presentation",
+        nonzero,
+        f"normal form {certificate.text()}",
+    ):
         return report
 
     report.bound = 2 * gap

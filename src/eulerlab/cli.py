@@ -28,6 +28,7 @@ from .reps import (
     group_from_doc,
     rep_entries_doc,
     rep_from_doc,
+    require_int,
     spanning_flag_from_support,
 )
 
@@ -109,7 +110,7 @@ def _cmd_reduce(args, seed):
     nvars = args.nvars if args.nvars is not None else doc.get("nvars")
     if nvars is None:
         raise InputError("the variable count is required (--nvars or document nvars)")
-    nvars = int(nvars)
+    nvars = require_int(nvars, "nvars")
     poly_text = args.poly or doc.get("poly")
     if not poly_text:
         raise InputError("a polynomial is required (--poly or document poly)")
@@ -192,7 +193,7 @@ def _cmd_bound(args, seed):
         n = args.n if args.n is not None else doc.get("n")
         if n is None:
             raise InputError("the embedding dimension is required (-n or document n)")
-        report = bound_stiefel(P, Qrep, int(n), kind=theorem.split("-", 1)[1])
+        report = bound_stiefel(P, Qrep, require_int(n, "n"), kind=theorem.split("-", 1)[1])
     else:
         U, V = _pair_from_doc(doc)
         report = bound_torus(U, V, variant=theorem.split("-", 1)[1])
@@ -246,7 +247,7 @@ def _cmd_sympow(args, seed):
     d = args.degree if args.degree is not None else doc.get("degree")
     if d is None:
         raise InputError("a degree is required (-d or document degree)")
-    d = int(d)
+    d = require_int(d, "degree")
     if "target" in doc:
         V = rep_from_doc(doc, key="target")
         kind, rank = group_from_doc(doc["group"])

@@ -1,19 +1,23 @@
-"""Flag construction: greedy gap-maximizing searches and the maximal-subgroup scan.
+"""Flag construction: one complete chain search and the maximal-subgroup scan.
 
-The searches certify, step by step, that each new flag block carries a strictly
-larger share of U than of V.  The subgroup scan is exhaustive over all
+The chain search, shared by the F2 and Q flags, certifies step by step that
+each new flag block carries a strictly larger share of U than of V, and
+backtracks so that "no flag" means no admissible flag exists; its node count
+is capped by MAX_CHAIN_NODES.  The subgroup scan is exhaustive over all
 subspaces of (F2)^l, which stays desk-scale only for l <= 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError
 from .reps import FlagE, RationalFlag, RepE, RepT, Subgroup, fixed_subrep, line_blocks
 
 MAX_SUBGROUP_RANK = 6
+MAX_CHAIN_NODES = 20000
 
 
 def gap_table(U, V):
@@ -28,52 +32,109 @@ def gap_table(U, V):
     return gaps
 
 
-def _check_pair_e(U, V):
+def _check_pair_e(U, V, gap=False):
+    """Input checks and V^E = 0; with `gap`, also dim U - dim V > dim U^E."""
     if not isinstance(U, RepE) or not isinstance(V, RepE):
         raise InputError("expected representations of (Z/2)^l")
     if U.rank != V.rank:
         raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
+    if V.fixed_dim:
+        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
+    if gap and U.dim - V.dim <= U.fixed_dim:
+        raise HypothesisError(
+            f"dim U - dim V must exceed dim U^E ({U.dim} - {V.dim} = {U.dim - V.dim} "
+            f"vs dim U^E = {U.fixed_dim})"
+        )
+
+
+def _mod2(v):
+    return tuple(a % 2 for a in v)
+
+
+def _primitive_or_zero(v):
+    g = gcd(*v)
+    if g and next(a for a in v if a) < 0:
+        g = -g
+    return tuple(a // g for a in v) if g else v
+
+
+def _chain_search(rank, gaps, candidates, normalize, failure):
+    """Covectors spanning a chain 0 < S_1 < ... < S_rank in which every step
+    newly covers labels of positive summed gap, found depth first.
+
+    `gaps` maps nonzero labels to gaps, `candidates` are ascending covectors,
+    and `normalize` fixes the field: mod 2 over F2, the primitive multiple
+    over Q.  A span is a canonical integer RREF, and the normalized residual
+    of a vector names the extension it spans: a coset over F2, a line over Q.
+    Extensions go best summed gap first, ties to the least candidate, so the
+    gap-maximizing path is returned whenever it never dead-ends.  Dead spans
+    are memoized; on failure HypothesisError names one step past the longest
+    chain reached.
+    """
+    dead = set()
+    nodes = 0
+    deepest = 0
+
+    def residual(v, rows):
+        for p, row in rows:
+            if v[p]:
+                v = normalize(tuple(row[p] * a - v[p] * b for a, b in zip(v, row)))
+        return v
+
+    def extend(rows, remaining):
+        nonlocal nodes, deepest
+        depth = len(rows)
+        if depth == rank:
+            return []
+        key = tuple(row for _, row in rows)
+        if key in dead:
+            return None
+        nodes += 1
+        if nodes > MAX_CHAIN_NODES:
+            raise ResourceLimitError(f"flag search exceeded {MAX_CHAIN_NODES} chain nodes")
+        deepest = max(deepest, depth)
+        # every remaining step needs a gap of at least 1, and the steps
+        # together cover every label not yet in the span
+        if remaining >= rank - depth:
+            score = {}
+            for label, gap in gaps.items():
+                d = residual(label, rows)
+                if any(d):
+                    score[d] = score.get(d, 0) + gap
+            rep = {}
+            for w in candidates:
+                d = residual(w, rows)
+                if score.get(d, 0) > 0:
+                    rep.setdefault(d, w)
+            for d in sorted(rep, key=lambda d: (-score[d], rep[d])):
+                q = next(i for i, a in enumerate(d) if a)
+                grown = [(p, residual(row, [(q, d)])) for p, row in rows] + [(q, d)]
+                rest = extend(sorted(grown), remaining - score[d])
+                if rest is not None:
+                    return [rep[d]] + rest
+        dead.add(key)
+        return None
+
+    chain = extend([], sum(gaps.values()))
+    if chain is None:
+        raise HypothesisError(f"{failure} at step {deepest + 1}")
+    return chain
 
 
 def find_flag(U, V):
-    """Greedy flag with dim U_i > dim V_i for every i, or a hypothesis failure.
+    """Flag with dim U_i > dim V_i for every i, or a hypothesis failure.
 
-    At step i every subspace extension of the current chain is scored by the
-    summed gap over its new characters; the maximizer wins, ties going to the
-    lexicographically least new covector, which also becomes T_i.
+    The search is complete: it fails only when no admissible flag exists.
+    Among admissible flags it returns the first in gap-maximizing order: at
+    each step the extension with the largest summed gap over its new
+    characters, ties going to the lexicographically least new covector, which
+    also becomes T_i.
     """
-    _check_pair_e(U, V)
-    if V.fixed_dim:
-        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
-    total_gap = U.dim - V.dim
-    if total_gap <= U.fixed_dim:
-        raise HypothesisError(
-            f"dim U - dim V must exceed dim U^E ({U.dim} - {V.dim} = {total_gap} "
-            f"vs dim U^E = {U.fixed_dim})"
-        )
-    rank = U.rank
-    gaps = gap_table(U, V)
-    vectors = linalg.all_vectors2(rank)
-    zero = (0,) * rank
-    span = {zero}
-    chosen = []
-    for step in range(1, rank + 1):
-        best = None
-        seen = set(span)
-        for gamma in vectors:
-            if gamma in seen:
-                continue
-            # gamma is lex-least in its coset because vectors ascend
-            coset = {linalg.xor(gamma, s) for s in span}
-            seen |= coset
-            score = sum(gaps.get(a, 0) for a in coset)
-            if best is None or score > best[0] or (score == best[0] and gamma < best[1]):
-                best = (score, gamma, coset)
-        if best is None or best[0] <= 0:
-            raise HypothesisError(f"no flag extension with positive dimension gap at step {step}")
-        chosen.append(best[1])
-        span |= best[2]
-    return FlagE(rank, chosen)
+    _check_pair_e(U, V, gap=True)
+    gaps = {c: g for c, g in gap_table(U, V).items() if any(c)}
+    vectors = linalg.all_vectors2(U.rank)
+    failure = "no flag extension with positive dimension gap"
+    return FlagE(U.rank, _chain_search(U.rank, gaps, vectors, _mod2, failure))
 
 
 def _fixed_dim_under(rep, basis):
@@ -87,8 +148,6 @@ def best_fixed_subgroup(U, V):
     with the lexicographically least canonical basis wins.
     """
     _check_pair_e(U, V)
-    if V.fixed_dim:
-        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
     rank = U.rank
     if rank > MAX_SUBGROUP_RANK:
         raise ResourceLimitError(
@@ -124,17 +183,9 @@ def reduced_flag_search(U, V):
 
     Under dim U - dim V > dim U^E and V^E = 0 this never fails: after passing
     to the quotient group the trivial subgroup is maximal for the reduced
-    pair, which guarantees a positive extension at every greedy step.
+    pair, which guarantees that an admissible flag of the quotient exists.
     """
-    _check_pair_e(U, V)
-    if V.fixed_dim:
-        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
-    gap = U.dim - V.dim
-    if gap <= U.fixed_dim:
-        raise HypothesisError(
-            f"dim U - dim V must exceed dim U^E ({U.dim} - {V.dim} = {gap} "
-            f"vs dim U^E = {U.fixed_dim})"
-        )
+    _check_pair_e(U, V, gap=True)
     F = best_fixed_subgroup(U, V)
     U1 = fixed_subrep(U, F)
     V1 = fixed_subrep(V, F)
@@ -143,12 +194,12 @@ def reduced_flag_search(U, V):
 
 
 def find_rational_flag(U, V):
-    """Greedy rational flag with dim U_i > dim V_i at every step.
+    """Rational flag with dim U_i > dim V_i at every step, by the same search.
 
     Candidate covectors are the primitive representatives of the lines in U's
-    support plus the standard basis for completion; only the position of each
-    chain step relative to the occurring lines affects the block dimensions,
-    so this finite candidate set realizes every achievable pattern.
+    support plus the standard basis for completion.  Each step of an
+    admissible chain must cover a new line of U, so the chain is spanned by
+    U lines and this finite candidate set realizes every admissible pattern.
     """
     if not isinstance(U, RepT) or not isinstance(V, RepT):
         raise InputError("expected torus representations")
@@ -160,33 +211,10 @@ def find_rational_flag(U, V):
         raise HypothesisError(f"V^T = 0 is required (dim V^T = {V.fixed_dim})")
     rank = U.rank
     u_lines = line_blocks(U)
-    v_lines = line_blocks(V)
-    line_gaps = {}
-    for lam, block in u_lines.items():
-        line_gaps[lam] = line_gaps.get(lam, 0) + block.dim
-    for lam, block in v_lines.items():
+    line_gaps = {lam: block.dim for lam, block in u_lines.items()}
+    for lam, block in line_blocks(V).items():
         line_gaps[lam] = line_gaps.get(lam, 0) - block.dim
     standard = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     candidates = sorted(set(u_lines) | set(standard))
-    all_lines = sorted(line_gaps)
-    chosen = []
-    assigned = set()
-    for step in range(1, rank + 1):
-        best = None
-        for w in candidates:
-            if linalg.in_spanq(chosen, w, rank):
-                continue
-            trial = chosen + [w]
-            newly = [
-                lam
-                for lam in all_lines
-                if lam not in assigned and linalg.in_spanq(trial, lam, rank)
-            ]
-            score = sum(line_gaps[lam] for lam in newly)
-            if best is None or score > best[0] or (score == best[0] and w < best[1]):
-                best = (score, w, newly)
-        if best is None or best[0] <= 0:
-            raise HypothesisError(f"no admissible flag extension at step {step}")
-        chosen.append(best[1])
-        assigned |= set(best[2])
-    return RationalFlag(rank, chosen)
+    failure = "no admissible flag extension"
+    return RationalFlag(rank, _chain_search(rank, line_gaps, candidates, _primitive_or_zero, failure))

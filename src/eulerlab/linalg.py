@@ -173,10 +173,6 @@ def rankq(rows, n):
     return len(rrefq(rows, n)[1])
 
 
-def in_spanq(rows, v, n):
-    return rankq(list(rows) + [v], n) == rankq(rows, n)
-
-
 def solveq(rows, target):
     """Coefficients c with sum_i c_i * rows[i] == target over Q, or None."""
     k = len(rows)

@@ -21,8 +21,6 @@ __all__ = [
     "Q",
     "Poly",
     "TriangularSystem",
-    "add",
-    "mul",
     "reduce",
     "reduce_in_variable",
     "quotient_basis",
@@ -33,10 +31,6 @@ __all__ = [
 
 F2 = "F2"
 Q = "Q"
-
-
-def monomial_degree(m):
-    return sum(m)
 
 
 def monomial_key(m):
@@ -239,14 +233,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field}, {self.nvars}, {format_poly(self)!r})"
-
-
-def add(p, q):
-    return p + q
-
-
-def mul(p, q):
-    return p * q
 
 
 class TriangularSystem:

@@ -8,9 +8,7 @@ with the character inside span(T_1..T_i).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import HypothesisError, InputError
@@ -20,20 +18,27 @@ ELEM_ABELIAN_2 = "elem_abelian_2"
 TORUS = "torus"
 
 
+def require_int(value, what):
+    """`value` itself if it is an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class _RepBase:
     """Shared table mechanics for both group kinds."""
 
     kind = None
 
     def __init__(self, rank, multiplicities=None):
-        rank = int(rank)
+        rank = require_int(rank, "rank")
         if rank < 0:
             raise InputError("rank must be nonnegative")
         table = {}
         items = multiplicities.items() if isinstance(multiplicities, dict) else (multiplicities or ())
         for char, m in items:
             char = self._validate_char(char, rank)
-            m = int(m)
+            m = require_int(m, f"multiplicity for {char}")
             if m < 1:
                 raise InputError(f"multiplicity for {char} must be positive, got {m}")
             if char in table:
@@ -99,7 +104,7 @@ class RepE(_RepBase):
 
     @staticmethod
     def _validate_char(char, rank):
-        char = tuple(int(x) for x in char)
+        char = tuple(require_int(x, "character entry") for x in char)
         if len(char) != rank:
             raise InputError(f"character {char} does not have length {rank}")
         if any(x not in (0, 1) for x in char):
@@ -114,7 +119,7 @@ class RepT(_RepBase):
 
     @staticmethod
     def _validate_char(char, rank):
-        char = tuple(int(x) for x in char)
+        char = tuple(require_int(x, "weight entry") for x in char)
         if len(char) != rank:
             raise InputError(f"weight {char} does not have length {rank}")
         return char
@@ -124,7 +129,7 @@ class FlagE:
     """Complete flag of (F2^rank)^*, carried as an adapted dual basis."""
 
     def __init__(self, rank, dual_basis):
-        rank = int(rank)
+        rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError("flags require rank >= 1")
         basis = tuple(RepE._validate_char(v, rank) for v in dual_basis)
@@ -187,12 +192,12 @@ class RationalFlag:
     """Complete flag of Q^rank; covectors normalized to primitive integer form."""
 
     def __init__(self, rank, dual_basis):
-        rank = int(rank)
+        rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError("flags require rank >= 1")
         basis = []
         for v in dual_basis:
-            v = tuple(int(x) for x in v)
+            v = tuple(require_int(x, "covector entry") for x in v)
             if len(v) != rank:
                 raise InputError(f"covector {v} does not have length {rank}")
             try:
@@ -237,7 +242,7 @@ class Subgroup:
     """Subgroup F <= (Z/2)^rank, stored as a canonical RREF basis."""
 
     def __init__(self, rank, basis=()):
-        rank = int(rank)
+        rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError("subgroups live in groups of rank >= 1")
         rows = [RepE._validate_char(v, rank) for v in basis]
@@ -442,12 +447,19 @@ def _require_keys(doc, allowed, where):
         raise InputError(f"unknown fields {sorted(unknown)} in {where}")
 
 
+def _vector_from_doc(value, what):
+    """A JSON list as a tuple; its entries are checked by the constructors."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def group_from_doc(doc):
     _require_keys(doc, {"kind", "rank"}, "group")
     try:
         kind = doc["kind"]
-        rank = int(doc["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = require_int(doc["rank"], "group rank")
+    except KeyError as exc:
         raise InputError(f"bad group document: {exc}") from exc
     if kind not in _GROUP_KINDS:
         raise InputError(f"group kind must be one of {_GROUP_KINDS}, got {kind!r}")
@@ -474,7 +486,7 @@ def rep_from_doc(doc, key="module"):
         _require_keys(entry, {"char", "mult"}, f"{key} entry")
         if "char" not in entry or "mult" not in entry:
             raise InputError(f"each {key} entry needs char and mult")
-        pairs.append((tuple(entry["char"]), entry["mult"]))
+        pairs.append((_vector_from_doc(entry["char"], f"{key} entry char"), entry["mult"]))
     return cls(rank, pairs)
 
 
@@ -494,18 +506,11 @@ def flag_from_doc(doc, kind, rank):
     if "dual_basis" not in doc:
         raise InputError("flag document needs dual_basis")
     basis = doc["dual_basis"]
-    if kind == ELEM_ABELIAN_2:
-        return FlagE(rank, [tuple(v) for v in basis])
-    return RationalFlag(rank, [tuple(v) for v in basis])
+    if not isinstance(basis, list):
+        raise InputError(f"flag dual_basis must be a list, got {basis!r}")
+    basis = [_vector_from_doc(v, "flag covector") for v in basis]
+    return FlagE(rank, basis) if kind == ELEM_ABELIAN_2 else RationalFlag(rank, basis)
 
 
 def flag_to_doc(flag):
     return {"dual_basis": [list(v) for v in flag.dual_basis]}
-
-
-def rep_from_json(text, key="module"):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    return rep_from_doc(doc, key=key)

@@ -102,15 +102,6 @@ def identity_map(U):
     return MapDescription(source=U, target=U, evaluator=evaluator, tag="user", params={"identity": True})
 
 
-@dataclass(frozen=True)
-class CircleExampleParams:
-    a: int
-    b: int
-    c: int
-    a_prime: int
-    b_prime: int
-
-
 def _minimal_cofactors(a, b):
     """Smallest a', b' >= 1 with a*a' - b*b' = 1 (a' minimal first)."""
     if b == 1:
@@ -158,7 +149,6 @@ def circle_example(a, b, c):
         out[..., ow] = x ** a_prime * np.conj(y) ** b_prime
         return out
 
-    params = CircleExampleParams(a=a, b=b, c=c, a_prime=a_prime, b_prime=b_prime)
     return MapDescription(
         source=source,
         target=target,

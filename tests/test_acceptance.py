@@ -182,9 +182,9 @@ def test_acceptance_4_flag_search_cross_validation():
                     if flag.dual_basis == search.flag.dual_basis:
                         found = (du, dv)
                 assert valid, f"brute force found no flag for reduced pair {u_t} vs {v_t}"
-                assert found is not None, "greedy flag is not canonical"
+                assert found is not None, "flag is not canonical"
                 assert search.flag.dual_basis in valid, (
-                    f"greedy flag {search.flag.dual_basis} invalid: blocks {found}"
+                    f"flag {search.flag.dual_basis} invalid: blocks {found}"
                 )
                 checked += 1
     print(f"\nACCEPTANCE 4 (flag search vs brute force, {checked} pairs, 0 disagreements): PASS")

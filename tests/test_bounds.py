@@ -208,3 +208,13 @@ def test_torus_interior_witness_recomputes():
     flag = flag_from_doc(rep.witness["flag"], "torus", 2)
     assert list(decompose(U, flag).dims) == rep.witness["module_block_dims"]
     assert list(decompose(V, flag).dims) == rep.witness["target_block_dims"]
+
+
+def test_torus_interior_needs_backtracking():
+    # the best first line (0,1) leaves gap 3 - 2 - 2 < 0 on the second step
+    U = RepT(2, {(1, 0): 3, (0, 1): 3})
+    V = RepT(2, {(3, 0): 2, (1, 3): 2})
+    rep = bound_torus(U, V, variant="interior")
+    assert rep.applicable and rep.bound == 4
+    assert rep.witness["flag"] == {"dual_basis": [[1, 0], [0, 1]]}
+    assert rep.witness["certificate"] == "81*T1^2*T2^2"

@@ -104,6 +104,65 @@ def test_unknown_document_field_rejected(tmp_path):
     assert "wat" in err
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["bound", "--theorem", "torus-interior"],
+     {"group": {"kind": "torus", "rank": 2},
+      "module": {"entries": [{"char": [1.2, 1], "mult": 3.7}]},
+      "target": {"entries": [{"char": [1, 0], "mult": 1}]}}),
+    (["bound", "--theorem", "free-zero-set"],
+     {"group": {"kind": "elem_abelian_2", "rank": 1},
+      "module": {"entries": [{"char": [1], "mult": True}]},
+      "target": {"entries": []}}),
+    (["euler-check"],
+     {"group": {"kind": "elem_abelian_2", "rank": "1"},
+      "module": {"entries": [{"char": [1], "mult": 2}]},
+      "target": {"entries": []}}),
+    (["euler-check"],
+     {"group": {"kind": "elem_abelian_2", "rank": 1},
+      "module": {"entries": [{"char": [1], "mult": 2}]},
+      "target": {"entries": []},
+      "flag": {"dual_basis": [[1.0]]}}),
+    (["reduce", "--field", "F2", "--poly", "T1", "--gen", "T1^2"], {"nvars": 1.0}),
+    (["bound", "--theorem", "stiefel-real"],
+     {"group": {"kind": "elem_abelian_2", "rank": 1},
+      "module": {"entries": [{"char": [1], "mult": 1}]},
+      "target": {"entries": []}, "n": 3.5}),
+    (["sympow"],
+     {"group": {"kind": "elem_abelian_2", "rank": 1},
+      "module": {"entries": [{"char": [1], "mult": 1}]}, "degree": "2"}),
+])
+def test_non_integer_document_fields_exit_two(argv, doc):
+    code, out, err = invoke(argv + ["--inline", json.dumps(doc), "--machine"])
+    assert code == 2 and out == ""
+    assert "must be an integer" in err
+
+
+def test_euler_check_finds_flag_the_single_path_misses():
+    # the best first character (0,1) dead-ends; the search backtracks to (1,0)
+    doc = {
+        "group": {"kind": "elem_abelian_2", "rank": 2},
+        "module": {"entries": [{"char": [0, 1], "mult": 2}, {"char": [1, 0], "mult": 1}]},
+        "target": {"entries": [{"char": [1, 1], "mult": 1}]},
+    }
+    out, raw = machine_doc(["euler-check", "--inline", json.dumps(doc)])
+    assert out["flag"] == {"dual_basis": [[1, 0], [0, 1]]}
+    assert out["nonvanishing"] is True
+
+
+def test_flag_search_node_limit_exit_two(monkeypatch):
+    from eulerlab import flagsearch
+
+    monkeypatch.setattr(flagsearch, "MAX_CHAIN_NODES", 1)
+    doc = {
+        "group": {"kind": "elem_abelian_2", "rank": 2},
+        "module": {"entries": [{"char": [1, 0], "mult": 2}, {"char": [0, 1], "mult": 1}]},
+        "target": {"entries": []},
+    }
+    code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
+    assert code == 2
+    assert "chain nodes" in err
+
+
 # -- machine mode round trips ------------------------------------------------------
 
 def machine_doc(argv):

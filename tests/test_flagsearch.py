@@ -1,9 +1,17 @@
-"""Tests for the greedy flag searches and the maximal-subgroup scan."""
+"""Tests for the chain flag search and the maximal-subgroup scan.
+
+The search is checked against two independent oracles: brute force over every
+admissible flag (F2: all complete flags; Q: chains spanned by candidate
+lines), and the single-path gap-maximizing loops it replaced, kept here as
+reference implementations.
+"""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
+from eulerlab import flagsearch, linalg
 from eulerlab.errors import HypothesisError, ResourceLimitError
 from eulerlab.flagsearch import (
     best_fixed_subgroup,
@@ -12,7 +20,7 @@ from eulerlab.flagsearch import (
     gap_table,
     reduced_flag_search,
 )
-from eulerlab.reps import RepE, RepT, Subgroup, decompose
+from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, Subgroup, complete_flags, decompose, line_blocks
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -190,3 +198,185 @@ def test_rational_flag_deterministic():
     U = RepT(2, {(1, 0): 2, (0, 1): 2})
     V = RepT(2, {(1, 1): 1})
     assert find_rational_flag(U, V) == find_rational_flag(U, V)
+
+
+# -- reference implementations and brute-force oracles ---------------------------------
+
+def _greedy_flag(U, V):
+    """The former single-path F2 search: best coset at each step, no backtracking."""
+    rank = U.rank
+    gaps = gap_table(U, V)
+    zero = (0,) * rank
+    span = {zero}
+    chosen = []
+    for _ in range(rank):
+        best = None
+        seen = set(span)
+        for gamma in linalg.all_vectors2(rank):
+            if gamma in seen:
+                continue
+            coset = {linalg.xor(gamma, s) for s in span}
+            seen |= coset
+            score = sum(gaps.get(a, 0) for a in coset)
+            if best is None or score > best[0] or (score == best[0] and gamma < best[1]):
+                best = (score, gamma, coset)
+        if best is None or best[0] <= 0:
+            return None
+        chosen.append(best[1])
+        span |= best[2]
+    return FlagE(rank, chosen)
+
+
+def _in_spanq(rows, v, n):
+    return linalg.rankq(list(rows) + [v], n) == linalg.rankq(rows, n)
+
+
+def _greedy_rational_flag(U, V):
+    """The former single-path Q search over U lines plus the standard basis."""
+    rank = U.rank
+    line_gaps = {}
+    for lam, block in line_blocks(U).items():
+        line_gaps[lam] = line_gaps.get(lam, 0) + block.dim
+    for lam, block in line_blocks(V).items():
+        line_gaps[lam] = line_gaps.get(lam, 0) - block.dim
+    standard = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    candidates = sorted(set(line_blocks(U)) | set(standard))
+    chosen = []
+    assigned = set()
+    for _ in range(rank):
+        best = None
+        for w in candidates:
+            if _in_spanq(chosen, w, rank):
+                continue
+            trial = chosen + [w]
+            newly = [
+                lam for lam in sorted(line_gaps)
+                if lam not in assigned and _in_spanq(trial, lam, rank)
+            ]
+            score = sum(line_gaps[lam] for lam in newly)
+            if best is None or score > best[0] or (score == best[0] and w < best[1]):
+                best = (score, w, newly)
+        if best is None or best[0] <= 0:
+            return None
+        chosen.append(best[1])
+        assigned |= set(best[2])
+    return RationalFlag(rank, chosen)
+
+
+def _admissible(flag, U, V):
+    return all(a > b for a, b in zip(decompose(U, flag).dims, decompose(V, flag).dims))
+
+
+def _int_rank(rows):
+    """Rank over Q by fraction-free elimination on integer rows."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [top[c] * a - rows[i][c] * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _chain_dims(prefix, table, rank):
+    """Block dims for the chain whose first rank-1 steps are spanned by `prefix`."""
+    dims = [0] * rank
+    for w, m in table.items():
+        i = next((k for k in range(1, rank) if _int_rank(list(prefix[:k]) + [w]) == k), rank)
+        dims[i - 1] += m
+    return dims
+
+
+def _exists_rational_flag(U, V):
+    """Brute force over chains spanned by the lines of U and V and the standard basis."""
+    rank = U.rank
+    standard = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    lines = sorted(set(line_blocks(U)) | set(line_blocks(V)) | set(standard))
+    for prefix in permutations(lines, rank - 1):
+        if _int_rank(prefix) == rank - 1 or rank == 1:
+            du = _chain_dims(prefix, U.multiplicities(), rank)
+            dv = _chain_dims(prefix, V.multiplicities(), rank)
+            if all(a > b for a, b in zip(du, dv)):
+                return True
+    return False
+
+
+def _random_table(rng, labels, max_labels, max_mult):
+    return {c: rng.randint(1, max_mult) for c in rng.sample(labels, rng.randint(0, max_labels))}
+
+
+def test_find_flag_complete_against_all_flags():
+    flags = {rank: complete_flags(rank) for rank in (1, 2, 3)}
+    rng = random.Random(11)
+    certified = 0
+    for _ in range(800):
+        rank = rng.randint(1, 3)
+        chars = linalg.all_vectors2(rank)
+        U = RepE(rank, _random_table(rng, chars, min(4, len(chars)), 3))
+        V = RepE(rank, _random_table(rng, chars[1:], min(3, len(chars) - 1), 2))
+        exists = any(_admissible(f, U, V) for f in flags[rank])
+        try:
+            flag = find_flag(U, V)
+        except HypothesisError:
+            assert not exists, f"no flag reported for {U} vs {V}"
+            continue
+        assert _admissible(flag, U, V)
+        reference = _greedy_flag(U, V)
+        if reference is None:
+            certified += 1
+        else:
+            assert flag.dual_basis == reference.dual_basis
+    assert certified > 0  # the sample includes pairs where the single path dead-ends
+
+
+def test_find_rational_flag_complete_against_line_chains():
+    rng = random.Random(12)
+    certified = 0
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        weights = [w for w in product(range(-2, 3), repeat=rank) if any(w)]
+        U = RepT(rank, _random_table(rng, weights, min(4, len(weights)), 3))
+        V = RepT(rank, _random_table(rng, weights, min(3, len(weights)), 2))
+        exists = _exists_rational_flag(U, V)
+        try:
+            flag = find_rational_flag(U, V)
+        except HypothesisError:
+            assert not exists, f"no flag reported for {U} vs {V}"
+            continue
+        assert _admissible(flag, U, V)
+        reference = _greedy_rational_flag(U, V)
+        if reference is None:
+            certified += 1
+        else:
+            assert flag.dual_basis == reference.dual_basis
+    assert certified > 0
+
+
+def test_find_flag_backtracks_past_best_first_step():
+    # the best first step (0,1) leaves no positive second step; (1,0) works
+    U = RepE(2, {B: 2, A: 1})
+    V = RepE(2, {AB: 1})
+    assert _greedy_flag(U, V) is None
+    assert find_flag(U, V).dual_basis == (A, B)
+
+
+def test_find_rational_flag_backtracks_past_best_first_step():
+    U = RepT(2, {(1, 0): 3, (0, 1): 3})
+    V = RepT(2, {(3, 0): 2, (1, 3): 2})
+    assert _greedy_rational_flag(U, V) is None
+    flag = find_rational_flag(U, V)
+    assert flag.dual_basis == ((1, 0), (0, 1))
+    assert decompose(U, flag).dims == (3, 3) and decompose(V, flag).dims == (2, 2)
+
+
+def test_chain_search_node_limit(monkeypatch):
+    monkeypatch.setattr(flagsearch, "MAX_CHAIN_NODES", 1)
+    with pytest.raises(ResourceLimitError, match="chain nodes"):
+        find_flag(RepE(2, {A: 2, B: 1}), RepE(2, {}))
+    with pytest.raises(ResourceLimitError, match="chain nodes"):
+        find_rational_flag(RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {}))

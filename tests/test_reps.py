@@ -278,6 +278,49 @@ def test_rep_doc_validation():
         )
 
 
+_BAD_INTS = [3.7, 1.0, True, "1"]
+
+
+@pytest.mark.parametrize("bad", _BAD_INTS)
+@pytest.mark.parametrize("where", ["rank", "char", "mult", "dual_basis"])
+def test_documents_reject_non_integers(where, bad):
+    doc = {
+        "group": {"kind": "torus", "rank": 2},
+        "module": {"entries": [{"char": [1, 0], "mult": 1}]},
+    }
+    if where == "rank":
+        doc["group"]["rank"] = bad
+    elif where in ("char", "mult"):
+        entry = doc["module"]["entries"][0]
+        entry[where] = [bad, 0] if where == "char" else bad
+    with pytest.raises(InputError, match="must be an integer"):
+        if where == "dual_basis":
+            flag_from_doc({"dual_basis": [[1, 0], [bad, 1]]}, "torus", 2)
+        else:
+            rep_from_doc(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RepE(2.0, {}),
+    lambda: RepE(2, {(1, 0): 3.7}),
+    lambda: RepE(2, {(True, 0): 1}),
+    lambda: RepT(1, {(1.2,): 1}),
+    lambda: FlagE(1, [(1.0,)]),
+    lambda: RationalFlag(2, [(1, 0), (0, "1")]),
+    lambda: Subgroup(True, []),
+])
+def test_constructors_reject_non_integers(make):
+    with pytest.raises(InputError, match="must be an integer"):
+        make()
+
+
+def test_documents_reject_non_list_vectors():
+    with pytest.raises(InputError, match="must be a list"):
+        rep_from_doc({"group": {"kind": "torus", "rank": 1}, "module": {"entries": [{"char": 1, "mult": 1}]}})
+    with pytest.raises(InputError, match="must be a list"):
+        flag_from_doc({"dual_basis": [1]}, "torus", 1)
+
+
 def test_flag_doc_round_trip():
     flag = FlagE(2, [AB, B])
     doc = flag_to_doc(flag)
