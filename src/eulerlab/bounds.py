@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cohomology import euler_nonvanishing
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, require_int
 from .flagsearch import find_rational_flag, reduced_flag_search
 from .reps import (
     FlagE,
@@ -20,7 +20,6 @@ from .reps import (
     RepT,
     decompose,
     flag_to_doc,
-    require_int,
 )
 
 PASS = "pass"

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import cohomology, polyring, sympow, torusmaps
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
-from .errors import HypothesisError, InputError, ResourceLimitError
+from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
-from .polyring import F2, Q, TriangularSystem, format_poly, parse_poly
+from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
 from .reps import (
     ELEM_ABELIAN_2,
     RepE,
@@ -28,7 +28,6 @@ from .reps import (
     group_from_doc,
     rep_entries_doc,
     rep_from_doc,
-    require_int,
     spanning_flag_from_support,
 )
 
@@ -104,9 +103,10 @@ def _pair_from_doc(doc):
 
 def _cmd_reduce(args, seed):
     doc = _load_document(args, required=False)
-    field = args.field or doc.get("field")
-    if field not in (F2, Q):
-        raise InputError("field must be F2 or Q (flag --field or document field)")
+    try:
+        field = as_field(args.field or doc.get("field"))
+    except InputError:
+        raise InputError("field must be F2 or Q (flag --field or document field)") from None
     nvars = args.nvars if args.nvars is not None else doc.get("nvars")
     if nvars is None:
         raise InputError("the variable count is required (--nvars or document nvars)")

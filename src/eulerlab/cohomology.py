@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from math import factorial
+from math import comb, factorial
 
 from . import polyring
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, ResourceLimitError
 from .polyring import F2, Poly, TriangularSystem, format_poly
 from .reps import FlagE, RepE, RepT, decompose, euler_poly
 
@@ -123,8 +123,20 @@ def euler_nonvanishing(U, V, flag):
 # Flag manifolds of subspace chains in R^n
 # ---------------------------------------------------------------------------
 
+MAX_RELATION_TERMS = 100_000
+
+
 def _homogeneous_sum(nvars, degree, indices):
-    """Complete homogeneous sum of the given degree in the chosen variables (F2)."""
+    """Complete homogeneous sum of the given degree in the chosen variables (F2).
+
+    It has comb(degree + k - 1, k - 1) terms in k variables; above
+    MAX_RELATION_TERMS nothing is built and ResourceLimitError is raised.
+    """
+    count = comb(degree + len(indices) - 1, len(indices) - 1)
+    if count > MAX_RELATION_TERMS:
+        raise ResourceLimitError(
+            f"a flag-ring relation would have {count} terms, above the limit of {MAX_RELATION_TERMS}"
+        )
     terms = {}
 
     def rec(pos, remaining, acc):
@@ -227,6 +239,8 @@ def verify_flag_ring(n, l, samples=25, seed=0):
     n!/(n-l)!; (d) for random tables with block dims <= n - i the Euler class
     survives (skipped when samples = 0).
     """
+    if samples < 0:
+        raise InputError(f"the sample count must be nonnegative, got {samples}")
     pres = flag_ring(n, l)
     items = []
 

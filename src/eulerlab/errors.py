@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind them."""
 
 
 class EulerlabError(Exception):
@@ -15,3 +15,10 @@ class HypothesisError(EulerlabError):
 
 class ResourceLimitError(EulerlabError):
     """The requested computation exceeds the enforced desk-scale limits."""
+
+
+def require_int(value, what):
+    """`value` itself if it is an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

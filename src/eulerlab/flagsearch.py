@@ -10,10 +10,10 @@ subspaces of (F2)^l, which stays desk-scale only for l <= 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError
+from .polyring import F2, Q
 from .reps import FlagE, RationalFlag, RepE, RepT, Subgroup, fixed_subrep, line_blocks
 
 MAX_SUBGROUP_RANK = 6
@@ -47,25 +47,14 @@ def _check_pair_e(U, V, gap=False):
         )
 
 
-def _mod2(v):
-    return tuple(a % 2 for a in v)
-
-
-def _primitive_or_zero(v):
-    g = gcd(*v)
-    if g and next(a for a in v if a) < 0:
-        g = -g
-    return tuple(a // g for a in v) if g else v
-
-
-def _chain_search(rank, gaps, candidates, normalize, failure):
+def _chain_search(field, rank, gaps, candidates, failure):
     """Covectors spanning a chain 0 < S_1 < ... < S_rank in which every step
     newly covers labels of positive summed gap, found depth first.
 
-    `gaps` maps nonzero labels to gaps, `candidates` are ascending covectors,
-    and `normalize` fixes the field: mod 2 over F2, the primitive multiple
-    over Q.  A span is a canonical integer RREF, and the normalized residual
-    of a vector names the extension it spans: a coset over F2, a line over Q.
+    `gaps` maps nonzero labels to gaps and `candidates` are ascending
+    covectors.  A span is a canonical integer RREF, and the residual of a
+    vector, put in `field.line` normal form, names the extension it spans: a
+    coset over F2, a line over Q.
     Extensions go best summed gap first, ties to the least candidate, so the
     gap-maximizing path is returned whenever it never dead-ends.  Dead spans
     are memoized; on failure HypothesisError names one step past the longest
@@ -78,7 +67,7 @@ def _chain_search(rank, gaps, candidates, normalize, failure):
     def residual(v, rows):
         for p, row in rows:
             if v[p]:
-                v = normalize(tuple(row[p] * a - v[p] * b for a, b in zip(v, row)))
+                v = field.line(tuple(row[p] * a - v[p] * b for a, b in zip(v, row)))
         return v
 
     def extend(rows, remaining):
@@ -134,7 +123,7 @@ def find_flag(U, V):
     gaps = {c: g for c, g in gap_table(U, V).items() if any(c)}
     vectors = linalg.all_vectors2(U.rank)
     failure = "no flag extension with positive dimension gap"
-    return FlagE(U.rank, _chain_search(U.rank, gaps, vectors, _mod2, failure))
+    return FlagE(U.rank, _chain_search(F2, U.rank, gaps, vectors, failure))
 
 
 def _fixed_dim_under(rep, basis):
@@ -217,4 +206,4 @@ def find_rational_flag(U, V):
     standard = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     candidates = sorted(set(u_lines) | set(standard))
     failure = "no admissible flag extension"
-    return RationalFlag(rank, _chain_search(rank, line_gaps, candidates, _primitive_or_zero, failure))
+    return RationalFlag(rank, _chain_search(Q, rank, line_gaps, candidates, failure))

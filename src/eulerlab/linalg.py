@@ -1,13 +1,57 @@
-"""Exact linear algebra helpers over F2 (0/1 tuples) and Q (Fraction tuples).
+"""Exact linear algebra over the fields F2 and Q of `polyring`.
 
 Vectors are plain tuples so they can serve as dictionary keys throughout the
-package.  All routines are deterministic: pivoting always picks the first
-usable row, free variables are set to zero, and enumeration orders are fixed.
+package; entries are ints over F2 and Fractions over Q.  One elimination,
+`_rref`, takes the Field object and serves both fields: `rref2`/`rrefq`,
+`rank2`/`rankq` and `solve2`/`solveq` are its per-field entry points.  All
+routines are deterministic: pivoting always picks the first usable row, free
+variables are set to zero, and enumeration orders are fixed.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+
+from .polyring import F2, Q
+
+
+def _rref(field, rows, n):
+    """Reduced row echelon form in the first n columns; returns (rows, pivot_columns)."""
+    norm = field.norm
+    mat = [[field.coerce(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inverse(mat[r][c])
+        pivot = mat[r] = [norm(x * inv) for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [norm(a - f * b) for a, b in zip(row, pivot)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat], pivots
+
+
+def _solve(field, rows, target):
+    """Coefficients c with sum_i c_i * rows[i] == target, or None.
+
+    Free coefficients are set to zero, so the answer is unique whenever the
+    rows are linearly independent.
+    """
+    k = len(rows)
+    aug = [[row[e] for row in rows] + [t] for e, t in enumerate(target)]
+    reduced, pivots = _rref(field, aug, k)
+    if any(row[k] for row in reduced[len(pivots):]):
+        return None
+    sol = [field.coerce(0)] * k
+    for row, c in zip(reduced, pivots):
+        sol[c] = row[k]
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -31,23 +75,7 @@ def span2(rows, n):
 
 
 def rref2(rows, n):
-    """Reduced row echelon form over F2; returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = [a ^ b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat], pivots
+    return _rref(F2, rows, n)
 
 
 def rank2(rows, n):
@@ -65,35 +93,7 @@ def in_span2(rows, v, n):
 
 
 def solve2(rows, target):
-    """Coefficients c with sum_i c_i * rows[i] == target over F2, or None.
-
-    Free coefficients are set to zero, so the answer is unique whenever the
-    rows are linearly independent.
-    """
-    k = len(rows)
-    n = len(target)
-    if k == 0:
-        return () if not any(target) else None
-    aug = [[rows[v][e] for v in range(k)] + [target[e]] for e in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                aug[i] = [a ^ b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
-    sol = [0] * k
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][k]
-    return tuple(sol)
+    return _solve(F2, rows, target)
 
 
 def nullspace2(rows, n):
@@ -143,30 +143,8 @@ def enumerate_subspace_bases2(n):
 # Q
 # ---------------------------------------------------------------------------
 
-def _fracs(v):
-    return [Fraction(x) for x in v]
-
-
 def rrefq(rows, n):
-    mat = [_fracs(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    return _rref(Q, rows, n)
 
 
 def rankq(rows, n):
@@ -174,51 +152,14 @@ def rankq(rows, n):
 
 
 def solveq(rows, target):
-    """Coefficients c with sum_i c_i * rows[i] == target over Q, or None."""
-    k = len(rows)
-    n = len(target)
-    if k == 0:
-        return () if all(Fraction(t) == 0 for t in target) else None
-    aug = [[Fraction(rows[v][e]) for v in range(k)] + [Fraction(target[e])] for e in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][k]
-    return tuple(sol)
+    return _solve(Q, rows, target)
 
 
 def primitive(vec):
-    """Primitive integer representative of the line through `vec`.
-
-    Entries are divided by their gcd and the sign is normalized so the first
-    nonzero entry is positive.
-    """
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
+    """Primitive integer representative of the line through the integer
+    vector `vec`: Q's line normalisation, which divides by the gcd and makes
+    the first nonzero entry positive."""
+    w = Q.line(vec)
+    if not any(w):
         raise ValueError("the zero vector spans no line")
-    w = [int(x) // g for x in vec]
-    for x in w:
-        if x != 0:
-            if x < 0:
-                w = [-y for y in w]
-            break
-    return tuple(w)
+    return w

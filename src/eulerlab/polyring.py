@@ -1,5 +1,12 @@
 """Exact sparse multivariate polynomials over F2 and Q with triangular normal forms.
 
+The fields are the `Field` values `F2` and `Q`: strings equal to their tags,
+so "F2" and "Q" still name them through `as_field`.  Each carries strict
+coercion, the normalisation of a sum or product (mod 2 over F2, none over Q),
+inverses, the canonical vector on a line (mod 2 over F2; primitive and
+sign-normalised over Q) and the text of a term, so no code here or in
+`linalg` branches on a tag.
+
 Monomials are exponent tuples; the canonical order is graded lexicographic
 with the *last* variable most significant.  A triangular system consists of
 one relation per variable, the j-th having an invertible constant coefficient
@@ -12,13 +19,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
+from operator import add
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "F2",
     "Q",
+    "Field",
+    "as_field",
     "Poly",
     "TriangularSystem",
     "reduce",
@@ -29,8 +39,80 @@ __all__ = [
     "parse_poly",
 ]
 
-F2 = "F2"
-Q = "Q"
+
+class Field(str):
+    """A coefficient field that compares and hashes as its tag string.
+
+    Elements are ints over F2 and Fractions over Q.  Arithmetic may add and
+    multiply raw elements and apply `norm` once at the end.
+    """
+
+    def coerce(self, value):
+        """`value` as a field element.  Only ints and Fractions are read:
+        bools, floats and everything else are input errors, never rounded."""
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise InputError(f"coefficient {value!r} must be an int or a Fraction")
+        return self._element(value)
+
+    def inverse(self, c):
+        return self.coerce(Fraction(1, c))
+
+
+class _F2(Field):
+    @staticmethod
+    def _element(value):
+        if value.denominator != 1:
+            raise InputError(f"coefficient {value} is not an element of F2")
+        return value.numerator % 2
+
+    @staticmethod
+    def norm(c):
+        return c % 2
+
+    @staticmethod
+    def line(v):
+        """The vector mod 2: over F2 every nonzero vector is its own line."""
+        return tuple(a % 2 for a in v)
+
+    @staticmethod
+    def term_text(c, monomial):
+        return monomial or "1"
+
+
+class _Q(Field):
+    @staticmethod
+    def _element(value):
+        return Fraction(value)
+
+    @staticmethod
+    def norm(c):
+        return c
+
+    @staticmethod
+    def line(v):
+        """Primitive integer multiple of an integer vector, first nonzero
+        entry positive; the zero vector stays zero."""
+        g = gcd(*v)
+        if g and next(a for a in v if a) < 0:
+            g = -g
+        return tuple(a // g for a in v) if g else tuple(v)
+
+    @staticmethod
+    def term_text(c, monomial):
+        return f"{c}*{monomial}" if monomial else str(c)
+
+
+F2 = _F2("F2")
+Q = _Q("Q")
+_FIELDS = {F2: F2, Q: Q}
+
+
+def as_field(tag):
+    """The Field named by `tag`: F2, Q, or the plain string "F2" or "Q"."""
+    try:
+        return _FIELDS[tag]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown field tag {tag!r}") from None
 
 
 def monomial_key(m):
@@ -38,61 +120,43 @@ def monomial_key(m):
     return (sum(m), tuple(reversed(m)))
 
 
-def _check_field(field):
-    if field not in (F2, Q):
-        raise InputError(f"unknown field tag {field!r}")
-
-
-def _coeff(field, value):
-    if field == F2:
-        return int(value) % 2
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
-def _cadd(field, a, b):
-    return (a + b) % 2 if field == F2 else a + b
-
-
-def _cmul(field, a, b):
-    return (a * b) % 2 if field == F2 else a * b
-
-
-def _cneg(field, a):
-    return a if field == F2 else -a
-
-
-def _cdiv(field, a, b):
-    return a if field == F2 else a / b
-
-
 class Poly:
-    """Immutable sparse polynomial in canonical form (no zero coefficients)."""
+    """Immutable sparse polynomial in canonical form (no zero coefficients).
+
+    The constructor validates every term; arithmetic builds its results with
+    `_trusted`, which only normalises the coefficients and drops zeros.
+    """
 
     __slots__ = ("field", "nvars", "_terms")
 
     def __init__(self, field, nvars, terms=None):
-        _check_field(field)
-        nvars = int(nvars)
+        field = as_field(field)
+        nvars = require_int(nvars, "variable count")
         if nvars < 0:
             raise InputError("variable count must be nonnegative")
-        clean = {}
+        raw = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for m, c in items:
-            m = tuple(int(e) for e in m)
+            m = tuple(require_int(e, "exponent") for e in m)
             if len(m) != nvars:
                 raise InputError(f"monomial {m} does not have {nvars} exponents")
             if any(e < 0 for e in m):
                 raise InputError(f"negative exponent in monomial {m}")
-            c = _cadd(field, clean.get(m, _coeff(field, 0)), _coeff(field, c))
-            if c:
-                clean[m] = c
-            else:
-                clean.pop(m, None)
+            raw[m] = raw.get(m, 0) + field.coerce(c)
+        self._set(field, nvars, raw)
+
+    def _set(self, field, nvars, raw):
+        norm = field.norm
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {m: c for m, r in raw.items() if (c := norm(r))})
+
+    @classmethod
+    def _trusted(cls, field, nvars, raw):
+        """Poly from valid monomials and raw sums of field elements."""
+        p = object.__new__(cls)
+        p._set(field, nvars, raw)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -143,7 +207,7 @@ class Poly:
         return sorted(self._terms.items(), key=lambda mc: monomial_key(mc[0]))
 
     def coefficient(self, m):
-        return self._terms.get(tuple(m), _coeff(self.field, 0))
+        return self._terms.get(tuple(m), self.field.coerce(0))
 
     def total_degree(self):
         if not self._terms:
@@ -166,37 +230,27 @@ class Poly:
         self._check_same_ring(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = _cadd(self.field, terms.get(m, _coeff(self.field, 0)), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Poly(self.field, self.nvars, terms)
+            terms[m] = terms.get(m, 0) + c
+        return Poly._trusted(self.field, self.nvars, terms)
 
     def __neg__(self):
-        if self.field == F2:
-            return self
-        return Poly(self.field, self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._trusted(self.field, self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        field = self.field
         terms = {}
+        get = terms.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = _cadd(field, terms.get(m, _coeff(field, 0)), _cmul(field, c1, c2))
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Poly(field, self.nvars, terms)
+                m = tuple(map(add, m1, m2))
+                terms[m] = get(m, 0) + c1 * c2
+        return Poly._trusted(self.field, self.nvars, terms)
 
     def __pow__(self, exponent):
-        exponent = int(exponent)
+        exponent = require_int(exponent, "polynomial power")
         if exponent < 0:
             raise InputError("negative polynomial powers are not defined here")
         result = Poly.one(self.field, self.nvars)
@@ -210,10 +264,8 @@ class Poly:
         return result
 
     def scaled(self, c):
-        c = _coeff(self.field, c)
-        if not c:
-            return Poly.zero(self.field, self.nvars)
-        return Poly(self.field, self.nvars, {m: _cmul(self.field, v, c) for m, v in self._terms.items()})
+        c = self.field.coerce(c)
+        return Poly._trusted(self.field, self.nvars, {m: v * c for m, v in self._terms.items()})
 
     # -- equality -----------------------------------------------------------
 
@@ -310,30 +362,40 @@ def _check_match(p, system):
 
 
 def reduce_in_variable(p, j, system):
-    """Eliminate every T_j-power >= d_j from p by division against g_j."""
+    """Eliminate every T_j-power >= d_j from p by division against g_j.
+
+    T_j^{d_j} is rewritten as the rest of g_j over minus its leading
+    coefficient, one T_j-degree at a time from the top down: rewriting only
+    adds lower degrees, so a coefficient is final when its degree is reached.
+    """
     _check_match(p, system)
-    g = system.gens[j - 1]
-    d = system.lead_degrees[j - 1]
-    lc = system.lead_coeffs[j - 1]
     field = p.field
-    terms = dict(p._terms)
-    while True:
-        top = max((m[j - 1] for m in terms), default=-1)
-        if top < d:
-            break
-        head = [(m, c) for m, c in terms.items() if m[j - 1] == top]
-        for m, c in head:
-            q = _cdiv(field, c, lc)
-            base = list(m)
-            base[j - 1] = top - d
-            for mg, cg in g._terms.items():
-                mm = tuple(b + e for b, e in zip(base, mg))
-                s = _cadd(field, terms.get(mm, _coeff(field, 0)), _cneg(field, _cmul(field, q, cg)))
-                if s:
-                    terms[mm] = s
-                else:
-                    terms.pop(mm, None)
-    return Poly(field, p.nvars, terms)
+    norm = field.norm
+    i = j - 1
+    d = system.lead_degrees[i]
+    scale = -field.inverse(system.lead_coeffs[i])
+    # the rest of g_j, with T_j^{d_j} already divided out of each monomial
+    tail = [
+        (m[:i] + (m[i] - d,) + m[i + 1:], m[i] - d, norm(c * scale))
+        for m, c in system.gens[i]._terms.items()
+        if m[i] < d
+    ]
+    levels = {}
+    for m, c in p._terms.items():
+        levels.setdefault(m[i], {})[m] = c
+    while levels and (top := max(levels)) >= d:
+        heads = levels.pop(top)
+        targets = [(mt, levels.setdefault(top + shift, {}), ct) for mt, shift, ct in tail]
+        for m, c in heads.items():
+            c = norm(c)
+            if c:
+                for mt, level, ct in targets:
+                    mm = tuple(map(add, m, mt))
+                    level[mm] = level.get(mm, 0) + c * ct
+    terms = {}
+    for level in levels.values():
+        terms.update(level)
+    return Poly._trusted(field, p.nvars, terms)
 
 
 def reduce(p, system):
@@ -383,16 +445,14 @@ def format_poly(p):
             for i, e in enumerate(m)
             if e
         )
-        if p.field == F2:
-            parts.append(vars_part or "1")
-        else:
-            parts.append(f"{c}*{vars_part}" if vars_part else str(c))
+        parts.append(p.field.term_text(c, vars_part))
     return "+".join(parts)
 
 
 def parse_poly(text, field, nvars):
     """Parse the polynomial text format; whitespace and term order are free."""
-    _check_field(field)
+    field = as_field(field)
+    nvars = require_int(nvars, "variable count")
     s = "".join(str(text).split())
     if not s:
         raise InputError("empty polynomial text")
@@ -403,7 +463,7 @@ def parse_poly(text, field, nvars):
         if not term:
             continue
         seen_term = True
-        coeff = _coeff(field, 1)
+        coeff = 1
         exps = [0] * nvars
         for factor in term.split("*"):
             if not factor:
@@ -413,9 +473,10 @@ def parse_poly(text, field, nvars):
                 negate = True
                 factor = factor[1:]
             if _NUM_RE.match(factor):
-                if field == F2 and "/" in factor:
-                    raise InputError(f"fractional coefficient {factor!r} over F2")
-                coeff = _cmul(field, coeff, _coeff(field, factor))
+                try:
+                    coeff *= field.coerce(Fraction(factor))
+                except ZeroDivisionError:
+                    raise InputError(f"zero denominator in {factor!r}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:
@@ -425,13 +486,9 @@ def parse_poly(text, field, nvars):
                 raise InputError(f"variable T{idx} out of range for {nvars} variables")
             exps[idx - 1] += int(m.group(2) or 1)
             if negate:
-                coeff = _cmul(field, coeff, _coeff(field, -1))
+                coeff = -coeff
         mono = tuple(exps)
-        s2 = _cadd(field, acc.get(mono, _coeff(field, 0)), coeff)
-        if s2:
-            acc[mono] = s2
-        else:
-            acc.pop(mono, None)
+        acc[mono] = acc.get(mono, 0) + coeff
     if not seen_term:
         raise InputError("empty polynomial text")
     return Poly(field, nvars, acc)

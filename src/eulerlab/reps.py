@@ -11,18 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, require_int
 from .polyring import F2, Q, Poly
 
 ELEM_ABELIAN_2 = "elem_abelian_2"
 TORUS = "torus"
-
-
-def require_int(value, what):
-    """`value` itself if it is an int; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 class _RepBase:
@@ -125,17 +118,19 @@ class RepT(_RepBase):
         return char
 
 
-class FlagE:
-    """Complete flag of (F2^rank)^*, carried as an adapted dual basis."""
+class _Flag:
+    """Complete flag of the dual space over `field`, carried as an adapted
+    dual basis.  Subclasses set the field, name the labels, validate
+    covectors and reach `linalg` through its per-field names."""
 
     def __init__(self, rank, dual_basis):
         rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError("flags require rank >= 1")
-        basis = tuple(RepE._validate_char(v, rank) for v in dual_basis)
+        basis = tuple(self._covector(v, rank) for v in dual_basis)
         if len(basis) != rank:
             raise InputError(f"need {rank} covectors, got {len(basis)}")
-        if linalg.rank2(basis, rank) != rank:
+        if self._rank(basis, rank) != rank:
             raise InputError("dual basis covectors are linearly dependent")
         self.rank = rank
         self.dual_basis = basis
@@ -143,6 +138,46 @@ class FlagE:
     @classmethod
     def standard(cls, rank):
         return cls(rank, [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)])
+
+    def coordinates(self, char):
+        coords = self._solve(self.dual_basis, tuple(char))
+        if coords is None:
+            raise InputError(f"{self.label} {char} is not expressible in the flag basis")
+        return coords
+
+    def top_index(self, char):
+        """Least i with char inside span(T_1..T_i); requires a nonzero label."""
+        coords = self.coordinates(char)
+        for i in range(self.rank - 1, -1, -1):
+            if coords[i]:
+                return i + 1
+        raise InputError(f"{self.zero_label} belongs to no flag block")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.dual_basis == self.dual_basis
+
+    def __hash__(self):
+        return hash(self.dual_basis)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rank}, {list(self.dual_basis)!r})"
+
+
+class FlagE(_Flag):
+    """Complete flag of (F2^rank)^*, carried as an adapted dual basis."""
+
+    field = F2
+    label = "character"
+    zero_label = "the trivial character"
+    _covector = staticmethod(RepE._validate_char)
+
+    @staticmethod
+    def _rank(rows, n):
+        return linalg.rank2(rows, n)
+
+    @staticmethod
+    def _solve(rows, target):
+        return linalg.solve2(rows, target)
 
     @classmethod
     def from_chain(cls, rank, spans):
@@ -164,78 +199,31 @@ class FlagE:
             prev = current
         return cls(rank, basis)
 
-    def coordinates(self, char):
-        coords = linalg.solve2(self.dual_basis, tuple(char))
-        if coords is None:
-            raise InputError(f"character {char} is not expressible in the flag basis")
-        return coords
 
-    def top_index(self, char):
-        """Least i with char inside span(T_1..T_i); requires a nonzero character."""
-        coords = self.coordinates(char)
-        for i in range(self.rank - 1, -1, -1):
-            if coords[i]:
-                return i + 1
-        raise InputError("the trivial character belongs to no flag block")
-
-    def __eq__(self, other):
-        return isinstance(other, FlagE) and other.dual_basis == self.dual_basis
-
-    def __hash__(self):
-        return hash(self.dual_basis)
-
-    def __repr__(self):
-        return f"FlagE({self.rank}, {list(self.dual_basis)!r})"
-
-
-class RationalFlag:
+class RationalFlag(_Flag):
     """Complete flag of Q^rank; covectors normalized to primitive integer form."""
 
-    def __init__(self, rank, dual_basis):
-        rank = require_int(rank, "rank")
-        if rank < 1:
-            raise InputError("flags require rank >= 1")
-        basis = []
-        for v in dual_basis:
-            v = tuple(require_int(x, "covector entry") for x in v)
-            if len(v) != rank:
-                raise InputError(f"covector {v} does not have length {rank}")
-            try:
-                basis.append(linalg.primitive(v))
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-        if len(basis) != rank:
-            raise InputError(f"need {rank} covectors, got {len(basis)}")
-        if linalg.rankq(basis, rank) != rank:
-            raise InputError("dual basis covectors are linearly dependent")
-        self.rank = rank
-        self.dual_basis = tuple(basis)
+    field = Q
+    label = "weight"
+    zero_label = "the zero weight"
 
-    @classmethod
-    def standard(cls, rank):
-        return cls(rank, [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)])
+    @staticmethod
+    def _covector(v, rank):
+        v = tuple(require_int(x, "covector entry") for x in v)
+        if len(v) != rank:
+            raise InputError(f"covector {v} does not have length {rank}")
+        try:
+            return linalg.primitive(v)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
-    def coordinates(self, weight):
-        coords = linalg.solveq(self.dual_basis, tuple(weight))
-        if coords is None:
-            raise InputError(f"weight {weight} is not expressible in the flag basis")
-        return coords
+    @staticmethod
+    def _rank(rows, n):
+        return linalg.rankq(rows, n)
 
-    def top_index(self, weight):
-        coords = self.coordinates(weight)
-        for i in range(self.rank - 1, -1, -1):
-            if coords[i] != 0:
-                return i + 1
-        raise InputError("the zero weight belongs to no flag block")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFlag) and other.dual_basis == self.dual_basis
-
-    def __hash__(self):
-        return hash(self.dual_basis)
-
-    def __repr__(self):
-        return f"RationalFlag({self.rank}, {list(self.dual_basis)!r})"
+    @staticmethod
+    def _solve(rows, target):
+        return linalg.solveq(rows, target)
 
 
 class Subgroup:
@@ -366,10 +354,9 @@ def euler_poly(rep, flag):
             "euler class vanishes identically: "
             f"trivial label has multiplicity {rep.fixed_dim}"
         )
-    field = F2 if isinstance(rep, RepE) else Q
-    result = Poly.one(field, rep.rank)
+    result = Poly.one(flag.field, rep.rank)
     for char, m in rep.items():
-        form = Poly.linear_form(field, flag.coordinates(char))
+        form = Poly.linear_form(flag.field, flag.coordinates(char))
         result = result * form ** m
     return result
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -161,6 +162,22 @@ def test_flag_search_node_limit_exit_two(monkeypatch):
     code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
     assert code == 2
     assert "chain nodes" in err
+
+
+def test_flag_ring_negative_samples_exit_two():
+    code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--verify", "--samples", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "sample count must be nonnegative" in err
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_flag_ring_relation_size_limit_exit_two(verify):
+    start = time.monotonic()
+    code, out, err = invoke(["flag-ring", "-n", "40", "-l", "12"] + verify)
+    assert time.monotonic() - start < 2
+    assert code == 2
+    assert f"above the limit of {cohomology.MAX_RELATION_TERMS}" in err
 
 
 # -- machine mode round trips ------------------------------------------------------

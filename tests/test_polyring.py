@@ -70,6 +70,33 @@ def test_mismatched_rings_rejected():
         p * parse_poly("T1", Q, 1)
 
 
+@pytest.mark.parametrize(
+    "field, nvars, terms",
+    [
+        (F2, 1, {(1,): 0.5}),
+        (F2, 1, {(1,): Fraction(1, 2)}),
+        (Q, 1, {(1,): 0.1}),
+        (F2, 1, {(1,): True}),
+        (Q, 1, {(1,): "1"}),
+        (F2, 1.7, {(1,): 1}),
+        (Q, True, {(1,): 1}),
+        (F2, 1, {(1.9,): 1}),
+        (Q, 1, {(True,): 1}),
+        ("R", 1, {(1,): 1}),
+    ],
+)
+def test_constructor_rejects_inexact_input(field, nvars, terms):
+    with pytest.raises(InputError):
+        Poly(field, nvars, terms)
+
+
+def test_field_tags_name_the_fields():
+    assert (F2, Q) == ("F2", "Q")
+    assert Poly("F2", 1, {(1,): Fraction(3)}) == Poly(F2, 1, {(1,): 1})
+    assert type(Poly("Q", 1, {(1,): 2}).coefficient((1,))) is Fraction
+    assert Poly("Q", 1).field is Q
+
+
 def test_zero_degree_undefined():
     with pytest.raises(ValueError):
         Poly.zero(F2, 2).total_degree()
@@ -252,6 +279,8 @@ def test_parser_rejects_garbage():
         parse_poly("", F2, 2)
     with pytest.raises(InputError):
         parse_poly("1/2*T1", F2, 2)
+    with pytest.raises(InputError):
+        parse_poly("1/0*T1", Q, 2)
 
 
 # -- cross-validation against sympy -------------------------------------------
