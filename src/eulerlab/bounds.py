@@ -46,8 +46,13 @@ class BoundReport:
     def applicable(self):
         return self.bound is not None
 
-    def failed_items(self):
-        return [h for h in self.hypotheses if h.status == FAIL]
+    @property
+    def failure(self):
+        """None when a bound applies, else the hypothesis-failure line naming the failed items."""
+        if self.applicable:
+            return None
+        failed = "; ".join(h.description for h in self.hypotheses if h.status == FAIL)
+        return f"hypothesis failure: {failed}"
 
     def to_text(self):
         lines = [f"theorem: {self.theorem}"]
@@ -88,6 +93,31 @@ def _fail(report, description, evidence=""):
     return report
 
 
+def _certify(report, U, V, flag, flag_item, survival_item):
+    """Check that the flag is admissible for (U, V) and that e(V) survives.
+
+    Returns (U block dims, V block dims, certificate), or None after recording
+    the failed item.
+    """
+    u_dims = decompose(U, flag).dims
+    v_dims = decompose(V, flag).dims
+    if not _check(
+        report,
+        flag_item,
+        all(a > b for a, b in zip(u_dims, v_dims)),
+        f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
+    ):
+        return None
+    try:
+        nonzero, certificate = euler_nonvanishing(U, V, flag)
+    except HypothesisError as exc:
+        _fail(report, "euler class nonvanishing", str(exc))
+        return None
+    if not _check(report, survival_item, nonzero, f"normal form {certificate.text()}"):
+        return None
+    return u_dims, v_dims, certificate
+
+
 def bound_free_zero_set(U, V):
     """Zero-set bound dim U - dim V for maps U -> V of (Z/2)^l modules.
 
@@ -116,35 +146,14 @@ def bound_free_zero_set(U, V):
 
     F = search.subgroup
     U1, V1 = search.quotient_module, search.quotient_target
-    report.hypotheses.append(
-        HypothesisItem(
-            "maximal subgroup F with dim U^F - dim V^F >= dim U - dim V",
-            PASS,
-            f"dim F = {F.dim}, dim U^F - dim V^F = {U1.dim} - {V1.dim} = {U1.dim - V1.dim}",
-        )
-    )
-
-    u_dims = decompose(U1, search.flag).dims
-    v_dims = decompose(V1, search.flag).dims
-    if not _check(
-        report,
-        "flag with dim U_i > dim V_i for every i (over the quotient group)",
-        all(a > b for a, b in zip(u_dims, v_dims)),
-        f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
-    ):
+    evidence = f"dim F = {F.dim}, dim U^F - dim V^F = {U1.dim} - {V1.dim} = {U1.dim - V1.dim}"
+    _check(report, "maximal subgroup F with dim U^F - dim V^F >= dim U - dim V", True, evidence)
+    flag_item = "flag with dim U_i > dim V_i for every i (over the quotient group)"
+    survival_item = "euler class of V^F survives in the quotient presentation"
+    certified = _certify(report, U1, V1, search.flag, flag_item, survival_item)
+    if certified is None:
         return report
-
-    try:
-        nonzero, certificate = euler_nonvanishing(U1, V1, search.flag)
-    except HypothesisError as exc:
-        return _fail(report, "euler class nonvanishing", str(exc))
-    if not _check(
-        report,
-        "euler class of V^F survives in the quotient presentation",
-        nonzero,
-        f"normal form {certificate.text()}",
-    ):
-        return report
+    u_dims, v_dims, certificate = certified
 
     quotient_rank = U.rank - F.dim
     report.bound = gap
@@ -206,9 +215,9 @@ def bound_stiefel(P, Q, n, kind="real"):
             flag = _flag_from_entry_order(P)
         except InputError:
             mults_ok = False
-    if not mults_ok:
-        return _fail(report, lines_desc, f"entries {P.items()}")
-    report.hypotheses.append(HypothesisItem(lines_desc, PASS, f"dim P = {P.dim} = l"))
+    evidence = f"dim P = {P.dim} = l" if mults_ok else f"entries {P.items()}"
+    if not _check(report, lines_desc, mults_ok, evidence):
+        return report
 
     q_fixed_name = "Q^E = 0" if real else "Q^T = 0"
     if not _check(report, q_fixed_name, not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}"):
@@ -266,12 +275,11 @@ def bound_torus(U, V, variant="interior"):
         raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
     report = BoundReport(theorem=f"torus-{variant}", hypotheses=[])
 
-    if U.fixed_dim:
-        return _fail(report, "U^T = 0", f"dim U^T = {U.fixed_dim}")
-    report.hypotheses.append(HypothesisItem("U^T = 0", PASS, "fixed dimension 0"))
-    if V.fixed_dim:
-        return _fail(report, "V^T = 0", f"dim V^T = {V.fixed_dim}")
-    report.hypotheses.append(HypothesisItem("V^T = 0", PASS, "fixed dimension 0"))
+    for name, rep in (("U", U), ("V", V)):
+        fixed = rep.fixed_dim
+        evidence = f"dim {name}^T = {fixed}" if fixed else "fixed dimension 0"
+        if not _check(report, f"{name}^T = 0", not fixed, evidence):
+            return report
 
     gap = U.dim - V.dim
 
@@ -293,31 +301,16 @@ def bound_torus(U, V, variant="interior"):
         )
         return report
 
+    flag_item = "rational flag with dim U_i > dim V_i for every i"
     try:
         flag = find_rational_flag(U, V)
     except HypothesisError as exc:
-        return _fail(report, "rational flag with dim U_i > dim V_i for every i", str(exc))
-    u_dims = decompose(U, flag).dims
-    v_dims = decompose(V, flag).dims
-    if not _check(
-        report,
-        "rational flag with dim U_i > dim V_i for every i",
-        all(a > b for a, b in zip(u_dims, v_dims)),
-        f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
-    ):
+        return _fail(report, flag_item, str(exc))
+    survival_item = "euler class of V survives in the quotient presentation"
+    certified = _certify(report, U, V, flag, flag_item, survival_item)
+    if certified is None:
         return report
-
-    try:
-        nonzero, certificate = euler_nonvanishing(U, V, flag)
-    except HypothesisError as exc:
-        return _fail(report, "euler class nonvanishing", str(exc))
-    if not _check(
-        report,
-        "euler class of V survives in the quotient presentation",
-        nonzero,
-        f"normal form {certificate.text()}",
-    ):
-        return report
+    u_dims, v_dims, certificate = certified
 
     report.bound = 2 * gap
     report.witness = {

@@ -1,14 +1,23 @@
 """Command-line front end.
 
 One JSON input document format serves every subcommand; flags override
-document fields.  Results are printed as human-readable text or, with
---machine, as a single JSON document per line.  Exit codes: 0 success,
-1 hypothesis failure, 2 input error.
+document fields.  Exit codes: 0 success, 1 hypothesis failure, 2 input error.
+
+Every subcommand handler returns one report, which renders itself:
+`to_text()` gives the human-readable text, `to_doc()` the document printed
+with --machine as a single JSON line, and `failure` is None on success or
+else the stderr line for exit 1.  The bound theorems return their
+`BoundReport`; the other handlers build a `Report` from (key, label, value)
+rows and nest the library's `VerificationReport` or `EquivarianceReport`.
+`run` only prints the report and takes its exit code from `failure`; errors
+raised before a report exists print `error: ...` (exit 2) or
+`hypothesis failure: ...` (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,17 +41,7 @@ from .reps import (
 )
 
 _DOC_KEYS = {
-    "group",
-    "module",
-    "target",
-    "flag",
-    "n",
-    "degree",
-    "field",
-    "nvars",
-    "poly",
-    "system",
-    "bounds",
+    "group", "module", "target", "flag", "n", "degree", "field", "nvars", "poly", "system", "bounds",
 }
 
 
@@ -86,19 +85,54 @@ def _resolve_seed(args):
 
 
 def _doc_flag(doc, kind, rank):
-    if "flag" in doc:
-        return flag_from_doc(doc["flag"], kind, rank)
-    return None
+    return flag_from_doc(doc["flag"], kind, rank) if "flag" in doc else None
 
 
 def _pair_from_doc(doc):
-    U = rep_from_doc(doc, key="module")
-    V = rep_from_doc(doc, key="target")
-    return U, V
+    return rep_from_doc(doc, key="module"), rep_from_doc(doc, key="target")
+
+
+class Report:
+    """Result rows declared once, as (key, label, value).
+
+    The document maps key -> value; the text prints `label: value`, booleans
+    as yes/no.  A row with key None is text only, one with label None is
+    document only.  A nested report (or None) adds its document under its
+    key, its text after the rows, and its failure.
+    """
+
+    def __init__(self, rows, **nested):
+        self.rows = rows
+        self.nested = nested
+
+    def to_doc(self):
+        doc = {key: value for key, _, value in self.rows if key is not None}
+        doc.update((key, None if r is None else r.to_doc()) for key, r in self.nested.items())
+        return doc
+
+    def to_text(self):
+        lines = [f"{label}: {_show(value)}" for _, label, value in self.rows if label is not None]
+        lines.extend(r.to_text() for r in self.nested.values() if r is not None)
+        return "\n".join(lines)
+
+    @property
+    def failure(self):
+        return next((r.failure for r in self.nested.values() if r is not None and r.failure), None)
+
+
+def _show(value):
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return value
+
+
+def _flag_rows(flag):
+    doc = flag_to_doc(flag)
+    return [("flag", None, doc), (None, "flag dual basis", doc["dual_basis"])]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (doc, text_lines, exit_code, errmsg)
+# Subcommand handlers: each returns a report (Report, BoundReport, ...)
 # ---------------------------------------------------------------------------
 
 def _cmd_reduce(args, seed):
@@ -120,17 +154,11 @@ def _cmd_reduce(args, seed):
     p = parse_poly(poly_text, field, nvars)
     system = TriangularSystem([parse_poly(g, field, nvars) for g in gen_texts])
     normal = polyring.reduce(p, system)
-    out = {
-        "normal_form": format_poly(normal),
-        "zero_in_quotient": normal.is_zero(),
-        "quotient_dim": system.quotient_dimension,
-    }
-    lines = [
-        f"normal form: {out['normal_form']}",
-        f"zero in quotient: {'yes' if out['zero_in_quotient'] else 'no'}",
-        f"quotient dimension: {out['quotient_dim']}",
-    ]
-    return out, lines, 0, None
+    return Report([
+        ("normal_form", "normal form", format_poly(normal)),
+        ("zero_in_quotient", "zero in quotient", normal.is_zero()),
+        ("quotient_dim", "quotient dimension", system.quotient_dimension),
+    ])
 
 
 def _cmd_euler_check(args, seed):
@@ -142,67 +170,41 @@ def _cmd_euler_check(args, seed):
         flag = find_flag(U, V) if kind == ELEM_ABELIAN_2 else find_rational_flag(U, V)
     nonzero, certificate = cohomology.euler_nonvanishing(U, V, flag)
     pres = certificate.presentation
-    out = {
-        "nonvanishing": nonzero,
-        "certificate": certificate.text(),
-        "flag": flag_to_doc(flag),
-        "relations": pres.relation_texts(),
-        "quotient_dim": pres.quotient_dimension,
-    }
-    lines = [
-        f"nonvanishing: {'yes' if nonzero else 'no'}",
-        f"certificate: {out['certificate']}",
-        f"flag dual basis: {out['flag']['dual_basis']}",
-        f"relations: {out['relations']}",
-    ]
-    return out, lines, 0, None
+    return Report([
+        ("nonvanishing", "nonvanishing", nonzero),
+        ("certificate", "certificate", certificate.text()),
+        *_flag_rows(flag),
+        ("relations", "relations", pres.relation_texts()),
+        ("quotient_dim", None, pres.quotient_dimension),
+    ])
 
 
 def _cmd_flag_find(args, seed):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
     search = reduced_flag_search(U, V)
-    u_dims = decompose(search.quotient_module, search.flag).dims
-    v_dims = decompose(search.quotient_target, search.flag).dims
-    out = {
-        "subgroup_basis": [list(r) for r in search.subgroup.basis],
-        "subgroup_dim": search.subgroup.dim,
-        "quotient_rank": U.rank - search.subgroup.dim,
-        "flag": flag_to_doc(search.flag),
-        "module_block_dims": list(u_dims),
-        "target_block_dims": list(v_dims),
-    }
-    lines = [
-        f"subgroup basis: {out['subgroup_basis']}",
-        f"quotient rank: {out['quotient_rank']}",
-        f"flag dual basis: {out['flag']['dual_basis']}",
-        f"module block dims: {out['module_block_dims']}",
-        f"target block dims: {out['target_block_dims']}",
-    ]
-    return out, lines, 0, None
+    return Report([
+        ("subgroup_basis", "subgroup basis", [list(r) for r in search.subgroup.basis]),
+        ("subgroup_dim", None, search.subgroup.dim),
+        ("quotient_rank", "quotient rank", U.rank - search.subgroup.dim),
+        *_flag_rows(search.flag),
+        ("module_block_dims", "module block dims", list(decompose(search.quotient_module, search.flag).dims)),
+        ("target_block_dims", "target block dims", list(decompose(search.quotient_target, search.flag).dims)),
+    ])
 
 
 def _cmd_bound(args, seed):
     doc = _load_document(args)
-    theorem = args.theorem
-    if theorem == "free-zero-set":
-        U, V = _pair_from_doc(doc)
-        report = bound_free_zero_set(U, V)
-    elif theorem in ("stiefel-real", "stiefel-complex"):
-        P, Qrep = _pair_from_doc(doc)
+    U, V = _pair_from_doc(doc)
+    if args.theorem == "free-zero-set":
+        return bound_free_zero_set(U, V)
+    family, variant = args.theorem.split("-", 1)
+    if family == "stiefel":
         n = args.n if args.n is not None else doc.get("n")
         if n is None:
             raise InputError("the embedding dimension is required (-n or document n)")
-        report = bound_stiefel(P, Qrep, require_int(n, "n"), kind=theorem.split("-", 1)[1])
-    else:
-        U, V = _pair_from_doc(doc)
-        report = bound_torus(U, V, variant=theorem.split("-", 1)[1])
-    out = report.to_doc()
-    lines = report.to_text().splitlines()
-    if not report.applicable:
-        failed = "; ".join(h.description for h in report.failed_items())
-        return out, lines, 1, f"hypothesis failure: {failed}"
-    return out, lines, 0, None
+        return bound_stiefel(U, V, require_int(n, "n"), kind=variant)
+    return bound_torus(U, V, variant=variant)
 
 
 def _cmd_flag_ring(args, seed):
@@ -213,30 +215,19 @@ def _cmd_flag_ring(args, seed):
         except ValueError as exc:
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
-    out = {
-        "n": args.n,
-        "l": args.l,
-        "bounds": bounds,
-        "relations": pres.relation_texts(),
-        "lead_degrees": list(pres.lead_degrees),
-        "quotient_dim": pres.quotient_dimension,
-        "verification": None,
-    }
-    lines = [
-        f"relations: {out['relations']}",
-        f"lead degrees: {out['lead_degrees']}",
-        f"quotient dimension: {out['quotient_dim']}",
-    ]
-    code = 0
+    verification = None
     if args.verify:
         if bounds is not None:
             raise InputError("--verify applies to the unbounded flag ring only")
-        rep = cohomology.verify_flag_ring(args.n, args.l, samples=args.samples, seed=seed)
-        out["verification"] = rep.to_doc()
-        lines.extend(rep.to_text().splitlines())
-        if not rep.passed:
-            code = 1
-    return out, lines, code, None
+        verification = cohomology.verify_flag_ring(args.n, args.l, samples=args.samples, seed=seed)
+    return Report([
+        ("n", None, args.n),
+        ("l", None, args.l),
+        ("bounds", None, bounds),
+        ("relations", "relations", pres.relation_texts()),
+        ("lead_degrees", "lead degrees", list(pres.lead_degrees)),
+        ("quotient_dim", "quotient dimension", pres.quotient_dimension),
+    ], verification=verification)
 
 
 def _cmd_sympow(args, seed):
@@ -248,66 +239,53 @@ def _cmd_sympow(args, seed):
     if d is None:
         raise InputError("a degree is required (-d or document degree)")
     d = require_int(d, "degree")
-    if "target" in doc:
-        V = rep_from_doc(doc, key="target")
-        kind, rank = group_from_doc(doc["group"])
-        flag = _doc_flag(doc, kind, rank)
-        if flag is None:
-            flag = spanning_flag_from_support(U)
-        report = sympow.min_embedding_k(U, V, d, flag)
-        out = {
-            "k": report.k,
-            "degree_target": report.degree_target,
-            "block_dims": list(report.block_dims),
-            "target_block_dims": list(report.target_block_dims),
-            "total_dim": report.total_dim,
-            "fixed_dim": report.fixed_dim,
-            "claims": dict(report.claims),
-            "flag": flag_to_doc(flag),
-        }
-        lines = [
-            f"minimal k: {report.k}",
-            f"block dims: {out['block_dims']}",
-            f"target block dims: {out['target_block_dims']}",
-            f"total dim: {report.total_dim}",
-            f"claims: {out['claims']}",
-        ]
-        return out, lines, 0, None
-    table = sympow.sym_power_table(U, d)
-    out = {
-        "degree": d,
-        "entries": rep_entries_doc(table.rep),
-        "total_dim": table.total_dim,
-    }
-    lines = [f"degree: {d}", f"total dim: {table.total_dim}"]
-    lines.extend(f"  char {e['char']}: {e['mult']}" for e in out["entries"])
-    return out, lines, 0, None
+    if "target" not in doc:
+        power = sympow.sym_multiplicities(U, d)
+        entries = rep_entries_doc(power)
+        return Report([
+            ("degree", "degree", d),
+            ("entries", None, entries),
+            ("total_dim", "total dim", power.dim),
+            *((None, f"  char {e['char']}", e["mult"]) for e in entries),
+        ])
+    V = rep_from_doc(doc, key="target")
+    kind, rank = group_from_doc(doc["group"])
+    flag = _doc_flag(doc, kind, rank)
+    if flag is None:
+        flag = spanning_flag_from_support(U)
+    report = sympow.min_embedding_k(U, V, d, flag)
+    return Report([
+        ("k", "minimal k", report.k),
+        ("degree_target", None, report.degree_target),
+        ("block_dims", "block dims", list(report.block_dims)),
+        ("target_block_dims", "target block dims", list(report.target_block_dims)),
+        ("total_dim", "total dim", report.total_dim),
+        ("fixed_dim", None, report.fixed_dim),
+        ("claims", "claims", dict(report.claims)),
+        ("flag", None, flag_to_doc(flag)),
+    ])
 
 
 def _cmd_torus_decompose(args, seed):
     doc = _load_document(args)
-    U = rep_from_doc(doc, key="module")
-    decomp = torusmaps.line_decomposition(U)
-    out = decomp.to_doc()
-    lines = [f"fixed dim: {out['fixed_dim']}"]
-    for entry in out["lines"]:
-        lines.append(f"line {entry['line']}: dim {entry['dim']}")
-    return out, lines, 0, None
+    decomp = torusmaps.line_decomposition(rep_from_doc(doc, key="module")).to_doc()
+    return Report([
+        ("fixed_dim", "fixed dim", decomp["fixed_dim"]),
+        ("lines", None, decomp["lines"]),
+        *((None, f"line {e['line']}", f"dim {e['dim']}") for e in decomp["lines"]),
+    ])
 
 
 def _cmd_torus_example(args, seed):
     m = torusmaps.circle_example(args.a, args.b, args.c)
     report = torusmaps.verify_equivariance(m, samples=args.samples, tol=args.tol, seed=seed)
-    out = {"map": m.to_doc(), "verification": report.to_doc()}
-    lines = [
-        f"map weights: source {[e['char'] for e in out['map']['source']['entries']]}, "
-        f"target {[e['char'] for e in out['map']['target']['entries']]}",
-        f"cofactors: a'={m.params['a_prime']}, b'={m.params['b_prime']}",
-    ]
-    lines.extend(report.to_text().splitlines())
-    code = 0 if report.passed else 1
-    err = None if report.passed else "hypothesis failure: equivariance verification failed"
-    return out, lines, code, err
+    doc = m.to_doc()
+    weights = [[e["char"] for e in doc[side]["entries"]] for side in ("source", "target")]
+    return Report([
+        ("map", None, doc),
+        (None, "map weights", f"source {weights[0]}, target {weights[1]}"),
+        (None, "cofactors", f"a'={m.params['a_prime']}, b'={m.params['b_prime']}"),
+    ], verification=report)
 
 
 _HANDLERS = {
@@ -379,26 +357,25 @@ def run(argv, stdout=None, stderr=None):
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        seed = _resolve_seed(args)
-        doc, lines, code, errmsg = _HANDLERS[args.command](args, seed)
+        report = _HANDLERS[args.command](args, _resolve_seed(args))
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=err)
         return 1
-    if errmsg:
-        print(errmsg, file=err)
+    if report.failure:
+        print(report.failure, file=err)
     if args.machine:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")), file=out)
+        print(json.dumps(report.to_doc(), sort_keys=True, separators=(",", ":")), file=out)
     else:
-        for line in lines:
-            print(line, file=out)
-    return code
+        print(report.to_text(), file=out)
+    return 1 if report.failure else 0
 
 
 def main():

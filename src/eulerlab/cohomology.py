@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import polyring
-from .errors import HypothesisError, InputError, ResourceLimitError
+from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .polyring import F2, Poly, TriangularSystem, format_poly
 from .reps import FlagE, RepE, RepT, decompose, euler_poly
 
@@ -23,7 +23,6 @@ class Presentation:
     """Quotient ring S*(E*)/(g_1..g_l) presented by a triangular system."""
 
     system: TriangularSystem
-    provenance: str = ""
     _degree_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -86,7 +85,7 @@ class QuotientClass:
         return format_poly(self.poly)
 
 
-def presentation(U, flag, provenance=None):
+def presentation(U, flag):
     """Triangular presentation with relations g_j = e(U_j) in flag coordinates.
 
     Every block must be nonzero; a nonzero fixed part does not obstruct the
@@ -102,8 +101,7 @@ def presentation(U, flag, provenance=None):
         if block.dim == 0:
             raise HypothesisError(f"flag block {i} is empty (dim U_{i} = 0)")
     gens = [euler_poly(block, flag) for block in decomp.blocks]
-    note = provenance or f"euler classes of {U.rank} flag blocks"
-    return Presentation(system=TriangularSystem(gens), provenance=note)
+    return Presentation(system=TriangularSystem(gens))
 
 
 def euler_nonvanishing(U, V, flag):
@@ -163,14 +161,14 @@ def flag_ring(n, l, bounds=None):
     t_1..t_i; with nested dimension bounds n_1 <= ... <= n_l the degree
     becomes n_i - i + 1.
     """
-    n = int(n)
-    l = int(l)
+    n = require_int(n, "n")
+    l = require_int(l, "l")
     if l < 1:
         raise InputError("need at least one flag step")
     if l > n:
         raise InputError(f"flag length l = {l} must not exceed n = {n}")
     if bounds is not None:
-        bounds = [int(b) for b in bounds]
+        bounds = [require_int(b, "bound") for b in bounds]
         if len(bounds) != l:
             raise InputError(f"need {l} bounds, got {len(bounds)}")
         for i, b in enumerate(bounds, start=1):
@@ -182,8 +180,7 @@ def flag_ring(n, l, bounds=None):
     for i in range(1, l + 1):
         top = (bounds[i - 1] if bounds is not None else n) - i + 1
         gens.append(_homogeneous_sum(l, top, list(range(i))))
-    note = f"flag ring n={n} l={l}" + (f" bounds={bounds}" if bounds is not None else "")
-    return Presentation(system=TriangularSystem(gens), provenance=note)
+    return Presentation(system=TriangularSystem(gens))
 
 
 @dataclass
@@ -195,6 +192,13 @@ class VerificationReport:
     @property
     def passed(self):
         return all(ok for _, ok in self.items)
+
+    @property
+    def failure(self):
+        """None when every item passes, else the hypothesis-failure line naming the failed items."""
+        if self.passed:
+            return None
+        return "hypothesis failure: " + "; ".join(name for name, ok in self.items if not ok)
 
     def to_text(self):
         return "\n".join(f"{name}: {'pass' if ok else 'fail'}" for name, ok in self.items)
@@ -239,7 +243,7 @@ def verify_flag_ring(n, l, samples=25, seed=0):
     n!/(n-l)!; (d) for random tables with block dims <= n - i the Euler class
     survives (skipped when samples = 0).
     """
-    if samples < 0:
+    if require_int(samples, "sample count") < 0:
         raise InputError(f"the sample count must be nonnegative, got {samples}")
     pres = flag_ring(n, l)
     items = []

@@ -173,12 +173,13 @@ class Poly:
 
     @classmethod
     def constant(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * nvars: value})
+        return cls(field, nvars, {(0,) * require_int(nvars, "variable count"): value})
 
     @classmethod
     def variable(cls, field, nvars, index):
         """The variable T_index (1-based)."""
-        if not 1 <= index <= nvars:
+        nvars = require_int(nvars, "variable count")
+        if not 1 <= require_int(index, "variable index") <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
         m = [0] * nvars
         m[index - 1] = 1

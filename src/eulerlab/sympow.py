@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, require_int
 from .reps import FlagE, RepE, decompose
 
 MAX_EMBEDDING_STEPS = 10000
@@ -22,7 +22,7 @@ def sym_multiplicities(U, d):
     """Character table of the degree-d symmetric power of U (same table as U*)."""
     if not isinstance(U, RepE):
         raise InputError("symmetric powers are computed for (Z/2)^l tables")
-    d = int(d)
+    d = require_int(d, "degree")
     if d < 0:
         raise InputError("degree must be nonnegative")
     zero = (0,) * U.rank
@@ -37,23 +37,6 @@ def sym_multiplicities(U, d):
         states = new
     table = {label: c for (deg, label), c in states.items() if deg == d and c}
     return RepE(U.rank, dict(sorted(table.items())))
-
-
-@dataclass(frozen=True)
-class SymPowerTable:
-    """A symmetric power together with its base table and degree."""
-
-    base: RepE
-    degree: int
-    rep: RepE
-
-    @property
-    def total_dim(self):
-        return self.rep.dim
-
-
-def sym_power_table(U, d):
-    return SymPowerTable(base=U, degree=int(d), rep=sym_multiplicities(U, d))
 
 
 def odd_symmetric_sum(U, k):
@@ -110,7 +93,7 @@ def min_embedding_k(U, V, d, flag):
         if dim_i == 0:
             raise HypothesisError(f"flag block {i} misses U (dim U_{i} = 0)")
     target_dims = decompose(V, flag).dims
-    d = int(d)
+    d = require_int(d, "degree target")
     if d < 0:
         raise InputError("degree target must be nonnegative")
 

@@ -14,11 +14,10 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .errors import InputError
-from .reps import RepT, line_blocks
+from .errors import InputError, require_int
+from .reps import RepT, line_blocks, rep_entries_doc
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
-DEFAULT_JOIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,7 @@ class LineDecomposition:
         return {
             "fixed_dim": self.fixed_dim,
             "lines": [
-                {
-                    "line": list(lam),
-                    "dim": block.dim,
-                    "entries": [{"char": list(w), "mult": m} for w, m in block.items()],
-                }
+                {"line": list(lam), "dim": block.dim, "entries": rep_entries_doc(block)}
                 for lam, block in sorted(self.lines.items())
             ],
         }
@@ -81,14 +76,8 @@ class MapDescription:
         return {
             "tag": self.tag,
             "params": dict(self.params),
-            "source": {
-                "rank": self.source.rank,
-                "entries": [{"char": list(w), "mult": m} for w, m in self.source.items()],
-            },
-            "target": {
-                "rank": self.target.rank,
-                "entries": [{"char": list(w), "mult": m} for w, m in self.target.items()],
-            },
+            "source": {"rank": self.source.rank, "entries": rep_entries_doc(self.source)},
+            "target": {"rank": self.target.rank, "entries": rep_entries_doc(self.target)},
         }
 
 
@@ -129,7 +118,7 @@ def circle_example(a, b, c):
     Source weights (ac, bc), target weights (abc, c); requires coprime a, b.
     The evaluator maps the whole source to the target, not sphere to sphere.
     """
-    a, b, c = int(a), int(b), int(c)
+    a, b, c = require_int(a, "a"), require_int(b, "b"), require_int(c, "c")
     if min(a, b, c) < 1:
         raise InputError("a, b, c must be positive")
     if gcd(a, b) != 1:
@@ -165,7 +154,7 @@ def embed_on_line(m, line):
     primitive with positive leading entry, and all weights of m positive so
     the coordinate order is preserved.
     """
-    line = tuple(int(x) for x in line)
+    line = tuple(require_int(x, "line entry") for x in line)
     if linalg.primitive(line) != line:
         raise InputError("line must be a primitive, sign-normalized vector")
     if m.source.rank != 1 or m.target.rank != 1:
@@ -239,7 +228,7 @@ def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL)
         raise InputError("join needs at least one part")
     rank = None
     for lam, part in parts.items():
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(require_int(x, "line entry") for x in lam)
         if linalg.primitive(lam) != lam:
             raise InputError(f"line {lam} is not primitive and sign-normalized")
         if rank is None:
@@ -317,6 +306,11 @@ class EquivarianceReport:
     def passed(self):
         return self.equivariant and self.zero_set_isolated is not False
 
+    @property
+    def failure(self):
+        """None when the map passed, else the hypothesis-failure line."""
+        return None if self.passed else "hypothesis failure: equivariance verification failed"
+
     def to_text(self):
         lines = [
             f"map: {self.tag}",
@@ -372,7 +366,8 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    samples = int(samples)
+    samples = require_int(samples, "sample count")
+    seed = require_int(seed, "seed")
     if samples < 1:
         raise InputError("need at least one sample")
     rank = m.source.rank
@@ -394,7 +389,7 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
         tag=m.tag,
         samples=samples,
         tol=float(tol),
-        seed=int(seed),
+        seed=seed,
         max_residual=max_residual,
         equivariant=max_residual < tol,
     )

@@ -87,6 +87,24 @@ def test_flag_find_hypothesis_failure_exit_one(tmp_path):
 def test_unknown_subcommand_exit_two():
     code, out, err = invoke(["bogus"])
     assert code == 2
+    assert out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = invoke(["reduce", "--help"])
+    assert code == 0
+    assert out.startswith("usage: eulerlab reduce") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_failed_flag_ring_verification_exit_one(monkeypatch):
+    failed = cohomology.VerificationReport(items=[("top-class-nonzero", True), ("quotient-dimension", False)])
+    monkeypatch.setattr(cohomology, "verify_flag_ring", lambda *args, **kwargs: failed)
+    code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--verify", "--machine"])
+    assert code == 1
+    assert err == "hypothesis failure: quotient-dimension\n"
+    assert json.loads(out)["verification"] == failed.to_doc()
 
 
 def test_malformed_json_exit_two(tmp_path):
@@ -252,9 +270,9 @@ def test_machine_sympow_table(tmp_path):
     path = tmp_path / "u.json"
     path.write_text(json.dumps(doc_in))
     doc, raw = machine_doc(["sympow", "-i", str(path), "-d", "3"])
-    table = sympow.sym_power_table(rep_from_doc(doc_in), 3)
-    assert doc["total_dim"] == table.total_dim
-    assert {tuple(e["char"]): e["mult"] for e in doc["entries"]} == table.rep.multiplicities()
+    power = sympow.sym_multiplicities(rep_from_doc(doc_in), 3)
+    assert doc["total_dim"] == power.dim
+    assert {tuple(e["char"]): e["mult"] for e in doc["entries"]} == power.multiplicities()
 
 
 def test_machine_sympow_min_k(tmp_path):

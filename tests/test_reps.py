@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from eulerlab import linalg
+from eulerlab import cohomology, linalg, sympow, torusmaps
 from eulerlab.errors import HypothesisError, InputError
-from eulerlab.polyring import F2, Q, parse_poly
+from eulerlab.polyring import F2, Q, Poly, parse_poly
 from eulerlab.reps import (
     FlagE,
     RationalFlag,
@@ -313,6 +313,31 @@ def test_constructors_reject_non_integers(make):
     with pytest.raises(InputError, match="must be an integer"):
         make()
 
+
+
+def _circle():
+    return torusmaps.circle_example(2, 3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Poly.one(F2, 1.5),
+    lambda: Poly.variable(F2, 2, 1.5),
+    lambda: Poly.variable(F2, 2.0, 1),
+    lambda: cohomology.flag_ring(3.7, 2),
+    lambda: cohomology.flag_ring(3, True),
+    lambda: cohomology.flag_ring(3, 2, bounds=[1.9, 3]),
+    lambda: cohomology.verify_flag_ring(3, 2, samples=2.5),
+    lambda: sympow.sym_multiplicities(RepE(2, {A: 1}), 2.9),
+    lambda: sympow.min_embedding_k(RepE(1, {(1,): 1}), RepE(1, {(1,): 2}), 2.5, FlagE(1, [(1,)])),
+    lambda: torusmaps.circle_example(True, 3, 1),
+    lambda: torusmaps.verify_equivariance(_circle(), samples=10.7),
+    lambda: torusmaps.verify_equivariance(_circle(), seed=1.9),
+    lambda: torusmaps.embed_on_line(_circle(), (1.5, 2)),
+    lambda: torusmaps.join_assemble({(1.0,): torusmaps.identity_map(RepT(1, {(1,): 1}))}),
+])
+def test_library_entry_points_reject_non_integers(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
 
 def test_documents_reject_non_list_vectors():
     with pytest.raises(InputError, match="must be a list"):

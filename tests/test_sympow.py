@@ -9,12 +9,7 @@ import pytest
 from eulerlab import linalg
 from eulerlab.errors import HypothesisError
 from eulerlab.reps import FlagE, RepE, complete_flags
-from eulerlab.sympow import (
-    min_embedding_k,
-    odd_symmetric_sum,
-    sym_multiplicities,
-    sym_power_table,
-)
+from eulerlab.sympow import min_embedding_k, odd_symmetric_sum, sym_multiplicities
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -83,13 +78,6 @@ def test_total_dimension_binomial():
         d = rng.randint(0, 6)
         expected = comb(U.dim + d - 1, d) if U.dim else (1 if d == 0 else 0)
         assert sym_multiplicities(U, d).dim == expected
-
-
-def test_sym_power_table_wrapper():
-    U = RepE(1, {(1,): 2})
-    t = sym_power_table(U, 3)
-    assert t.base == U and t.degree == 3
-    assert t.total_dim == comb(2 + 3 - 1, 3)
 
 
 def test_relabeling_equivariance():
