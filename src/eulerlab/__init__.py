@@ -9,7 +9,6 @@ machine-checkable lower bounds on zero-set dimensions of equivariant maps.
 
 from .bounds import BoundReport, HypothesisItem, bound_free_zero_set, bound_stiefel, bound_torus
 from .cohomology import (
-    Presentation,
     QuotientClass,
     VerificationReport,
     euler_nonvanishing,
@@ -32,7 +31,6 @@ from .polyring import (
     Poly,
     TriangularSystem,
     format_poly,
-    is_zero_in_quotient,
     parse_poly,
     quotient_basis,
     reduce,

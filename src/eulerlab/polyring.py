@@ -11,7 +11,10 @@ Monomials are exponent tuples; the canonical order is graded lexicographic
 with the *last* variable most significant.  A triangular system consists of
 one relation per variable, the j-th having an invertible constant coefficient
 on its top power of T_j, so multivariate division terminates with a unique
-remainder whose T_j-degree is below that top power for every j.
+remainder whose T_j-degree is below that top power for every j.  The system
+is the quotient ring itself: `reduce(p, system)` is the normal form of p's
+class (zero exactly when p lies in the ideal), `quotient_basis(system)` the
+monomial basis, and the system carries its dimension and Hilbert series.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "reduce",
     "reduce_in_variable",
     "quotient_basis",
-    "is_zero_in_quotient",
     "format_poly",
     "parse_poly",
 ]
@@ -347,6 +349,20 @@ class TriangularSystem:
     def quotient_dimension(self):
         return prod(self.lead_degrees)
 
+    def hilbert_coefficients(self):
+        """Coefficients of prod_j (1 + q + ... + q^{d_j - 1})."""
+        coeffs = [1]
+        for d in self.lead_degrees:
+            new = [0] * (len(coeffs) + d - 1)
+            for i, c in enumerate(coeffs):
+                for e in range(d):
+                    new[i + e] += c
+            coeffs = new
+        return coeffs
+
+    def relation_texts(self):
+        return [format_poly(g) for g in self.gens]
+
     def __eq__(self, other):
         return isinstance(other, TriangularSystem) and self.gens == other.gens
 
@@ -416,14 +432,6 @@ def quotient_basis(system):
     """Monomials prod T_j^{r_j} with 0 <= r_j < d_j, in graded-lex order."""
     ranges = [range(d) for d in system.lead_degrees]
     return sorted(product(*ranges), key=monomial_key)
-
-
-def is_zero_in_quotient(p, system):
-    """(True, None) when p lies in the ideal; otherwise (False, normal form)."""
-    r = reduce(p, system)
-    if r.is_zero():
-        return True, None
-    return False, r
 
 
 # ---------------------------------------------------------------------------

@@ -179,26 +179,6 @@ class FlagE(_Flag):
     def _solve(rows, target):
         return linalg.solve2(rows, target)
 
-    @classmethod
-    def from_chain(cls, rank, spans):
-        """Adapted basis for a chain of subspaces of the dual space.
-
-        `spans[i]` spans step i+1; the new covector at each step is the
-        lexicographically least one not in the previous step.
-        """
-        if len(spans) != rank:
-            raise InputError(f"need {rank} chain steps, got {len(spans)}")
-        basis = []
-        prev = {(0,) * rank}
-        for i, vecs in enumerate(spans, start=1):
-            vecs = [RepE._validate_char(v, rank) for v in vecs]
-            current = linalg.span2(vecs, rank)
-            if len(current) != 2 ** i or not prev <= current:
-                raise InputError(f"chain step {i} does not extend the previous step by dimension one")
-            basis.append(min(current - prev))
-            prev = current
-        return cls(rank, basis)
-
 
 class RationalFlag(_Flag):
     """Complete flag of Q^rank; covectors normalized to primitive integer form."""

@@ -59,7 +59,6 @@ class EmbeddingReport:
     target_block_dims: tuple
     total_dim: int
     fixed_dim: int
-    per_degree_block_dims: tuple
     claims: dict
 
 
@@ -68,9 +67,9 @@ def min_embedding_k(U, V, d, flag):
 
     U[k] is the direct sum of the odd symmetric powers S^1, S^3, ..., S^{2k-1}
     of U.  Requires U != 0, nonzero labels of U spanning the dual space,
-    V^E = 0, and a flag meeting every block of U.  The report also records the
-    per-degree block dimensions and checks that each odd power dominates the
-    base blockwise and that U[k] grows at least k-fold per block.
+    V^E = 0, and a flag meeting every block of U.  The report also checks that
+    each odd power dominates the base blockwise and that U[k] grows at least
+    k-fold per block.
     """
     if not isinstance(U, RepE) or not isinstance(V, RepE):
         raise InputError("expected (Z/2)^l tables")
@@ -98,13 +97,10 @@ def min_embedding_k(U, V, d, flag):
         raise InputError("degree target must be nonnegative")
 
     acc = None
-    per_degree = []
     per_degree_ok = True
     for k in range(1, MAX_EMBEDDING_STEPS + 1):
         power = sym_multiplicities(U, 2 * k - 1)
-        power_dims = decompose(power, flag).dims
-        per_degree.append(power_dims)
-        if any(p < b for p, b in zip(power_dims, base_dims)):
+        if any(p < b for p, b in zip(decompose(power, flag).dims, base_dims)):
             per_degree_ok = False
         acc = power if acc is None else acc.direct_sum(power)
         acc_decomp = decompose(acc, flag)
@@ -123,7 +119,6 @@ def min_embedding_k(U, V, d, flag):
                 target_block_dims=target_dims,
                 total_dim=acc.dim,
                 fixed_dim=acc_decomp.fixed_dim,
-                per_degree_block_dims=tuple(per_degree),
                 claims=claims,
             )
     raise HypothesisError("no admissible k found within the step limit")

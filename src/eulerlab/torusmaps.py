@@ -347,10 +347,9 @@ def _circle_zero_set_isolated(params):
     # exponents are >= 1; the first coordinate then reduces to a pure power of
     # the remaining variable, which vanishes only at zero when its exponent is
     # >= 1.  Exact integer logic on the exponent data.
-    a = int(params.get("a", 0))
-    b = int(params.get("b", 0))
-    a_prime = int(params.get("a_prime", 0))
-    b_prime = int(params.get("b_prime", 0))
+    a, b, a_prime, b_prime = (
+        require_int(params.get(k, 0), k) for k in ("a", "b", "a_prime", "b_prime")
+    )
     axes_only = a_prime >= 1 and b_prime >= 1
     first_kills_rest = a >= 1 and b >= 1
     return axes_only and first_kills_rest

@@ -1,17 +1,24 @@
-"""The benchmark's trace shim (`eulerbench/tracing.py`) wraps eulerlab names
-given as (module, attribute path).  Every one must resolve to a callable, so a
-rename fails the test suite and not only a traced benchmark run."""
+"""The benchmark (`eulerbench/`) drives eulerlab through its public API.  The
+trace shim (`tracing.py`) wraps eulerlab names given as (module, attribute
+path), and every one must resolve to a callable; the workloads (`workloads.py`)
+call the library and the CLI, and their oracles must accept a few cases of each.
+So a rename or an API change fails the test suite, not only a benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "eulerbench" / "tracing.py"
+import pytest
+
+EULERBENCH = Path(__file__).resolve().parents[1] / "eulerbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("eulerbench_tracing", TRACING)
+def load(name):
+    """The module eulerbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"eulerbench_{name}", EULERBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -24,9 +31,18 @@ def resolve(module, path):
 
 
 def test_traced_names_resolve_to_callables():
-    tracing = load_tracing()
+    tracing = load("tracing")
     names = [(module, path) for _, module, path, _ in tracing.SPANS]
     names += [(module, path) for _, module, path in tracing.COUNTED_GENERATORS]
     assert names
     missing = [f"{module}:{path}" for module, path in names if not callable(resolve(module, path))]
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+@pytest.mark.filterwarnings("ignore:fixed part of dimension")
+@pytest.mark.parametrize("name, count", [("subgroup-scan", 3), ("euler-f2", 3), ("cli-mix", 20)])
+def test_workload_cases_pass_their_oracles(name, count):
+    workload = load("workloads").WORKLOADS[name]
+    cases = workload.cases(101, count)
+    verdicts = [workload.check(case, workload.run(case)) for case in cases]
+    assert verdicts == [None] * count

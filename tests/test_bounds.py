@@ -63,7 +63,7 @@ def test_free_zero_set_witness_recomputes():
     assert pres.relation_texts() == rep.witness["relations"]
     from eulerlab.reps import euler_poly
 
-    assert format_poly(reduce(euler_poly(V1, flag), pres.system)) == rep.witness["certificate"]
+    assert format_poly(reduce(euler_poly(V1, flag), pres)) == rep.witness["certificate"]
 
 
 def test_free_zero_set_invariant_under_relabeling():

@@ -225,15 +225,6 @@ def test_complete_flag_counts():
     assert len({f.dual_basis for f in complete_flags(3)}) == 21
 
 
-def test_from_chain_picks_lex_least_covectors():
-    flag = FlagE.from_chain(2, [[AB], [AB, A]])
-    assert flag.dual_basis == (AB, B)  # (0,1) is the lex-least new covector
-    flag2 = FlagE.from_chain(2, [[B], [A, B]])
-    assert flag2.dual_basis == (B, A)
-    with pytest.raises(InputError):
-        FlagE.from_chain(2, [[A], [A]])
-
-
 def test_spanning_flag_from_support():
     U = RepE(2, {AB: 2, B: 1})
     flag = spanning_flag_from_support(U)
@@ -327,6 +318,9 @@ def _circle():
     lambda: cohomology.flag_ring(3, True),
     lambda: cohomology.flag_ring(3, 2, bounds=[1.9, 3]),
     lambda: cohomology.verify_flag_ring(3, 2, samples=2.5),
+    lambda: cohomology.verify_flag_ring(3, 2, samples=3, seed="x"),
+    lambda: cohomology.verify_flag_ring(3, 2, samples=3, seed=1.5),
+    lambda: cohomology.verify_flag_ring(3, 2, samples=3, seed=True),
     lambda: sympow.sym_multiplicities(RepE(2, {A: 1}), 2.9),
     lambda: sympow.min_embedding_k(RepE(1, {(1,): 1}), RepE(1, {(1,): 2}), 2.5, FlagE(1, [(1,)])),
     lambda: torusmaps.circle_example(True, 3, 1),

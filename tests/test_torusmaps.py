@@ -139,6 +139,14 @@ def test_circle_example_equivariance():
     assert report.passed
 
 
+@pytest.mark.parametrize("key", ["a", "b", "a_prime", "b_prime"])
+def test_circle_example_rejects_non_integer_exponent(key):
+    m = circle_example(2, 3, 1)
+    m.params[key] = 2.7
+    with pytest.raises(InputError, match=f"^{key} must be an integer, got 2.7"):
+        verify_equivariance(m, samples=10, seed=0)
+
+
 def test_identity_map_zero_residual():
     U = RepT(2, {(1, 0): 1, (0, 1): 2})
     report = verify_equivariance(identity_map(U), samples=500, seed=1)
