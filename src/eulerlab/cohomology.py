@@ -35,8 +35,9 @@ class QuotientClass:
 def presentation(U, flag):
     """Triangular presentation with relations g_j = e(U_j) in flag coordinates.
 
-    Every block must be nonzero; a nonzero fixed part does not obstruct the
-    construction and is ignored with a warning.
+    The relations are the unreduced block products, since they are printed
+    as they are.  Every block must be nonzero; a nonzero fixed part does not
+    obstruct the construction and is ignored with a warning.
     """
     decomp = decompose(U, flag)
     if decomp.fixed_dim:
@@ -54,12 +55,13 @@ def euler_nonvanishing(U, V, flag):
     """Whether e(V) survives in the quotient presented by U and the flag.
 
     Returns (nonzero, certificate); the certificate's normal form is the
-    nonzero residue on success and zero otherwise.
+    nonzero residue on success and zero otherwise.  e(V) is never built
+    whole: `euler_poly` reduces after every linear factor.
     """
     if V.fixed_dim:
         raise HypothesisError(f"V must have zero fixed part (dim = {V.fixed_dim})")
     system = presentation(U, flag)
-    cls = QuotientClass(system, reduce(euler_poly(V, flag), system))
+    cls = QuotientClass(system, euler_poly(V, flag, system))
     return (not cls.is_zero(), cls)
 
 
@@ -68,6 +70,8 @@ def euler_nonvanishing(U, V, flag):
 # ---------------------------------------------------------------------------
 
 MAX_RELATION_TERMS = 100_000
+# Largest number of random tables verify_flag_ring checks.
+MAX_FLAG_RING_SAMPLES = 10_000
 
 
 def _homogeneous_sum(nvars, degree, indices):
@@ -191,6 +195,10 @@ def verify_flag_ring(n, l, samples=25, seed=0):
     """
     if require_int(samples, "sample count") < 0:
         raise InputError(f"the sample count must be nonnegative, got {samples}")
+    if samples > MAX_FLAG_RING_SAMPLES:
+        raise ResourceLimitError(
+            f"{samples} samples requested, above the limit of {MAX_FLAG_RING_SAMPLES}"
+        )
     seed = require_int(seed, "seed")
     pres = flag_ring(n, l)
     items = []
@@ -221,7 +229,7 @@ def verify_flag_ring(n, l, samples=25, seed=0):
             Qtable = _random_bounded_table(rng, n, l)
             if Qtable.dim == 0:
                 continue
-            if reduce(euler_poly(Qtable, flag), pres).is_zero():
+            if euler_poly(Qtable, flag, pres).is_zero():
                 ok = False
                 break
         items.append((f"random-tables-euler-nonzero ({samples} samples)", ok))

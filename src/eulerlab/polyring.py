@@ -189,14 +189,15 @@ class Poly:
 
     @classmethod
     def linear_form(cls, field, coeffs):
-        """sum_j coeffs[j] * T_{j+1}."""
+        """sum_j coeffs[j] * T_{j+1}; only the coefficients need checking."""
+        field = as_field(field)
         nvars = len(coeffs)
         terms = {}
         for j, c in enumerate(coeffs):
             m = [0] * nvars
             m[j] = 1
-            terms[tuple(m)] = c
-        return cls(field, nvars, terms)
+            terms[tuple(m)] = field.coerce(c)
+        return cls._trusted(field, nvars, terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -205,6 +206,9 @@ class Poly:
 
     def terms(self):
         return dict(self._terms)
+
+    def term_count(self):
+        return len(self._terms)
 
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda mc: monomial_key(mc[0]))
@@ -295,9 +299,12 @@ class TriangularSystem:
 
     Validates that g_j involves only T_1..T_j, has T_j-degree d_j >= 1, and
     that the coefficient of T_j^{d_j} is a nonzero constant (1 over F2).
+    The division tails are precomputed once: `tails[j - 1]` lists, for every
+    other term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead), so
+    T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
     """
 
-    __slots__ = ("field", "nvars", "gens", "lead_degrees", "lead_coeffs")
+    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails")
 
     def __init__(self, gens):
         gens = tuple(gens)
@@ -310,7 +317,7 @@ class TriangularSystem:
                 f"need exactly one generator per variable, got {len(gens)} for {nvars} variables"
             )
         degrees = []
-        leads = []
+        tails = []
         for j, g in enumerate(gens, start=1):
             if not isinstance(g, Poly):
                 raise InputError("generators must be Poly values")
@@ -335,12 +342,18 @@ class TriangularSystem:
                         )
                     lead = c
             degrees.append(d)
-            leads.append(lead)
+            scale = -field.inverse(lead)
+            i = j - 1
+            tails.append(tuple(
+                (m[:i] + (m[i] - d,) + m[i + 1:], m[i] - d, field.norm(c * scale))
+                for m, c in g._terms.items()
+                if m[i] < d
+            ))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
-        object.__setattr__(self, "lead_coeffs", tuple(leads))
+        object.__setattr__(self, "tails", tuple(tails))
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
@@ -381,22 +394,18 @@ def _check_match(p, system):
 def reduce_in_variable(p, j, system):
     """Eliminate every T_j-power >= d_j from p by division against g_j.
 
-    T_j^{d_j} is rewritten as the rest of g_j over minus its leading
-    coefficient, one T_j-degree at a time from the top down: rewriting only
-    adds lower degrees, so a coefficient is final when its degree is reached.
+    T_j^{d_j} is rewritten with the system's precomputed tail of g_j, one
+    T_j-degree at a time from the top down: rewriting only adds lower degrees,
+    so a coefficient is final when its degree is reached.  A p with no T_j-power
+    reaching d_j is already reduced and is returned itself.
     """
     _check_match(p, system)
-    field = p.field
-    norm = field.norm
     i = j - 1
     d = system.lead_degrees[i]
-    scale = -field.inverse(system.lead_coeffs[i])
-    # the rest of g_j, with T_j^{d_j} already divided out of each monomial
-    tail = [
-        (m[:i] + (m[i] - d,) + m[i + 1:], m[i] - d, norm(c * scale))
-        for m, c in system.gens[i]._terms.items()
-        if m[i] < d
-    ]
+    if all(m[i] < d for m in p._terms):
+        return p
+    norm = p.field.norm
+    tail = system.tails[i]
     levels = {}
     for m, c in p._terms.items():
         levels.setdefault(m[i], {})[m] = c
@@ -412,7 +421,7 @@ def reduce_in_variable(p, j, system):
     terms = {}
     for level in levels.values():
         terms.update(level)
-    return Poly._trusted(field, p.nvars, terms)
+    return Poly._trusted(p.field, p.nvars, terms)
 
 
 def reduce(p, system):

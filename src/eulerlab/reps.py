@@ -9,13 +9,18 @@ with the character inside span(T_1..T_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
-from .errors import HypothesisError, InputError, require_int
-from .polyring import F2, Q, Poly
+from .errors import HypothesisError, InputError, ResourceLimitError, require_int
+from .polyring import F2, Q, Poly, reduce
 
 ELEM_ABELIAN_2 = "elem_abelian_2"
 TORUS = "torus"
+
+# Largest term count of an unreduced euler class or of any partial product
+# on the way to it; reduced classes are bounded by the quotient instead.
+MAX_EULER_TERMS = 100_000
 
 
 class _RepBase:
@@ -139,11 +144,30 @@ class _Flag:
     def standard(cls, rank):
         return cls(rank, [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)])
 
+    @cached_property
+    def _inverse(self):
+        """Row k holds the flag coordinates of the k-th unit vector, solved
+        once per flag, on the first call of `coordinates`."""
+        units = [tuple(1 if j == k else 0 for j in range(self.rank)) for k in range(self.rank)]
+        return tuple(self._solve(self.dual_basis, e) for e in units)
+
     def coordinates(self, char):
-        coords = self._solve(self.dual_basis, tuple(char))
-        if coords is None:
-            raise InputError(f"{self.label} {char} is not expressible in the flag basis")
-        return coords
+        """The coefficients c with sum_i c_i * T_i == char.
+
+        They are the field-normalised combination sum_k char[k] * row k of
+        the basis inverse.  A label of the wrong length, or with an entry
+        that is no field element, is an input error.
+        """
+        field = self.field
+        char = tuple(char)
+        if len(char) != self.rank:
+            raise InputError(f"{self.label} {char} does not have length {self.rank}")
+        coords = [field.coerce(0)] * self.rank
+        for x, row in zip(char, self._inverse):
+            x = field.coerce(x)
+            if x:
+                coords = [c + x * r for c, r in zip(coords, row)]
+        return tuple(map(field.norm, coords))
 
     def top_index(self, char):
         """Least i with char inside span(T_1..T_i); requires a nonzero label."""
@@ -322,11 +346,16 @@ def fixed_subrep(rep, subgroup):
     return RepE(new_rank, out)
 
 
-def euler_poly(rep, flag):
+def euler_poly(rep, flag, system=None):
     """Product of the table's labels, written as linear forms in flag coordinates.
 
-    The empty table gives 1; a trivial label with positive multiplicity makes
-    the whole product vanish and is rejected.
+    The linear factors are multiplied in one at a time.  Without a system the
+    product is built whole, and a partial product with more than
+    MAX_EULER_TERMS terms raises ResourceLimitError.  With a
+    `TriangularSystem` the product is reduced after every factor, so the
+    result is its normal form and no partial product grows past one normal
+    form times one linear form.  The empty table gives 1; a trivial label
+    with positive multiplicity makes the whole product vanish and is rejected.
     """
     _check_pairing(rep, flag)
     if rep.fixed_dim:
@@ -334,10 +363,20 @@ def euler_poly(rep, flag):
             "euler class vanishes identically: "
             f"trivial label has multiplicity {rep.fixed_dim}"
         )
+    if system is not None and (system.field != flag.field or system.nvars != rep.rank):
+        raise InputError("the system does not match the flag's field and rank")
     result = Poly.one(flag.field, rep.rank)
     for char, m in rep.items():
         form = Poly.linear_form(flag.field, flag.coordinates(char))
-        result = result * form ** m
+        for _ in range(m):
+            result = result * form
+            if system is not None:
+                result = reduce(result, system)
+            elif result.term_count() > MAX_EULER_TERMS:
+                raise ResourceLimitError(
+                    f"an unreduced euler class reached {result.term_count()} terms, "
+                    f"above the limit of {MAX_EULER_TERMS}"
+                )
     return result
 
 

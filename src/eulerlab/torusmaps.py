@@ -9,15 +9,27 @@ batches along the leading axis.  Verification is numeric for equivariance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isfinite
+from numbers import Real
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError, require_int
+from .errors import InputError, ResourceLimitError, require_int
 from .reps import RepT, line_blocks, rep_entries_doc
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
+# Largest sample count verify_equivariance draws; each sample costs a few
+# complex vectors of the source and target dimension.
+MAX_EQUIVARIANCE_SAMPLES = 200_000
+
+
+def _require_tol(tol):
+    """`tol` itself if it is a finite positive real number; bools, strings,
+    nan and infinities are input errors."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol <= 0:
+        raise InputError(f"tolerance must be a finite positive number, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -226,6 +238,7 @@ def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL)
     """
     if not parts:
         raise InputError("join needs at least one part")
+    tol = _require_tol(tol)
     rank = None
     for lam, part in parts.items():
         lam = tuple(require_int(x, "line entry") for x in lam)
@@ -363,12 +376,15 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     minimum output norm over the sphere samples and the exact exponent-level
     check that the zero set is the origin alone.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    tol = _require_tol(tol)
     samples = require_int(samples, "sample count")
     seed = require_int(seed, "seed")
     if samples < 1:
         raise InputError("need at least one sample")
+    if samples > MAX_EQUIVARIANCE_SAMPLES:
+        raise ResourceLimitError(
+            f"{samples} samples requested, above the limit of {MAX_EQUIVARIANCE_SAMPLES}"
+        )
     rank = m.source.rank
     dim_s = m.source.dim
     if dim_s == 0:

@@ -182,6 +182,42 @@ def test_flag_search_node_limit_exit_two(monkeypatch):
     assert "chain nodes" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_torus_example_bad_tolerance_exit_two(tol):
+    code, out, err = invoke(["torus-example", "-a", "2", "-b", "3", "-c", "1", f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["flag-ring", "-n", "3", "-l", "2", "--verify"], cohomology.MAX_FLAG_RING_SAMPLES),
+    (["torus-example", "-a", "2", "-b", "3", "-c", "1"], torusmaps.MAX_EQUIVARIANCE_SAMPLES),
+])
+def test_sample_cap_exit_two(argv, cap):
+    code, out, err = invoke(argv + ["--samples", str(cap + 1)])
+    assert code == 2
+    assert out == ""
+    assert f"above the limit of {cap}" in err
+
+
+def test_unreduced_euler_class_term_limit_exit_two(monkeypatch):
+    from eulerlab import reps
+
+    # the first factor of block 2, T1 + T2, already has two terms
+    doc = {
+        "group": {"kind": "elem_abelian_2", "rank": 2},
+        "module": {"entries": [{"char": [1, 0], "mult": 1}, {"char": [1, 1], "mult": 2}, {"char": [0, 1], "mult": 2}]},
+        "target": {"entries": [{"char": [0, 1], "mult": 1}]},
+        "flag": {"dual_basis": [[1, 0], [0, 1]]},
+    }
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 1)
+    code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
+    assert code == 2
+    assert out == ""
+    assert "above the limit of 1" in err
+
+
 def test_flag_ring_negative_samples_exit_two():
     code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--verify", "--samples", "-5"])
     assert code == 2

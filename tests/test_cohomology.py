@@ -6,12 +6,13 @@ from math import factorial
 import pytest
 
 from eulerlab.cohomology import (
+    MAX_FLAG_RING_SAMPLES,
     euler_nonvanishing,
     flag_ring,
     presentation,
     verify_flag_ring,
 )
-from eulerlab.errors import HypothesisError, InputError
+from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q, TriangularSystem, parse_poly, quotient_basis, reduce
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, complete_flags
 
@@ -207,6 +208,11 @@ def test_verify_flag_ring_small_cases():
     rep = verify_flag_ring(3, 3, samples=10)
     assert rep.passed
     assert flag_ring(3, 3).quotient_dimension == 6
+
+
+def test_verify_flag_ring_sample_cap():
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        verify_flag_ring(3, 2, samples=MAX_FLAG_RING_SAMPLES + 1)
 
 
 def test_symmetrized_relation_expansion_by_hand():

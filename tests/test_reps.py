@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from eulerlab import cohomology, linalg, sympow, torusmaps
-from eulerlab.errors import HypothesisError, InputError
+from eulerlab import cohomology, linalg, reps, sympow, torusmaps
+from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q, Poly, parse_poly
 from eulerlab.reps import (
     FlagE,
@@ -187,6 +187,30 @@ def test_euler_poly_torus_weights():
 def test_euler_poly_rejects_trivial_label():
     with pytest.raises(HypothesisError):
         euler_poly(RepE(1, {(0,): 1, (1,): 1}), FlagE.standard(1))
+
+
+def test_euler_poly_term_limit_counts_actual_terms(monkeypatch):
+    # (T1 + T2)^2 = T1^2 + T2^2 over F2: two terms, where a binomial bound would say three
+    U = RepE(2, {AB: 2})
+    flag = FlagE.standard(2)
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 2)
+    assert euler_poly(U, flag) == parse_poly("T1^2+T2^2", F2, 2)
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 1)
+    with pytest.raises(ResourceLimitError, match="reached 2 terms, above the limit of 1"):
+        euler_poly(U, flag)
+
+
+def test_euler_poly_term_limit_checks_partial_products(monkeypatch):
+    # (T1 + T2)^4 = T1^4 + T2^4 has two terms, but the partial product (T1 + T2)^3 has four
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 3)
+    with pytest.raises(ResourceLimitError, match="reached 4 terms"):
+        euler_poly(RepE(2, {AB: 4}), FlagE.standard(2))
+
+
+def test_euler_poly_term_limit_spares_the_reduced_path(monkeypatch):
+    system = cohomology.presentation(RepE(2, {A: 5, B: 5}), FlagE.standard(2))
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 1)
+    assert euler_poly(RepE(2, {AB: 4}), FlagE.standard(2), system) == parse_poly("T1^4+T2^4", F2, 2)
 
 
 def test_euler_poly_of_empty_table_is_one():

@@ -6,9 +6,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from eulerlab.errors import InputError
+from eulerlab.errors import InputError, ResourceLimitError
 from eulerlab.reps import RepT
 from eulerlab.torusmaps import (
+    MAX_EQUIVARIANCE_SAMPLES,
     MapDescription,
     circle_example,
     coordinate_weights,
@@ -229,3 +230,34 @@ def test_normalized_circle_part_is_sphere_map():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     report = verify_equivariance(part, samples=1000, seed=5)
     assert report.equivariant
+
+
+# -- tolerance and sample-count validation -------------------------------------------
+
+BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1e-9, "x", None, True, False]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_verify_equivariance_rejects_bad_tolerance(tol):
+    with pytest.raises(InputError, match="tolerance must be a finite positive number"):
+        verify_equivariance(circle_example(2, 3, 1), samples=10, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_join_rejects_bad_tolerance(tol):
+    part = normalize_to_sphere(circle_example(3, 2, 2))
+    with pytest.raises(InputError, match="tolerance must be a finite positive number"):
+        join_assemble({(1,): part}, tol=tol)
+
+
+def test_tolerance_accepts_any_finite_positive_real():
+    from fractions import Fraction
+
+    m = circle_example(2, 3, 1)
+    for tol in (1, Fraction(1, 10**6), np.float64(1e-9)):
+        assert verify_equivariance(m, samples=10, tol=tol).equivariant
+
+
+def test_verify_equivariance_sample_cap():
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        verify_equivariance(circle_example(2, 3, 1), samples=MAX_EQUIVARIANCE_SAMPLES + 1)
