@@ -33,6 +33,7 @@ __all__ = [
     "Field",
     "as_field",
     "Poly",
+    "power",
     "TriangularSystem",
     "reduce",
     "reduce_in_variable",
@@ -260,15 +261,9 @@ class Poly:
         exponent = require_int(exponent, "polynomial power")
         if exponent < 0:
             raise InputError("negative polynomial powers are not defined here")
-        result = Poly.one(self.field, self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not exponent:
+            return Poly.one(self.field, self.nvars)
+        return power(self, exponent, lambda p: p)
 
     def scaled(self, c):
         c = self.field.coerce(c)
@@ -292,6 +287,23 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field}, {self.nvars}, {format_poly(self)!r})"
+
+
+def power(p, exponent, step):
+    """p ** exponent for exponent >= 1, by repeated squaring.
+
+    Every product is passed through `step`, which may reduce it or check its
+    size.  Squaring keeps a power of a linear form short over F2, where the
+    square of a sum is the sum of the squares.
+    """
+    result = None
+    while True:
+        if exponent & 1:
+            result = p if result is None else step(result * p)
+        exponent >>= 1
+        if not exponent:
+            return result
+        p = step(p * p)
 
 
 class TriangularSystem:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_int
-from .polyring import F2, Q, Poly, reduce
+from .polyring import F2, Q, Poly, power, reduce
 
 ELEM_ABELIAN_2 = "elem_abelian_2"
 TORUS = "torus"
@@ -349,13 +349,14 @@ def fixed_subrep(rep, subgroup):
 def euler_poly(rep, flag, system=None):
     """Product of the table's labels, written as linear forms in flag coordinates.
 
-    The linear factors are multiplied in one at a time.  Without a system the
-    product is built whole, and a partial product with more than
-    MAX_EULER_TERMS terms raises ResourceLimitError.  With a
-    `TriangularSystem` the product is reduced after every factor, so the
-    result is its normal form and no partial product grows past one normal
-    form times one linear form.  The empty table gives 1; a trivial label
-    with positive multiplicity makes the whole product vanish and is rejected.
+    Each label's power is taken by repeated squaring and then multiplied in.
+    Without a system the product is built whole, and any product on the way
+    with more than MAX_EULER_TERMS terms raises ResourceLimitError.  With a
+    `TriangularSystem` every product is reduced as soon as it is formed, so
+    the result is the normal form of the class and no product on the way is
+    larger than two normal forms multiplied.  The empty table gives 1; a
+    trivial label with positive multiplicity makes the whole product vanish
+    and is rejected.
     """
     _check_pairing(rep, flag)
     if rep.fixed_dim:
@@ -363,21 +364,27 @@ def euler_poly(rep, flag, system=None):
             "euler class vanishes identically: "
             f"trivial label has multiplicity {rep.fixed_dim}"
         )
-    if system is not None and (system.field != flag.field or system.nvars != rep.rank):
-        raise InputError("the system does not match the flag's field and rank")
-    result = Poly.one(flag.field, rep.rank)
+    if system is None:
+        step = _check_term_count
+        result = Poly.one(flag.field, rep.rank)
+    else:
+        def step(p):
+            return reduce(p, system)
+        # reducing 1 checks that the system matches the flag's field and rank
+        result = step(Poly.one(flag.field, rep.rank))
     for char, m in rep.items():
         form = Poly.linear_form(flag.field, flag.coordinates(char))
-        for _ in range(m):
-            result = result * form
-            if system is not None:
-                result = reduce(result, system)
-            elif result.term_count() > MAX_EULER_TERMS:
-                raise ResourceLimitError(
-                    f"an unreduced euler class reached {result.term_count()} terms, "
-                    f"above the limit of {MAX_EULER_TERMS}"
-                )
+        result = step(result * power(form, m, step))
     return result
+
+
+def _check_term_count(p):
+    if p.term_count() > MAX_EULER_TERMS:
+        raise ResourceLimitError(
+            f"an unreduced euler class reached {p.term_count()} terms, "
+            f"above the limit of {MAX_EULER_TERMS}"
+        )
+    return p
 
 
 def line_blocks(rep):

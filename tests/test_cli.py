@@ -218,6 +218,27 @@ def test_unreduced_euler_class_term_limit_exit_two(monkeypatch):
     assert "above the limit of 1" in err
 
 
+def test_high_multiplicity_all_ones_label_builds():
+    # the block relation (T1+T2+T3+T4)^512 is built by squaring, at four terms throughout
+    doc = {
+        "group": {"kind": "elem_abelian_2", "rank": 4},
+        "module": {"entries": [
+            {"char": [1, 0, 0, 0], "mult": 1}, {"char": [0, 1, 0, 0], "mult": 1},
+            {"char": [0, 0, 1, 0], "mult": 1}, {"char": [1, 1, 1, 1], "mult": 512},
+        ]},
+        "target": {"entries": [{"char": [1, 1, 1, 1], "mult": 256}]},
+        "flag": {"dual_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    }
+    code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
+    assert code == 0
+    assert "nonvanishing: yes" in out
+    assert "certificate: T4^256" in out
+    assert "T1^512+T2^512+T3^512+T4^512" in out
+    code, out, err = invoke(["bound", "--theorem", "free-zero-set", "--inline", json.dumps(doc)])
+    assert code == 0
+    assert "bound: 259" in out
+
+
 def test_flag_ring_negative_samples_exit_two():
     code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--verify", "--samples", "-5"])
     assert code == 2

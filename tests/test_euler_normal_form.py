@@ -167,10 +167,13 @@ def test_coordinates_reject_non_field_entries():
 def test_euler_poly_rejects_mismatched_system():
     U = RepE(2, {(1, 0): 2, (0, 1): 2})
     system = presentation(U, FlagE.standard(2))
-    with pytest.raises(InputError, match="does not match"):
-        euler_poly(RepT(2, {(1, 0): 1}), RationalFlag.standard(2), system)
-    with pytest.raises(InputError, match="does not match"):
-        euler_poly(RepE(1, {(1,): 1}), FlagE.standard(1), system)
+    for rep, flag in [
+        (RepT(2, {(1, 0): 1}), RationalFlag.standard(2)),
+        (RepE(1, {(1,): 1}), FlagE.standard(1)),
+        (RepE(1, {}), FlagE.standard(1)),
+    ]:
+        with pytest.raises(InputError, match="mismatched field or variable count"):
+            euler_poly(rep, flag, system)
 
 
 def test_leading_coefficient_is_product_of_top_coordinates():

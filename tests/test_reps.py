@@ -201,10 +201,26 @@ def test_euler_poly_term_limit_counts_actual_terms(monkeypatch):
 
 
 def test_euler_poly_term_limit_checks_partial_products(monkeypatch):
-    # (T1 + T2)^4 = T1^4 + T2^4 has two terms, but the partial product (T1 + T2)^3 has four
-    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 3)
-    with pytest.raises(ResourceLimitError, match="reached 4 terms"):
-        euler_poly(RepE(2, {AB: 4}), FlagE.standard(2))
+    # (T1+T2+T3+T4)^255 has 4^8 terms; squaring and multiplying reaches the
+    # partial power (..)^31, with 4^5 = 1024 terms, first above the limit
+    monkeypatch.setattr(reps, "MAX_EULER_TERMS", 1000)
+    with pytest.raises(ResourceLimitError, match="reached 1024 terms"):
+        euler_poly(RepE(4, {(1, 1, 1, 1): 2**8 - 1}), FlagE.standard(4))
+
+
+def test_euler_poly_squares_high_multiplicity_labels():
+    # over F2 the square of a sum is the sum of the squares, so repeated
+    # squaring keeps every product on the way to (T1+..+Tr)^(2^k) at r terms
+    assert euler_poly(RepE(4, {(1, 1, 1, 1): 512}), FlagE.standard(4)) == parse_poly(
+        "T1^512+T2^512+T3^512+T4^512", F2, 4
+    )
+    assert euler_poly(RepE(5, {(1, 1, 1, 1, 1): 256}), FlagE.standard(5)) == parse_poly(
+        "T1^256+T2^256+T3^256+T4^256+T5^256", F2, 5
+    )
+    flag = FlagE.standard(4)
+    U = RepE(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (1, 1, 1, 1): 512})
+    system = cohomology.presentation(U, flag)
+    assert euler_poly(RepE(4, {(1, 1, 1, 1): 256}), flag, system) == parse_poly("T4^256", F2, 4)
 
 
 def test_euler_poly_term_limit_spares_the_reduced_path(monkeypatch):
