@@ -214,6 +214,7 @@ def _cmd_flag_ring(args, seed):
             bounds = [int(x) for x in args.bounds.split(",")]
         except ValueError as exc:
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
+    cohomology.require_flag_ring_samples(args.samples)
     pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
     verification = None
     if args.verify:

@@ -3,8 +3,10 @@
 The chain search, shared by the F2 and Q flags, certifies step by step that
 each new flag block carries a strictly larger share of U than of V, and
 backtracks so that "no flag" means no admissible flag exists; its node count
-is capped by MAX_CHAIN_NODES.  The subgroup scan is exhaustive over all
-subspaces of (F2)^l, which stays desk-scale only for l <= 6.
+is capped by MAX_CHAIN_NODES.  The subgroup scan runs over the subspaces of the
+span of U's support in that span's own coordinates, so it is exhaustive where
+it matters and stays desk-scale while that span has dimension at most
+MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
 """
 
 from __future__ import annotations
@@ -126,35 +128,76 @@ def find_flag(U, V):
     return FlagE(U.rank, _chain_search(F2, U.rank, gaps, vectors, failure))
 
 
-def _fixed_dim_under(rep, basis):
-    return sum(m for c, m in rep.items() if all(linalg.dot2(c, f) == 0 for f in basis))
-
-
 def best_fixed_subgroup(U, V):
     """Maximal subgroup F with dim U^F - dim V^F >= dim U - dim V.
 
-    Exhaustive over all subspaces; among incomparable maximal elements the one
-    with the lexicographically least canonical basis wins.
+    Among incomparable maximal elements the one with the lexicographically
+    least canonical basis wins.
+
+    Scan over S = span(supp U).  Shrinking W = F^perp to the span of the
+    U-characters inside it keeps dim U^F and cannot raise dim V^F, so every
+    maximal qualifying F has F^perp spanned by characters of U and contains
+    K = S^perp.  With s_1..s_k the canonical basis of S, f -> (s_i . f)_i
+    identifies E/K with F2^k, and a character sum_i x_i s_i of S is fixed by
+    f exactly when x . y = 0 for y = (s_i . f)_i; a character of V outside S
+    is fixed by no F containing K.  So the scan runs over the subspaces of
+    F2^k, and the fixed set of one is the AND of its basis rows' bitmasks of
+    orthogonal characters, each distinct set's gap sum taken once.
+
+    Maximality: let M be the set of U-characters fixed by a qualifying F.  A
+    U-character in span(M) lies in F^perp, so it is already in M.  Hence
+    M <= M' exactly when span(M) <= span(M'), and span(M)^perp is a
+    qualifying subgroup containing F.  The maximal qualifying subgroups are
+    therefore the nullspaces of the minimal sets M, found by subset tests on
+    the masks.
+
+    Limit: every subspace of F2^k is visited, so k = dim S, not the rank of
+    the group, is limited to MAX_SUBGROUP_RANK.
     """
     _check_pair_e(U, V)
     rank = U.rank
-    if rank > MAX_SUBGROUP_RANK:
+    span = linalg.rref_canonical2(U.nonzero_support(), rank)
+    k = len(span)
+    if k > MAX_SUBGROUP_RANK:
         raise ResourceLimitError(
-            f"subgroup enumeration is limited to rank <= {MAX_SUBGROUP_RANK}, got {rank}"
+            f"subgroup enumeration is limited to dim span(supp U) <= {MAX_SUBGROUP_RANK}, got {k}"
         )
+    pivots = [row.index(1) for row in span]
+    # the gap table's characters inside S, with their S-coordinates read off
+    # the pivot columns as ints; bit j of a mask stands for vectors[j]
+    vectors, coords, gaps = [], [], []
+    for c, g in gap_table(U, V).items():
+        x = [c[p] for p in pivots]
+        back = (0,) * rank
+        for a, row in zip(x, span):
+            if a:
+                back = linalg.xor(back, row)
+        if back == c:
+            vectors.append(c)
+            coords.append(sum(a << i for i, a in enumerate(x)))
+            gaps.append(g)
+    bits = [1 << j for j in range(len(vectors))]
+    u_bits = sum(b for b, c in zip(bits, vectors) if U.multiplicity(c))
+    mask_of = {}
+    for y in linalg.all_vectors2(k):
+        y_int = sum(a << i for i, a in enumerate(y))
+        mask_of[y] = sum(b for b, x in zip(bits, coords) if not (x & y_int).bit_count() & 1)
+
+    everything = (1 << len(vectors)) - 1
+    fixed_sets = set()
+    for basis in linalg.enumerate_subspace_bases2(k):
+        m = everything
+        for y in basis:
+            m &= mask_of[y]
+        fixed_sets.add(m)
     target = U.dim - V.dim
-    qualifying = [
-        basis
-        for basis in linalg.enumerate_subspace_bases2(rank)
-        if _fixed_dim_under(U, basis) - _fixed_dim_under(V, basis) >= target
+    fixed_u = {m & u_bits for m in fixed_sets if sum(g for b, g in zip(bits, gaps) if m & b) >= target}
+    minimal = [m for m in fixed_u if not any(o != m and o & m == o for o in fixed_u)]
+    candidates = [
+        Subgroup(rank, linalg.nullspace2([c for b, c in zip(bits, vectors) if m & b], rank))
+        for m in minimal
     ]
-    spans = [linalg.span2(b, rank) for b in qualifying]
-    maximal = [
-        qualifying[i]
-        for i in range(len(qualifying))
-        if not any(j != i and spans[i] < spans[j] for j in range(len(qualifying)))
-    ]
-    return Subgroup(rank, min(maximal))
+    return min(candidates, key=lambda F: F.basis)
 
 
 @dataclass(frozen=True)

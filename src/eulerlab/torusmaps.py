@@ -32,6 +32,18 @@ def _require_tol(tol):
     return tol
 
 
+def _require_samples(samples):
+    """`samples` itself if it is an int from 1 to MAX_EQUIVARIANCE_SAMPLES."""
+    samples = require_int(samples, "sample count")
+    if samples < 1:
+        raise InputError("need at least one sample")
+    if samples > MAX_EQUIVARIANCE_SAMPLES:
+        raise ResourceLimitError(
+            f"{samples} samples requested, above the limit of {MAX_EQUIVARIANCE_SAMPLES}"
+        )
+    return samples
+
+
 @dataclass(frozen=True)
 class LineDecomposition:
     """Torus table split along rational lines, with the fixed part kept aside."""
@@ -233,12 +245,15 @@ def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL)
 
     `parts` maps primitive lines to MapDescriptions whose source and target
     weights lie on that line.  Each part must send unit vectors to unit
-    vectors; this is checked by seeded sampling at assembly time.  Blocks with
-    zero radial coordinate are skipped, so the output always has unit norm.
+    vectors; this is checked at assembly time on `check_samples` seeded
+    samples, an int from 1 to MAX_EQUIVARIANCE_SAMPLES.  Blocks with zero
+    radial coordinate are skipped, so the output always has unit norm.
     """
     if not parts:
         raise InputError("join needs at least one part")
     tol = _require_tol(tol)
+    check_samples = _require_samples(check_samples)
+    seed = require_int(seed, "seed")
     rank = None
     for lam, part in parts.items():
         lam = tuple(require_int(x, "line entry") for x in lam)
@@ -377,14 +392,8 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     check that the zero set is the origin alone.
     """
     tol = _require_tol(tol)
-    samples = require_int(samples, "sample count")
+    samples = _require_samples(samples)
     seed = require_int(seed, "seed")
-    if samples < 1:
-        raise InputError("need at least one sample")
-    if samples > MAX_EQUIVARIANCE_SAMPLES:
-        raise ResourceLimitError(
-            f"{samples} samples requested, above the limit of {MAX_EQUIVARIANCE_SAMPLES}"
-        )
     rank = m.source.rank
     dim_s = m.source.dim
     if dim_s == 0:

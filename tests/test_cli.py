@@ -246,6 +246,17 @@ def test_flag_ring_negative_samples_exit_two():
     assert "sample count must be nonnegative" in err
 
 
+@pytest.mark.parametrize("samples, message", [
+    ("-5", "sample count must be nonnegative"),
+    (str(cohomology.MAX_FLAG_RING_SAMPLES + 1), "above the limit"),
+])
+def test_flag_ring_samples_checked_without_verify(samples, message):
+    code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_flag_ring_relation_size_limit_exit_two(verify):
     start = time.monotonic()

@@ -7,6 +7,7 @@ reference implementations.
 """
 
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -116,10 +117,96 @@ def test_best_fixed_subgroup_precondition():
         best_fixed_subgroup(RepE(1, {(1,): 1}), RepE(1, {(0,): 1}))
 
 
+def _unit(rank, i):
+    return tuple(1 if j == i else 0 for j in range(rank))
+
+
 def test_best_fixed_subgroup_resource_limit():
-    U = RepE(7, {tuple(1 if i == 0 else 0 for i in range(7)): 1})
-    with pytest.raises(ResourceLimitError):
-        best_fixed_subgroup(U, RepE(7, {}))
+    # the limit is on dim span(supp U), not on the rank of the group
+    units = [_unit(7, i) for i in range(7)]
+    with pytest.raises(ResourceLimitError, match=r"dim span\(supp U\) <= 6, got 7"):
+        best_fixed_subgroup(RepE(7, {u: 1 for u in units}), RepE(7, {}))
+    assert best_fixed_subgroup(RepE(7, {units[0]: 1}), RepE(7, {})) == Subgroup(7, units[1:])
+
+
+def _exhaustive_best_fixed_subgroup(U, V):
+    """The scan over every subspace of (F2)^l that best_fixed_subgroup
+    replaced, kept as its oracle: qualifying subspaces by dot products,
+    maximal ones by comparing spans, the least canonical basis winning.
+
+    Spans are bitsets over the vectors of (F2)^l, visited largest first: a
+    subspace is maximal when no maximal subspace found before it contains it,
+    which keeps the comparison linear in the number of qualifying subspaces.
+    """
+    rank = U.rank
+
+    def fixed_dim(rep, basis):
+        return sum(m for c, m in rep.items() if all(linalg.dot2(c, f) == 0 for f in basis))
+
+    target = U.dim - V.dim
+    qualifying = [
+        basis
+        for basis in linalg.enumerate_subspace_bases2(rank)
+        if fixed_dim(U, basis) - fixed_dim(V, basis) >= target
+    ]
+    index = {v: i for i, v in enumerate(linalg.all_vectors2(rank))}
+    spans = {basis: sum(1 << index[v] for v in linalg.span2(basis, rank)) for basis in qualifying}
+    maximal = []
+    for basis in sorted(qualifying, key=len, reverse=True):
+        if not any(spans[basis] & spans[m] == spans[basis] for m in maximal):
+            maximal.append(basis)
+    return Subgroup(rank, min(maximal))
+
+
+def _random_scan_pair(rng, rank):
+    """U supported in the span of a few random characters, sometimes with a
+    trivial summand; V drawn from every nontrivial character."""
+    vectors = linalg.all_vectors2(rank)
+    nonzero = vectors[1:]
+    span = sorted(v for v in linalg.span2(rng.sample(nonzero, rng.randint(1, rank)), rank) if any(v))
+    U = {c: rng.randint(1, 3) for c in rng.sample(span, rng.randint(1, min(len(span), rank + 2)))}
+    if rng.random() < 0.3:
+        U[vectors[0]] = rng.randint(1, 2)
+    V = {c: rng.randint(1, 3) for c in rng.sample(nonzero, rng.randint(0, min(len(nonzero), rank + 1)))}
+    return RepE(rank, U), RepE(rank, V)
+
+
+def test_best_fixed_subgroup_matches_exhaustive_scan():
+    rng = random.Random(2027)
+    trivial_u = v_outside = 0
+    for rank, count in ((1, 100), (2, 200), (3, 300), (4, 280), (5, 100), (6, 20)):
+        for _ in range(count):
+            U, V = _random_scan_pair(rng, rank)
+            assert best_fixed_subgroup(U, V) == _exhaustive_best_fixed_subgroup(U, V), (U, V)
+            trivial_u += U.fixed_dim > 0
+            span = linalg.span2(U.support(), rank)
+            v_outside += any(c not in span for c in V.support())
+    assert trivial_u > 200 and v_outside > 200
+
+
+def _padded(rep, rank):
+    return RepE(rank, {c + (0,) * (rank - rep.rank): m for c, m in rep.items()})
+
+
+def test_best_fixed_subgroup_zero_padding():
+    # padding with zero coordinates adds the new unit vectors to the answer
+    rng = random.Random(404)
+    for _ in range(400):
+        rank, big = rng.randint(1, 4), rng.choice((7, 8))
+        U, V = _random_scan_pair(rng, rank)
+        small = _exhaustive_best_fixed_subgroup(U, V)
+        expected = [f + (0,) * (big - rank) for f in small.basis] + [_unit(big, i) for i in range(rank, big)]
+        assert best_fixed_subgroup(_padded(U, big), _padded(V, big)) == Subgroup(big, expected), (U, V)
+
+
+def test_best_fixed_subgroup_rank_eight_small_support():
+    U = RepE(4, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1, (0, 0, 1, 1): 3, (1, 1, 1, 0): 1, (0, 0, 0, 0): 1})
+    V = RepE(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 2, (1, 0, 1, 0): 1})
+    start = time.perf_counter()
+    F = best_fixed_subgroup(_padded(U, 8), _padded(V, 8))
+    assert time.perf_counter() - start < 1.0
+    small = _exhaustive_best_fixed_subgroup(U, V)
+    assert F == Subgroup(8, [f + (0,) * 4 for f in small.basis] + [_unit(8, i) for i in range(4, 8)])
 
 
 def test_best_fixed_subgroup_maximality_by_enumeration():

@@ -261,3 +261,24 @@ def test_tolerance_accepts_any_finite_positive_real():
 def test_verify_equivariance_sample_cap():
     with pytest.raises(ResourceLimitError, match="above the limit"):
         verify_equivariance(circle_example(2, 3, 1), samples=MAX_EQUIVARIANCE_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("check_samples", [-1, 0, 1.5, True, "32", None])
+def test_join_rejects_bad_check_samples(check_samples):
+    part = normalize_to_sphere(circle_example(3, 2, 2))
+    with pytest.raises(InputError, match="sample"):
+        join_assemble({(1,): part}, check_samples=check_samples)
+
+
+def test_join_check_sample_cap():
+    part = normalize_to_sphere(circle_example(3, 2, 2))
+    assert join_assemble({(1,): part}, check_samples=1).source == part.source
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        join_assemble({(1,): part}, check_samples=MAX_EQUIVARIANCE_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "0"])
+def test_join_rejects_non_int_seed(seed):
+    part = normalize_to_sphere(circle_example(3, 2, 2))
+    with pytest.raises(InputError, match="seed"):
+        join_assemble({(1,): part}, seed=seed)
