@@ -191,7 +191,9 @@ def best_fixed_subgroup(U, V):
             m &= mask_of[y]
         fixed_sets.add(m)
     target = U.dim - V.dim
-    fixed_u = {m & u_bits for m in fixed_sets if sum(g for b, g in zip(bits, gaps) if m & b) >= target}
+    fixed_u = {
+        m & u_bits for m in fixed_sets if sum(g for b, g in zip(bits, gaps) if m & b) >= target
+    }
     minimal = [m for m in fixed_u if not any(o != m and o & m == o for o in fixed_u)]
     candidates = [
         Subgroup(rank, linalg.nullspace2([c for b, c in zip(bits, vectors) if m & b], rank))
