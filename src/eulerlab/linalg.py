@@ -120,26 +120,23 @@ def all_vectors2(n):
 
 
 def enumerate_subspace_bases2(n):
-    """Canonical RREF bases of every subspace of F2^n, each exactly once.
-
-    Bases come by dimension, then by pivot columns, then by the free entries
-    read row by row; each row's possible values are built once per pivot set.
-    """
+    """Canonical RREF bases of every subspace of F2^n, each exactly once."""
     yield ()
     for k in range(1, n + 1):
         for pivots in combinations(range(n), k):
-            choices = []
-            for p in pivots:
-                free = [c for c in range(p + 1, n) if c not in pivots]
-                rows = []
-                for bits in product((0, 1), repeat=len(free)):
-                    row = [0] * n
-                    row[p] = 1
-                    for c, b in zip(free, bits):
-                        row[c] = b
-                    rows.append(tuple(row))
-                choices.append(rows)
-            yield from product(*choices)
+            free_pos = [
+                (i, c)
+                for i in range(k)
+                for c in range(pivots[i] + 1, n)
+                if c not in pivots
+            ]
+            for bits in product((0, 1), repeat=len(free_pos)):
+                rows = [[0] * n for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, c), b in zip(free_pos, bits):
+                    rows[i][c] = b
+                yield tuple(tuple(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------
