@@ -3,7 +3,8 @@
 The search is checked against two independent oracles: brute force over every
 admissible flag (F2: all complete flags; Q: chains spanned by candidate
 lines), and the single-path gap-maximizing loops it replaced, kept here as
-reference implementations.
+reference implementations.  The subgroup scan is checked against the scan over
+every subspace of (F2)^l that it replaced, also kept here.
 """
 
 import random
