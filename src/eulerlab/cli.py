@@ -1,7 +1,14 @@
 """Command-line front end.
 
-One JSON input document format serves every subcommand; flags override
-document fields.  Exit codes: 0 success, 1 hypothesis failure, 2 input error.
+Each subcommand is declared once, in `build_parser()`: its options, its
+handler, and the fields of its JSON input document (-i PATH or --inline
+JSON).  An option or field it does not read is an input error; a flag
+overrides the field of the same name.  Document fields: reduce field, nvars,
+poly, system (the document is optional); flag-find group, module, target;
+euler-check these and flag; bound these and n; sympow these, flag and degree;
+torus-decompose group, module.  flag-ring and torus-example read no document
+and are the only ones that sample, seeded by --seed, else EULERLAB_SEED,
+else 0.  Exit codes: 0 success, 1 hypothesis failure, 2 input error.
 
 Every subcommand handler returns one report, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -25,40 +33,34 @@ from pathlib import Path
 
 from . import cohomology, polyring, sympow, torusmaps
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
-from .errors import HypothesisError, InputError, ResourceLimitError, require_int
+from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
 from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
 from .reps import (
     ELEM_ABELIAN_2,
-    RepE,
     decompose,
     flag_from_doc,
     flag_to_doc,
-    group_from_doc,
     rep_entries_doc,
     rep_from_doc,
     spanning_flag_from_support,
 )
 
-_DOC_KEYS = {
-    "group", "module", "target", "flag", "n", "degree", "field", "nvars", "poly", "system", "bounds",
-}
+_PAIR_FIELDS = frozenset({"group", "module", "target"})
 
 
 def _load_document(args, required=True):
-    if getattr(args, "input", None) and getattr(args, "inline", None):
-        raise InputError("give either -i/--input or --inline, not both")
-    text = None
-    if getattr(args, "input", None):
+    """The input document, whose fields must lie in the subcommand's `fields`."""
+    if args.input:
         try:
             text = Path(args.input).read_text()
         except OSError as exc:
             raise InputError(f"cannot read input document: {exc}") from exc
-    elif getattr(args, "inline", None):
+    elif args.inline:
         text = args.inline
-    if text is None:
-        if required:
-            raise InputError("an input document is required (-i PATH or --inline JSON)")
+    elif required:
+        raise InputError("an input document is required (-i PATH or --inline JSON)")
+    else:
         return {}
     try:
         doc = json.loads(text)
@@ -66,26 +68,33 @@ def _load_document(args, required=True):
         raise InputError(f"invalid JSON input: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("the input document must be a JSON object")
-    unknown = set(doc) - _DOC_KEYS
+    unknown = set(doc) - args.fields
     if unknown:
-        raise InputError(f"unknown fields {sorted(unknown)} in input document")
+        raise InputError(f"unknown fields {sorted(unknown)} in the {args.command} input document")
     return doc
 
 
+def _flag_or_field(flag, doc, key, missing):
+    """`flag` if it was given, else the document field `key`; `missing` is the error if neither is."""
+    value = doc.get(key) if flag is None else flag
+    if value is None or value == "" or value == []:
+        raise InputError(missing)
+    return value
+
+
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    """--seed if given, else the EULERLAB_SEED environment variable, else 0."""
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get("EULERLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"EULERLAB_SEED must be an integer, got {env!r}") from exc
-    return 0
+    env = os.environ.get("EULERLAB_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputError(f"EULERLAB_SEED must be an integer, got {env!r}") from exc
 
 
-def _doc_flag(doc, kind, rank):
-    return flag_from_doc(doc["flag"], kind, rank) if "flag" in doc else None
+def _doc_flag(doc, rep):
+    return flag_from_doc(doc["flag"], rep.kind, rep.rank) if "flag" in doc else None
 
 
 def _pair_from_doc(doc):
@@ -135,22 +144,12 @@ def _flag_rows(flag):
 # Subcommand handlers: each returns a report (Report, BoundReport, ...)
 # ---------------------------------------------------------------------------
 
-def _cmd_reduce(args, seed):
+def _cmd_reduce(args):
     doc = _load_document(args, required=False)
-    try:
-        field = as_field(args.field or doc.get("field"))
-    except InputError:
-        raise InputError("field must be F2 or Q (flag --field or document field)") from None
-    nvars = args.nvars if args.nvars is not None else doc.get("nvars")
-    if nvars is None:
-        raise InputError("the variable count is required (--nvars or document nvars)")
-    nvars = require_int(nvars, "nvars")
-    poly_text = args.poly or doc.get("poly")
-    if not poly_text:
-        raise InputError("a polynomial is required (--poly or document poly)")
-    gen_texts = args.gen or doc.get("system")
-    if not gen_texts:
-        raise InputError("a triangular system is required (--gen or document system)")
+    field = as_field(_flag_or_field(args.field, doc, "field", "field must be F2 or Q (flag --field or document field)"))
+    nvars = _flag_or_field(args.nvars, doc, "nvars", "the variable count is required (--nvars or document nvars)")
+    poly_text = _flag_or_field(args.poly, doc, "poly", "a polynomial is required (--poly or document poly)")
+    gen_texts = _flag_or_field(args.gen, doc, "system", "a triangular system is required (--gen or document system)")
     p = parse_poly(poly_text, field, nvars)
     system = TriangularSystem([parse_poly(g, field, nvars) for g in gen_texts])
     normal = polyring.reduce(p, system)
@@ -161,13 +160,10 @@ def _cmd_reduce(args, seed):
     ])
 
 
-def _cmd_euler_check(args, seed):
+def _cmd_euler_check(args):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
-    kind, rank = group_from_doc(doc["group"])
-    flag = _doc_flag(doc, kind, rank)
-    if flag is None:
-        flag = find_flag(U, V) if kind == ELEM_ABELIAN_2 else find_rational_flag(U, V)
+    flag = _doc_flag(doc, U) or (find_flag(U, V) if U.kind == ELEM_ABELIAN_2 else find_rational_flag(U, V))
     nonzero, certificate = cohomology.euler_nonvanishing(U, V, flag)
     pres = certificate.presentation
     return Report([
@@ -179,7 +175,7 @@ def _cmd_euler_check(args, seed):
     ])
 
 
-def _cmd_flag_find(args, seed):
+def _cmd_flag_find(args):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
     search = reduced_flag_search(U, V)
@@ -193,28 +189,27 @@ def _cmd_flag_find(args, seed):
     ])
 
 
-def _cmd_bound(args, seed):
+def _cmd_bound(args):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
     if args.theorem == "free-zero-set":
         return bound_free_zero_set(U, V)
     family, variant = args.theorem.split("-", 1)
     if family == "stiefel":
-        n = args.n if args.n is not None else doc.get("n")
-        if n is None:
-            raise InputError("the embedding dimension is required (-n or document n)")
-        return bound_stiefel(U, V, require_int(n, "n"), kind=variant)
+        n = _flag_or_field(args.n, doc, "n", "the embedding dimension is required (-n or document n)")
+        return bound_stiefel(U, V, n, kind=variant)
     return bound_torus(U, V, variant=variant)
 
 
-def _cmd_flag_ring(args, seed):
+def _cmd_flag_ring(args):
     bounds = None
     if args.bounds:
         try:
             bounds = [int(x) for x in args.bounds.split(",")]
         except ValueError as exc:
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
-    cohomology.require_flag_ring_samples(args.samples)
+    require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
+    seed = _resolve_seed(args)
     pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
     verification = None
     if args.verify:
@@ -231,14 +226,10 @@ def _cmd_flag_ring(args, seed):
     ], verification=verification)
 
 
-def _cmd_sympow(args, seed):
+def _cmd_sympow(args):
     doc = _load_document(args)
     U = rep_from_doc(doc, key="module")
-    if not isinstance(U, RepE):
-        raise InputError("symmetric powers are computed for elem_abelian_2 groups")
-    d = args.degree if args.degree is not None else doc.get("degree")
-    if d is None:
-        raise InputError("a degree is required (-d or document degree)")
+    d = _flag_or_field(args.degree, doc, "degree", "a degree is required (-d or document degree)")
     d = require_int(d, "degree")
     if "target" not in doc:
         power = sympow.sym_multiplicities(U, d)
@@ -250,10 +241,7 @@ def _cmd_sympow(args, seed):
             *((None, f"  char {e['char']}", e["mult"]) for e in entries),
         ])
     V = rep_from_doc(doc, key="target")
-    kind, rank = group_from_doc(doc["group"])
-    flag = _doc_flag(doc, kind, rank)
-    if flag is None:
-        flag = spanning_flag_from_support(U)
+    flag = _doc_flag(doc, U) or spanning_flag_from_support(U)
     report = sympow.min_embedding_k(U, V, d, flag)
     return Report([
         ("k", "minimal k", report.k),
@@ -267,7 +255,7 @@ def _cmd_sympow(args, seed):
     ])
 
 
-def _cmd_torus_decompose(args, seed):
+def _cmd_torus_decompose(args):
     doc = _load_document(args)
     decomp = torusmaps.line_decomposition(rep_from_doc(doc, key="module")).to_doc()
     return Report([
@@ -277,9 +265,9 @@ def _cmd_torus_decompose(args, seed):
     ])
 
 
-def _cmd_torus_example(args, seed):
+def _cmd_torus_example(args):
     m = torusmaps.circle_example(args.a, args.b, args.c)
-    report = torusmaps.verify_equivariance(m, samples=args.samples, tol=args.tol, seed=seed)
+    report = torusmaps.verify_equivariance(m, samples=args.samples, tol=args.tol, seed=_resolve_seed(args))
     doc = m.to_doc()
     weights = [[e["char"] for e in doc[side]["entries"]] for side in ("source", "target")]
     return Report([
@@ -289,24 +277,17 @@ def _cmd_torus_example(args, seed):
     ], verification=report)
 
 
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "euler-check": _cmd_euler_check,
-    "flag-find": _cmd_flag_find,
-    "bound": _cmd_bound,
-    "flag-ring": _cmd_flag_ring,
-    "sympow": _cmd_sympow,
-    "torus-decompose": _cmd_torus_decompose,
-    "torus-example": _cmd_torus_example,
-}
-
-
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-i", "--input", help="path to a JSON input document")
-    common.add_argument("--inline", help="inline JSON input document")
-    common.add_argument("--machine", action="store_true", help="emit one JSON document per line")
-    common.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    """A new parser that declares every subcommand: its options, its handler
+    and the fields its input document may carry."""
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--machine", action="store_true", help="emit one JSON document per line")
+    document = argparse.ArgumentParser(add_help=False, parents=[machine])
+    source = document.add_mutually_exclusive_group()
+    source.add_argument("-i", "--input", help="path to a JSON input document")
+    source.add_argument("--inline", help="inline JSON input document")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[machine])
+    seeded.add_argument("--seed", type=int, help="sampling seed (default: EULERLAB_SEED, else 0)")
 
     parser = argparse.ArgumentParser(
         prog="eulerlab",
@@ -314,16 +295,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", parents=[common], help="normal form against a triangular system")
+    p = sub.add_parser("reduce", parents=[document], help="normal form against a triangular system")
+    p.set_defaults(handler=_cmd_reduce, fields=frozenset({"field", "nvars", "poly", "system"}))
     p.add_argument("--field", choices=[F2, Q])
     p.add_argument("--nvars", type=int)
     p.add_argument("--poly")
     p.add_argument("--gen", action="append", help="system generator (repeatable)")
 
-    sub.add_parser("euler-check", parents=[common], help="euler-class nonvanishing certificate")
-    sub.add_parser("flag-find", parents=[common], help="maximal subgroup and admissible flag")
+    p = sub.add_parser("euler-check", parents=[document], help="euler-class nonvanishing certificate")
+    p.set_defaults(handler=_cmd_euler_check, fields=_PAIR_FIELDS | {"flag"})
 
-    p = sub.add_parser("bound", parents=[common], help="certified zero-set dimension bound")
+    p = sub.add_parser("flag-find", parents=[document], help="maximal subgroup and admissible flag")
+    p.set_defaults(handler=_cmd_flag_find, fields=_PAIR_FIELDS)
+
+    p = sub.add_parser("bound", parents=[document], help="certified zero-set dimension bound")
+    p.set_defaults(handler=_cmd_bound, fields=_PAIR_FIELDS | {"n"})
     p.add_argument(
         "--theorem",
         required=True,
@@ -331,19 +317,23 @@ def build_parser():
     )
     p.add_argument("-n", type=int, help="embedding dimension for the stiefel bounds")
 
-    p = sub.add_parser("flag-ring", parents=[common], help="flag-manifold cohomology presentation")
+    p = sub.add_parser("flag-ring", parents=[seeded], help="flag-manifold cohomology presentation")
+    p.set_defaults(handler=_cmd_flag_ring)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", type=int, required=True)
     p.add_argument("--bounds", help="comma-separated nested dimension bounds n_1..n_l")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--samples", type=int, default=25)
 
-    p = sub.add_parser("sympow", parents=[common], help="symmetric-power tables / minimal embedding k")
+    p = sub.add_parser("sympow", parents=[document], help="symmetric-power tables / minimal embedding k")
+    p.set_defaults(handler=_cmd_sympow, fields=_PAIR_FIELDS | {"flag", "degree"})
     p.add_argument("-d", "--degree", type=int)
 
-    sub.add_parser("torus-decompose", parents=[common], help="rational-line decomposition")
+    p = sub.add_parser("torus-decompose", parents=[document], help="rational-line decomposition")
+    p.set_defaults(handler=_cmd_torus_decompose, fields=frozenset({"group", "module"}))
 
-    p = sub.add_parser("torus-example", parents=[common], help="explicit circle map with verification")
+    p = sub.add_parser("torus-example", parents=[seeded], help="explicit circle map with verification")
+    p.set_defaults(handler=_cmd_torus_example)
     p.add_argument("-a", type=int, required=True)
     p.add_argument("-b", type=int, required=True)
     p.add_argument("-c", type=int, required=True)
@@ -353,17 +343,19 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv, stdout=None, stderr=None):
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _HANDLERS[args.command](args, _resolve_seed(args))
+        report = args.handler(args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -380,7 +372,14 @@ def run(argv, stdout=None, stderr=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; Python flushes stdout again at exit (see the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import HypothesisError, InputError, ResourceLimitError, require_int
+from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2, Poly, TriangularSystem, format_poly, reduce
 from .reps import FlagE, RepE, decompose, euler_poly
 
@@ -184,17 +184,6 @@ def _coset_vectors(l, i):
     return out
 
 
-def require_flag_ring_samples(samples):
-    """`samples` itself if it is an int from 0 to MAX_FLAG_RING_SAMPLES."""
-    if require_int(samples, "sample count") < 0:
-        raise InputError(f"the sample count must be nonnegative, got {samples}")
-    if samples > MAX_FLAG_RING_SAMPLES:
-        raise ResourceLimitError(
-            f"{samples} samples requested, above the limit of {MAX_FLAG_RING_SAMPLES}"
-        )
-    return samples
-
-
 def verify_flag_ring(n, l, samples=25, seed=0):
     """Check the structural identities of the flag-ring presentation.
 
@@ -204,7 +193,7 @@ def verify_flag_ring(n, l, samples=25, seed=0):
     n!/(n-l)!; (d) for random tables with block dims <= n - i the Euler class
     survives (skipped when samples = 0).
     """
-    samples = require_flag_ring_samples(samples)
+    samples = require_count(samples, "sample count", MAX_FLAG_RING_SAMPLES)
     seed = require_int(seed, "seed")
     pres = flag_ring(n, l)
     items = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check behind them."""
+"""Exception types shared across the package, and the integer checks behind them."""
 
 
 class EulerlabError(Exception):
@@ -21,4 +21,17 @@ def require_int(value, what):
     """`value` itself if it is an int; bools, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_count(value, what, cap, positive=False):
+    """`value` itself if it is an int from 0 (1 if `positive`) to `cap`.
+
+    A smaller value is an input error, a larger one a resource limit.
+    """
+    value = require_int(value, what)
+    if value < (1 if positive else 0):
+        raise InputError(f"the {what} must be {'positive' if positive else 'nonnegative'}, got {value}")
+    if value > cap:
+        raise ResourceLimitError(f"{what} {value} is above the limit of {cap}")
     return value

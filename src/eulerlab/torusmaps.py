@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 
 from . import linalg
-from .errors import InputError, ResourceLimitError, require_int
+from .errors import InputError, require_count, require_int
 from .reps import RepT, line_blocks, rep_entries_doc
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
@@ -32,16 +32,6 @@ def _require_tol(tol):
     return tol
 
 
-def _require_samples(samples):
-    """`samples` itself if it is an int from 1 to MAX_EQUIVARIANCE_SAMPLES."""
-    samples = require_int(samples, "sample count")
-    if samples < 1:
-        raise InputError("need at least one sample")
-    if samples > MAX_EQUIVARIANCE_SAMPLES:
-        raise ResourceLimitError(
-            f"{samples} samples requested, above the limit of {MAX_EQUIVARIANCE_SAMPLES}"
-        )
-    return samples
 
 
 @dataclass(frozen=True)
@@ -252,7 +242,7 @@ def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL)
     if not parts:
         raise InputError("join needs at least one part")
     tol = _require_tol(tol)
-    check_samples = _require_samples(check_samples)
+    check_samples = require_count(check_samples, "sample count", MAX_EQUIVARIANCE_SAMPLES, positive=True)
     seed = require_int(seed, "seed")
     rank = None
     for lam, part in parts.items():
@@ -392,7 +382,7 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     check that the zero set is the origin alone.
     """
     tol = _require_tol(tol)
-    samples = _require_samples(samples)
+    samples = require_count(samples, "sample count", MAX_EQUIVARIANCE_SAMPLES, positive=True)
     seed = require_int(seed, "seed")
     rank = m.source.rank
     dim_s = m.source.dim

@@ -1,14 +1,19 @@
 """Tests for the command-line front end: exit codes, round trips, determinism."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from eulerlab import cohomology, sympow, torusmaps
 from eulerlab.bounds import bound_free_zero_set
-from eulerlab.cli import run
+from eulerlab.cli import build_parser, run
 from eulerlab.reps import RepE, rep_from_doc
 
 
@@ -234,7 +239,8 @@ def test_high_multiplicity_all_ones_label_builds():
     assert "nonvanishing: yes" in out
     assert "certificate: T4^256" in out
     assert "T1^512+T2^512+T3^512+T4^512" in out
-    code, out, err = invoke(["bound", "--theorem", "free-zero-set", "--inline", json.dumps(doc)])
+    pair = {key: doc[key] for key in ("group", "module", "target")}
+    code, out, err = invoke(["bound", "--theorem", "free-zero-set", "--inline", json.dumps(pair)])
     assert code == 0
     assert "bound: 259" in out
 
@@ -343,6 +349,13 @@ def test_machine_sympow_table(tmp_path):
     assert {tuple(e["char"]): e["mult"] for e in doc["entries"]} == power.multiplicities()
 
 
+def test_sympow_degree_cap_exit_two():
+    module = {key: _PAIR[key] for key in ("group", "module")}
+    code, out, err = invoke(["sympow", "-d", str(sympow.MAX_SYM_DEGREE + 1), "--inline", json.dumps(module)])
+    assert code == 2 and out == ""
+    assert f"above the limit of {sympow.MAX_SYM_DEGREE}" in err
+
+
 def test_machine_sympow_min_k(tmp_path):
     doc_in = {
         "group": {"kind": "elem_abelian_2", "rank": 1},
@@ -422,3 +435,100 @@ def test_inline_document():
     code, out, err = invoke(["torus-decompose", "--inline", inline])
     assert code == 0
     assert "line [1]" in out
+
+
+# -- each subcommand accepts only the inputs it reads ------------------------------
+
+_PAIR = {
+    "group": {"kind": "elem_abelian_2", "rank": 2},
+    "module": {"entries": [{"char": [1, 0], "mult": 3}, {"char": [0, 1], "mult": 1}, {"char": [1, 1], "mult": 1}]},
+    "target": {"entries": [{"char": [1, 0], "mult": 1}]},
+}
+_TORUS_MODULE = {"group": {"kind": "torus", "rank": 1}, "module": {"entries": [{"char": [2], "mult": 1}]}}
+_REDUCE_DOC = {"field": "F2", "nvars": 1, "poly": "T1", "system": ["T1^2"]}
+
+# argv that each non-sampling subcommand accepts (exit 0)
+_NON_SAMPLING = {
+    "reduce": ["reduce", "--inline", json.dumps(_REDUCE_DOC)],
+    "euler-check": ["euler-check", "--inline", json.dumps(_PAIR)],
+    "flag-find": ["flag-find", "--inline", json.dumps(_PAIR)],
+    "bound": ["bound", "--theorem", "free-zero-set", "--inline", json.dumps(_PAIR)],
+    "sympow": ["sympow", "-d", "2", "--inline", json.dumps(_PAIR)],
+    "torus-decompose": ["torus-decompose", "--inline", json.dumps(_TORUS_MODULE)],
+}
+_SAMPLING = {
+    "flag-ring": ["flag-ring", "-n", "3", "-l", "2", "--verify", "--samples", "5"],
+    "torus-example": ["torus-example", "-a", "2", "-b", "3", "-c", "1", "--samples", "50"],
+}
+
+
+def test_each_subcommand_declares_the_options_and_fields_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    document = {("--machine",), ("-i", "--input"), ("--inline",)}
+    seeded = {("--machine",), ("--seed",)}
+    pair = {"group", "module", "target"}
+    expected = {
+        "reduce": (document | {("--field",), ("--nvars",), ("--poly",), ("--gen",)},
+                   {"field", "nvars", "poly", "system"}),
+        "euler-check": (document, pair | {"flag"}),
+        "flag-find": (document, pair),
+        "bound": (document | {("--theorem",), ("-n",)}, pair | {"n"}),
+        "flag-ring": (seeded | {("-n",), ("-l",), ("--bounds",), ("--verify",), ("--samples",)}, set()),
+        "sympow": (document | {("-d", "--degree")}, pair | {"flag", "degree"}),
+        "torus-decompose": (document, {"group", "module"}),
+        "torus-example": (seeded | {("-a",), ("-b",), ("-c",), ("--samples",), ("--tol",)}, set()),
+    }
+    declared = {
+        name: ({tuple(a.option_strings) for a in p._actions if a.dest != "help"}, set(p.get_default("fields") or ()))
+        for name, p in sub.choices.items()
+    }
+    assert declared == expected
+    assert sum(len(options) for options, _ in declared.values()) == 39
+    assert sum(len(fields) for _, fields in declared.values()) == 22
+
+
+@pytest.mark.parametrize("command", sorted(_NON_SAMPLING))
+def test_seed_option_rejected_where_nothing_is_sampled(command):
+    code, out, err = invoke(_NON_SAMPLING[command])
+    assert code == 0, err
+    code, out, err = invoke(_NON_SAMPLING[command] + ["--seed", "3"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 3" in err
+
+
+@pytest.mark.parametrize("command", sorted(_SAMPLING))
+@pytest.mark.parametrize("option", [["-i", "doc.json"], ["--inline", "not json"]])
+def test_document_options_rejected_where_no_document_is_read(command, option):
+    code, out, err = invoke(_SAMPLING[command] + option)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["bound", "--theorem", "free-zero-set"], {**_PAIR, "flag": {"dual_basis": [[1, 0], [0, 1]]}}, "flag"),
+    (["torus-decompose"], {**_TORUS_MODULE, "target": {"entries": []}}, "target"),
+    (["reduce"], {**_REDUCE_DOC, "group": {"kind": "elem_abelian_2", "rank": 1}}, "group"),
+])
+def test_foreign_document_field_exit_two(argv, doc, field):
+    code, out, err = invoke(argv + ["--inline", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert f"unknown fields ['{field}']" in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_seed_environment_ignored_where_nothing_is_sampled(monkeypatch, command):
+    monkeypatch.setenv("EULERLAB_SEED", "junk")
+    code, out, err = invoke(_NON_SAMPLING[command])
+    assert code == 0, err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-c", "from eulerlab.cli import main; main()", *_SAMPLING["flag-ring"], "--machine"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the interpreter has started
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

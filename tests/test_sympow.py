@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from eulerlab import linalg
-from eulerlab.errors import HypothesisError
+from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.reps import FlagE, RepE, complete_flags
-from eulerlab.sympow import min_embedding_k, odd_symmetric_sum, sym_multiplicities
+from eulerlab.sympow import MAX_SYM_DEGREE, min_embedding_k, odd_symmetric_sum, sym_multiplicities
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -180,3 +180,23 @@ def test_min_k_report_consistency():
             any(a <= t for a, t in zip(dims, report.target_block_dims))
             or smaller.dim - V.dim < 3
         )
+
+
+# -- the degree cap -------------------------------------------------------------------
+
+def test_degree_cap():
+    U = RepE(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1})
+    assert sym_multiplicities(U, MAX_SYM_DEGREE).dim == comb(U.dim + MAX_SYM_DEGREE - 1, MAX_SYM_DEGREE)
+    with pytest.raises(ResourceLimitError, match=f"above the limit of {MAX_SYM_DEGREE}"):
+        sym_multiplicities(U, MAX_SYM_DEGREE + 1)
+    with pytest.raises(InputError, match="must be nonnegative"):
+        sym_multiplicities(U, -1)
+
+
+def test_min_k_stops_at_the_degree_cap():
+    # the closed form k = max(m + 1, m + d) puts S^(2k-1) just past the cap
+    m = (MAX_SYM_DEGREE + 1) // 2
+    sign = RepE(1, {(1,): 1})
+    assert min_embedding_k(sign, RepE(1, {(1,): m - 1}), 1, FlagE.standard(1)).k == m
+    with pytest.raises(ResourceLimitError, match=f"above the limit of {MAX_SYM_DEGREE}"):
+        min_embedding_k(sign, RepE(1, {(1,): m}), 1, FlagE.standard(1))
