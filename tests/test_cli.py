@@ -349,13 +349,6 @@ def test_machine_sympow_table(tmp_path):
     assert {tuple(e["char"]): e["mult"] for e in doc["entries"]} == power.multiplicities()
 
 
-def test_sympow_degree_cap_exit_two():
-    module = {key: _PAIR[key] for key in ("group", "module")}
-    code, out, err = invoke(["sympow", "-d", str(sympow.MAX_SYM_DEGREE + 1), "--inline", json.dumps(module)])
-    assert code == 2 and out == ""
-    assert f"above the limit of {sympow.MAX_SYM_DEGREE}" in err
-
-
 def test_machine_sympow_min_k(tmp_path):
     doc_in = {
         "group": {"kind": "elem_abelian_2", "rank": 1},
@@ -521,6 +514,15 @@ def test_seed_environment_ignored_where_nothing_is_sampled(monkeypatch, command)
     monkeypatch.setenv("EULERLAB_SEED", "junk")
     code, out, err = invoke(_NON_SAMPLING[command])
     assert code == 0, err
+
+
+# -- a resource limit and a closed stdout --------------------------------------------
+
+def test_sympow_degree_cap_exit_two():
+    module = {key: _PAIR[key] for key in ("group", "module")}
+    code, out, err = invoke(["sympow", "-d", str(sympow.MAX_SYM_DEGREE + 1), "--inline", json.dumps(module)])
+    assert code == 2 and out == ""
+    assert f"above the limit of {sympow.MAX_SYM_DEGREE}" in err
 
 
 def test_closed_stdout_exits_one_without_traceback():
