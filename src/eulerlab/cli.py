@@ -2,13 +2,15 @@
 
 Each subcommand is declared once, in `build_parser()`: its options, its
 handler, and the fields of its JSON input document (-i PATH or --inline
-JSON).  An option or field it does not read is an input error; a flag
-overrides the field of the same name.  Document fields: reduce field, nvars,
-poly, system (the document is optional); flag-find group, module, target;
-euler-check these and flag; bound these and n; sympow these, flag and degree;
-torus-decompose group, module.  flag-ring and torus-example read no document
-and are the only ones that sample, seeded by --seed, else EULERLAB_SEED,
-else 0.  Exit codes: 0 success, 1 hypothesis failure, 2 input error.
+JSON).  An option or field it does not read is an input error, also where
+only the mode it runs in does not read it; a flag overrides the field of the
+same name.  Document fields: reduce field, nvars, poly, system (the document
+is optional); flag-find group, module, target; euler-check these and flag;
+bound these and n (-n and n only with a stiefel theorem); sympow these, flag
+and degree (flag only with a target); torus-decompose group, module.
+flag-ring and torus-example read no document and are the only ones that
+sample, seeded by --seed, else EULERLAB_SEED, else 0.  Exit codes: 0
+success, 1 hypothesis failure, 2 input error.
 
 Every subcommand handler returns one report, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -80,6 +82,12 @@ def _flag_or_field(flag, doc, key, missing):
     if value is None or value == "" or value == []:
         raise InputError(missing)
     return value
+
+
+def _refuse_unread(doc, key, mode):
+    """A document field that `mode` never reads is an input error, not ignored."""
+    if key in doc:
+        raise InputError(f"document field {key} is not read by {mode}")
 
 
 def _resolve_seed(args):
@@ -192,12 +200,16 @@ def _cmd_flag_find(args):
 def _cmd_bound(args):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
-    if args.theorem == "free-zero-set":
-        return bound_free_zero_set(U, V)
     family, variant = args.theorem.split("-", 1)
     if family == "stiefel":
         n = _flag_or_field(args.n, doc, "n", "the embedding dimension is required (-n or document n)")
         return bound_stiefel(U, V, n, kind=variant)
+    mode = f"bound --theorem {args.theorem}"
+    if args.n is not None:
+        raise InputError(f"-n is not read by {mode}")
+    _refuse_unread(doc, "n", mode)
+    if args.theorem == "free-zero-set":
+        return bound_free_zero_set(U, V)
     return bound_torus(U, V, variant=variant)
 
 
@@ -232,6 +244,7 @@ def _cmd_sympow(args):
     d = _flag_or_field(args.degree, doc, "degree", "a degree is required (-d or document degree)")
     d = require_int(d, "degree")
     if "target" not in doc:
+        _refuse_unread(doc, "flag", "sympow without a target")
         power = sympow.sym_multiplicities(U, d)
         entries = rep_entries_doc(power)
         return Report([

@@ -6,6 +6,13 @@ package; entries are ints over F2 and Fractions over Q.  One elimination,
 `rank2`/`rankq` and `solve2`/`solveq` are its per-field entry points.  All
 routines are deterministic: pivoting always picks the first usable row, free
 variables are set to zero, and enumeration orders are fixed.
+
+`rref2`/`rrefq` and `solve2`/`solveq` coerce every entry, so floats, strings
+and bools are input errors; a caller whose entries are already field elements
+passes `trusted=True` to `rrefq`, `solve2` or `solveq` to skip that.  The
+rank, span, canonical-basis and nullspace routines take field elements (0/1
+over F2; ints or Fractions over Q), such as the labels, covectors and bases
+the package has validated.
 """
 
 from itertools import combinations, product
@@ -13,10 +20,13 @@ from itertools import combinations, product
 from .polyring import F2, Q
 
 
-def _rref(field, rows, n):
-    """Reduced row echelon form in the first n columns; returns (rows, pivot_columns)."""
+def _rref(field, rows, n, trusted=False):
+    """Reduced row echelon form in the first n columns; returns (rows, pivot_columns).
+
+    Entries are coerced to field elements unless `trusted` says they are.
+    """
     norm = field.norm
-    mat = [[field.coerce(x) for x in row] for row in rows]
+    mat = [list(row) if trusted else [field.coerce(x) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(n):
@@ -37,7 +47,7 @@ def _rref(field, rows, n):
     return [tuple(row) for row in mat], pivots
 
 
-def _solve(field, rows, target):
+def _solve(field, rows, target, trusted=False):
     """Coefficients c with sum_i c_i * rows[i] == target, or None.
 
     Free coefficients are set to zero, so the answer is unique whenever the
@@ -45,7 +55,7 @@ def _solve(field, rows, target):
     """
     k = len(rows)
     aug = [[row[e] for row in rows] + [t] for e, t in enumerate(target)]
-    reduced, pivots = _rref(field, aug, k)
+    reduced, pivots = _rref(field, aug, k, trusted)
     if any(row[k] for row in reduced[len(pivots):]):
         return None
     sol = [field.coerce(0)] * k
@@ -79,12 +89,12 @@ def rref2(rows, n):
 
 
 def rank2(rows, n):
-    return len(rref2(rows, n)[1])
+    return len(_rref(F2, rows, n, trusted=True)[1])
 
 
 def rref_canonical2(rows, n):
     """Canonical basis of the row space: nonzero RREF rows as a tuple."""
-    reduced, pivots = rref2(rows, n)
+    reduced, pivots = _rref(F2, rows, n, trusted=True)
     return tuple(reduced[i] for i in range(len(pivots)))
 
 
@@ -92,8 +102,8 @@ def in_span2(rows, v, n):
     return rank2(list(rows) + [v], n) == rank2(rows, n)
 
 
-def solve2(rows, target):
-    return _solve(F2, rows, target)
+def solve2(rows, target, trusted=False):
+    return _solve(F2, rows, target, trusted)
 
 
 def nullspace2(rows, n):
@@ -102,7 +112,7 @@ def nullspace2(rows, n):
     One basis vector per free column, in ascending column order; for an empty
     row list this is the standard basis of F2^n.
     """
-    reduced, pivots = rref2(rows, n)
+    reduced, pivots = _rref(F2, rows, n, trusted=True)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
@@ -143,16 +153,16 @@ def enumerate_subspace_bases2(n):
 # Q
 # ---------------------------------------------------------------------------
 
-def rrefq(rows, n):
-    return _rref(Q, rows, n)
+def rrefq(rows, n, trusted=False):
+    return _rref(Q, rows, n, trusted)
 
 
 def rankq(rows, n):
-    return len(rrefq(rows, n)[1])
+    return len(rrefq(rows, n, trusted=True)[1])
 
 
-def solveq(rows, target):
-    return _solve(Q, rows, target)
+def solveq(rows, target, trusted=False):
+    return _solve(Q, rows, target, trusted)
 
 
 def primitive(vec):

@@ -7,25 +7,40 @@ inverses, the canonical vector on a line (mod 2 over F2; primitive and
 sign-normalised over Q) and the text of a term, so no code here or in
 `linalg` branches on a tag.
 
-Monomials are exponent tuples; the canonical order is graded lexicographic
-with the *last* variable most significant.  A triangular system consists of
-one relation per variable, the j-th having an invertible constant coefficient
-on its top power of T_j, so multivariate division terminates with a unique
-remainder whose T_j-degree is below that top power for every j.  The system
-is the quotient ring itself: `reduce(p, system)` is the normal form of p's
-class (zero exactly when p lies in the ideal), `quotient_basis(system)` the
-monomial basis, and the system carries its dimension and Hilbert series.
+Monomials are exponent tuples at the interface (`Poly`, `parse_poly`, the
+read-only mapping `terms()`, `sorted_terms`, `coefficient`, `quotient_basis`);
+the canonical order is graded lexicographic with the *last* variable most
+significant.
+
+Inside a `Poly` each monomial is one int holding a 32-bit field per variable,
+T_j in bits [32(j-1), 32j), so a product of monomials is one int addition and
+a T_j-degree is `(m >> 32(j-1)) & MASK`.  The top bit of every field is a
+guard bit: exponents are capped at MAX_EXPONENT = 2^31 - 1 and never wrap.  A
+larger exponent given to `Poly` or `parse_poly` is an InputError; one
+produced by a product, a power or a reduction sets a guard bit on a result
+key and raises ResourceLimitError.
+
+A triangular system consists of one relation per variable, the j-th having an
+invertible constant coefficient on its top power of T_j, so multivariate
+division terminates with a unique remainder whose T_j-degree is below that
+top power for every j.  The system is the quotient ring itself:
+`reduce(p, system)` is the normal form of p's class (zero exactly when p lies
+in the ideal), `quotient_basis(system)` the monomial basis, and the system
+carries its dimension and Hilbert series.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
+from functools import reduce as fold
 from itertools import product
 from math import gcd, prod
-from operator import add
+from operator import or_
 
-from .errors import InputError, require_int
+from .errors import InputError, ResourceLimitError, require_int
 
 __all__ = [
     "F2",
@@ -40,14 +55,54 @@ __all__ = [
     "quotient_basis",
     "format_poly",
     "parse_poly",
+    "MAX_EXPONENT",
 ]
+
+BITS = 32
+MASK = (1 << BITS) - 1
+MAX_EXPONENT = (1 << (BITS - 1)) - 1
+
+
+def _shifts(nvars):
+    return range(0, BITS * nvars, BITS)
+
+
+@cache
+def _guard(nvars):
+    """The guard bits of every field: set on a key exactly when one of its
+    exponents exceeds MAX_EXPONENT."""
+    return sum(1 << (s + BITS - 1) for s in _shifts(nvars))
+
+
+def _check_exponents(keys, nvars):
+    if fold(or_, keys, 0) & _guard(nvars):
+        raise ResourceLimitError(f"an exponent reached 2^31, above the limit of {MAX_EXPONENT}")
+
+
+def _pack(m):
+    return sum(e << s for e, s in zip(m, _shifts(len(m))))
+
+
+def _unpack(key, nvars):
+    return tuple((key >> s) & MASK for s in _shifts(nvars))
+
+
+def _key(m, nvars):
+    """The packed key of the exponent tuple m, or None if m is no monomial in
+    nvars variables."""
+    if len(m) == nvars and all(
+        isinstance(e, int) and not isinstance(e, bool) and 0 <= e <= MAX_EXPONENT for e in m
+    ):
+        return _pack(m)
+    return None
 
 
 class Field(str):
     """A coefficient field that compares and hashes as its tag string.
 
     Elements are ints over F2 and Fractions over Q.  Arithmetic may add and
-    multiply raw elements and apply `norm` once at the end.
+    multiply raw elements and apply `norm` once at the end; `clean` does that
+    for a whole dict of terms and drops the zeros.
     """
 
     def coerce(self, value):
@@ -73,6 +128,10 @@ class _F2(Field):
         return c % 2
 
     @staticmethod
+    def clean(raw):
+        return {m: 1 for m, r in raw.items() if r & 1}
+
+    @staticmethod
     def line(v):
         """The vector mod 2: over F2 every nonzero vector is its own line."""
         return tuple(a % 2 for a in v)
@@ -90,6 +149,10 @@ class _Q(Field):
     @staticmethod
     def norm(c):
         return c
+
+    @staticmethod
+    def clean(raw):
+        return {m: r for m, r in raw.items() if r}
 
     @staticmethod
     def line(v):
@@ -123,11 +186,38 @@ def monomial_key(m):
     return (sum(m), tuple(reversed(m)))
 
 
+class _TermsView(Mapping):
+    """Read-only view of a Poly's terms keyed by exponent tuples."""
+
+    __slots__ = ("_terms", "_nvars")
+
+    def __init__(self, terms, nvars):
+        self._terms = terms
+        self._nvars = nvars
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        nvars = self._nvars
+        return (_unpack(m, nvars) for m in self._terms)
+
+    def __getitem__(self, m):
+        try:
+            return self._terms[_key(tuple(m), self._nvars)]
+        except (KeyError, TypeError):
+            raise KeyError(m) from None
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class Poly:
     """Immutable sparse polynomial in canonical form (no zero coefficients).
 
     The constructor validates every term; arithmetic builds its results with
-    `_trusted`, which only normalises the coefficients and drops zeros.
+    `_trusted`, which only cleans the coefficients and drops zeros.  `_terms`
+    maps packed monomial keys to coefficients.
     """
 
     __slots__ = ("field", "nvars", "_terms")
@@ -145,18 +235,20 @@ class Poly:
                 raise InputError(f"monomial {m} does not have {nvars} exponents")
             if any(e < 0 for e in m):
                 raise InputError(f"negative exponent in monomial {m}")
-            raw[m] = raw.get(m, 0) + field.coerce(c)
+            if any(e > MAX_EXPONENT for e in m):
+                raise InputError(f"exponent in monomial {m} is above the limit of {MAX_EXPONENT}")
+            key = _pack(m)
+            raw[key] = raw.get(key, 0) + field.coerce(c)
         self._set(field, nvars, raw)
 
     def _set(self, field, nvars, raw):
-        norm = field.norm
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", {m: c for m, r in raw.items() if (c := norm(r))})
+        object.__setattr__(self, "_terms", field.clean(raw))
 
     @classmethod
     def _trusted(cls, field, nvars, raw):
-        """Poly from valid monomials and raw sums of field elements."""
+        """Poly from valid packed monomials and raw sums of field elements."""
         p = object.__new__(cls)
         p._set(field, nvars, raw)
         return p
@@ -192,13 +284,8 @@ class Poly:
     def linear_form(cls, field, coeffs):
         """sum_j coeffs[j] * T_{j+1}; only the coefficients need checking."""
         field = as_field(field)
-        nvars = len(coeffs)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            m = [0] * nvars
-            m[j] = 1
-            terms[tuple(m)] = field.coerce(c)
-        return cls._trusted(field, nvars, terms)
+        terms = {1 << s: field.coerce(c) for s, c in zip(_shifts(len(coeffs)), coeffs)}
+        return cls._trusted(field, len(coeffs), terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -206,25 +293,31 @@ class Poly:
         return not self._terms
 
     def terms(self):
-        return dict(self._terms)
+        """Read-only mapping from exponent tuples to coefficients."""
+        return _TermsView(self._terms, self.nvars)
 
     def term_count(self):
         return len(self._terms)
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda mc: monomial_key(mc[0]))
+        nvars = self.nvars
+        return sorted(
+            ((_unpack(m, nvars), c) for m, c in self._terms.items()),
+            key=lambda mc: monomial_key(mc[0]),
+        )
 
     def coefficient(self, m):
-        return self._terms.get(tuple(m), self.field.coerce(0))
+        return self._terms.get(_key(tuple(m), self.nvars), self.field.coerce(0))
 
     def total_degree(self):
         if not self._terms:
             raise ValueError("the zero polynomial has no degree")
-        return max(sum(m) for m in self._terms)
+        return max(sum(m) for m in self.terms())
 
     def degree_in(self, j):
         """Degree in variable T_j (1-based); -1 for the zero polynomial."""
-        return max((m[j - 1] for m in self._terms), default=-1)
+        s = BITS * (j - 1)
+        return max(((m >> s) & MASK for m in self._terms), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -251,10 +344,12 @@ class Poly:
         self._check_same_ring(other)
         terms = {}
         get = terms.get
+        right = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(map(add, m1, m2))
+            for m2, c2 in right:
+                m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
+        _check_exponents(terms, self.nvars)
         return Poly._trusted(self.field, self.nvars, terms)
 
     def __pow__(self, exponent):
@@ -312,7 +407,8 @@ class TriangularSystem:
     Validates that g_j involves only T_1..T_j, has T_j-degree d_j >= 1, and
     that the coefficient of T_j^{d_j} is a nonzero constant (1 over F2).
     The division tails are precomputed once: `tails[j - 1]` lists, for every
-    other term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead), so
+    other term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead) with
+    the quotient packed like a `Poly` key (negative in the T_j field), so
     T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
     """
 
@@ -337,29 +433,21 @@ class TriangularSystem:
                 raise InputError("mismatched field or variable count among generators")
             if g.is_zero():
                 raise InputError(f"generator {j} is zero")
-            d = 0
-            for m in g._terms:
-                if any(m[i] for i in range(j, nvars)):
-                    raise InputError(f"generator {j} involves a variable beyond T{j}")
-                if m[j - 1] > d:
-                    d = m[j - 1]
+            s = BITS * (j - 1)
+            if any(m >> (s + BITS) for m in g._terms):
+                raise InputError(f"generator {j} involves a variable beyond T{j}")
+            d = max((m >> s) & MASK for m in g._terms)
             if d < 1:
                 raise InputError(f"generator {j} has no T{j} term")
-            lead = None
-            for m, c in g._terms.items():
-                if m[j - 1] == d:
-                    if any(m[i] for i in range(nvars) if i != j - 1):
-                        raise InputError(
-                            f"leading T{j}-coefficient of generator {j} is not constant"
-                        )
-                    lead = c
+            top = d << s
+            if any(m != top and (m >> s) & MASK == d for m in g._terms):
+                raise InputError(f"leading T{j}-coefficient of generator {j} is not constant")
             degrees.append(d)
-            scale = -field.inverse(lead)
-            i = j - 1
+            scale = -field.inverse(g._terms[top])
             tails.append(tuple(
-                (m[:i] + (m[i] - d,) + m[i + 1:], m[i] - d, field.norm(c * scale))
+                (m - top, ((m >> s) & MASK) - d, field.norm(c * scale))
                 for m, c in g._terms.items()
-                if m[i] < d
+                if m != top
             ))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
@@ -409,30 +497,32 @@ def reduce_in_variable(p, j, system):
     T_j^{d_j} is rewritten with the system's precomputed tail of g_j, one
     T_j-degree at a time from the top down: rewriting only adds lower degrees,
     so a coefficient is final when its degree is reached.  A p with no T_j-power
-    reaching d_j is already reduced and is returned itself.
+    reaching d_j is already reduced and is returned itself.  Rewriting can
+    raise the degrees of T_1..T_{j-1}, so each level's keys are checked for a
+    set guard bit before they are rewritten, and the result's keys at the end.
     """
     _check_match(p, system)
-    i = j - 1
-    d = system.lead_degrees[i]
-    if all(m[i] < d for m in p._terms):
+    s = BITS * (j - 1)
+    d = system.lead_degrees[j - 1]
+    if all((m >> s) & MASK < d for m in p._terms):
         return p
-    norm = p.field.norm
-    tail = system.tails[i]
+    clean = p.field.clean
+    tail = system.tails[j - 1]
     levels = {}
     for m, c in p._terms.items():
-        levels.setdefault(m[i], {})[m] = c
+        levels.setdefault((m >> s) & MASK, {})[m] = c
     while levels and (top := max(levels)) >= d:
         heads = levels.pop(top)
+        _check_exponents(heads, p.nvars)
         targets = [(mt, levels.setdefault(top + shift, {}), ct) for mt, shift, ct in tail]
-        for m, c in heads.items():
-            c = norm(c)
-            if c:
-                for mt, level, ct in targets:
-                    mm = tuple(map(add, m, mt))
-                    level[mm] = level.get(mm, 0) + c * ct
+        for m, c in clean(heads).items():
+            for mt, level, ct in targets:
+                mm = m + mt
+                level[mm] = level.get(mm, 0) + c * ct
     terms = {}
     for level in levels.values():
         terms.update(level)
+    _check_exponents(terms, p.nvars)
     return Poly._trusted(p.field, p.nvars, terms)
 
 

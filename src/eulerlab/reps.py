@@ -139,6 +139,7 @@ class _Flag:
             raise InputError("dual basis covectors are linearly dependent")
         self.rank = rank
         self.dual_basis = basis
+        self._known = {}  # label -> coordinates, filled by _coordinates
 
     @classmethod
     def standard(cls, rank):
@@ -147,35 +148,35 @@ class _Flag:
     @cached_property
     def _inverse(self):
         """Row k holds the flag coordinates of the k-th unit vector, solved
-        once per flag, on the first call of `coordinates`."""
+        once per flag, on the first coordinates asked for."""
         units = [tuple(1 if j == k else 0 for j in range(self.rank)) for k in range(self.rank)]
         return tuple(self._solve(self.dual_basis, e) for e in units)
 
     def coordinates(self, char):
         """The coefficients c with sum_i c_i * T_i == char.
 
-        They are the field-normalised combination sum_k char[k] * row k of
-        the basis inverse.  A label of the wrong length, or with an entry
-        that is no field element, is an input error.
+        A label of the wrong length, or with an entry that is no field
+        element, is an input error.
         """
-        field = self.field
         char = tuple(char)
         if len(char) != self.rank:
             raise InputError(f"{self.label} {char} does not have length {self.rank}")
-        coords = [field.coerce(0)] * self.rank
-        for x, row in zip(char, self._inverse):
-            x = field.coerce(x)
-            if x:
-                coords = [c + x * r for c, r in zip(coords, row)]
-        return tuple(map(field.norm, coords))
+        return self._coordinates(tuple(map(self.field.coerce, char)))
 
-    def top_index(self, char):
-        """Least i with char inside span(T_1..T_i); requires a nonzero label."""
-        coords = self.coordinates(char)
-        for i in range(self.rank - 1, -1, -1):
-            if coords[i]:
-                return i + 1
-        raise InputError(f"{self.zero_label} belongs to no flag block")
+    def _coordinates(self, char):
+        """`coordinates` of a label whose entries are field elements, such as
+        a table's label; each label is computed once per flag, as the
+        field-normalised combination sum_k char[k] * row k of the basis
+        inverse."""
+        coords = self._known.get(char)
+        if coords is None:
+            field = self.field
+            acc = [field.coerce(0)] * self.rank
+            for x, row in zip(char, self._inverse):
+                if x:
+                    acc = [c + x * r for c, r in zip(acc, row)]
+            coords = self._known[char] = tuple(map(field.norm, acc))
+        return coords
 
     def __eq__(self, other):
         return type(other) is type(self) and other.dual_basis == self.dual_basis
@@ -192,7 +193,6 @@ class FlagE(_Flag):
 
     field = F2
     label = "character"
-    zero_label = "the trivial character"
     _covector = staticmethod(RepE._validate_char)
 
     @staticmethod
@@ -201,7 +201,7 @@ class FlagE(_Flag):
 
     @staticmethod
     def _solve(rows, target):
-        return linalg.solve2(rows, target)
+        return linalg.solve2(rows, target, trusted=True)
 
 
 class RationalFlag(_Flag):
@@ -209,7 +209,6 @@ class RationalFlag(_Flag):
 
     field = Q
     label = "weight"
-    zero_label = "the zero weight"
 
     @staticmethod
     def _covector(v, rank):
@@ -227,7 +226,7 @@ class RationalFlag(_Flag):
 
     @staticmethod
     def _solve(rows, target):
-        return linalg.solveq(rows, target)
+        return linalg.solveq(rows, target, trusted=True)
 
 
 class Subgroup:
@@ -254,7 +253,7 @@ class Subgroup:
         return len(self.basis)
 
     def contains_vector(self, v):
-        return linalg.in_span2(self.basis, tuple(v), self.rank)
+        return linalg.in_span2(self.basis, RepE._validate_char(v, self.rank), self.rank)
 
     def contains(self, other):
         if not isinstance(other, Subgroup) or other.rank != self.rank:
@@ -309,7 +308,10 @@ def _check_pairing(rep, flag):
 
 
 def decompose(rep, flag):
-    """Partition the table into flag blocks; the trivial label is the fixed part."""
+    """Partition the table into flag blocks; the trivial label is the fixed part.
+
+    A label belongs to block i when i is the last nonzero flag coordinate.
+    """
     _check_pairing(rep, flag)
     zero = (0,) * rep.rank
     blocks = [{} for _ in range(rep.rank)]
@@ -318,7 +320,8 @@ def decompose(rep, flag):
         if char == zero:
             fixed[char] = m
         else:
-            blocks[flag.top_index(char) - 1][char] = m
+            coords = flag._coordinates(char)
+            blocks[max(i for i, c in enumerate(coords) if c)][char] = m
     cls = type(rep)
     return FlagDecomposition(
         blocks=tuple(cls(rep.rank, b) for b in blocks),
@@ -341,7 +344,7 @@ def fixed_subrep(rep, subgroup):
     out = {}
     for char, m in rep.items():
         if subgroup.char_vanishes(char):
-            coords = linalg.solve2(annihilator, char)
+            coords = linalg.solve2(annihilator, char, trusted=True)
             out[coords] = out.get(coords, 0) + m
     return RepE(new_rank, out)
 
@@ -373,7 +376,7 @@ def euler_poly(rep, flag, system=None):
         # reducing 1 checks that the system matches the flag's field and rank
         result = step(Poly.one(flag.field, rep.rank))
     for char, m in rep.items():
-        form = Poly.linear_form(flag.field, flag.coordinates(char))
+        form = Poly.linear_form(flag.field, flag._coordinates(char))
         result = step(result * power(form, m, step))
     return result
 

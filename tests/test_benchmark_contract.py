@@ -46,3 +46,28 @@ def test_workload_cases_pass_their_oracles(name, count):
     cases = workload.cases(101, count)
     verdicts = [workload.check(case, workload.run(case)) for case in cases]
     assert verdicts == [None] * count
+
+
+# Counters of the first three euler-f2 cases of seed 101.  They count calls
+# and terms, not time, so a change of representation inside polyring must not
+# move them; arithmetic builds its results through Poly._trusted, so
+# Poly.__init__ runs only for the polynomials built from outside.
+EULER_F2_COUNTERS = {
+    "polyring.mul.calls": 200,
+    "polyring.mul.out_terms.sum": 2237,
+    "polyring.reduce.calls": 95,
+    "polyring.reduce.in_terms.sum": 500,
+    "polyring.reduce.out_terms.sum": 280,
+    "reps.euler_poly.out_terms.max": 210,
+    "polyring.Poly.calls": 18,
+}
+
+
+def test_euler_f2_counters_are_pinned():
+    workload = load("workloads").WORKLOADS["euler-f2"]
+    cases = workload.cases(101, 3)
+    with load("tracing").Tracer() as tracer:
+        for case in cases:
+            workload.run(case)
+    metrics = tracer.metrics()
+    assert {key: metrics[key] for key in EULER_F2_COUNTERS} == EULER_F2_COUNTERS

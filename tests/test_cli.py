@@ -509,6 +509,26 @@ def test_foreign_document_field_exit_two(argv, doc, field):
     assert f"unknown fields ['{field}']" in err
 
 
+_RANK1_MODULE = {"group": {"kind": "elem_abelian_2", "rank": 1}, "module": {"entries": [{"char": [1], "mult": 1}]}}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    # a malformed flag (two covectors at rank 1) that a run without a target never reads
+    (["sympow", "-d", "2"], {**_RANK1_MODULE, "flag": {"dual_basis": [[1], [1]]}},
+     "document field flag is not read by sympow without a target"),
+    (["bound", "--theorem", "free-zero-set", "-n", "7"], _PAIR,
+     "-n is not read by bound --theorem free-zero-set"),
+    (["bound", "--theorem", "free-zero-set"], {**_PAIR, "n": "junk"},
+     "document field n is not read by bound --theorem free-zero-set"),
+    (["bound", "--theorem", "torus-interior", "-n", "7"], {**_PAIR, "group": {"kind": "torus", "rank": 2}},
+     "-n is not read by bound --theorem torus-interior"),
+])
+def test_input_unread_by_the_mode_exit_two(argv, doc, message):
+    code, out, err = invoke(argv + ["--inline", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["reduce", "bound"])
 def test_seed_environment_ignored_where_nothing_is_sampled(monkeypatch, command):
     monkeypatch.setenv("EULERLAB_SEED", "junk")
