@@ -156,7 +156,7 @@ def best_fixed_subgroup(U, V):
     """
     _check_pair_e(U, V)
     rank = U.rank
-    span = linalg.rref_canonical2(U.nonzero_support(), rank)
+    span = linalg._rref_canonical2(U.nonzero_support(), rank)
     k = len(span)
     if k > MAX_SUBGROUP_RANK:
         raise ResourceLimitError(
@@ -196,7 +196,7 @@ def best_fixed_subgroup(U, V):
     }
     minimal = [m for m in fixed_u if not any(o != m and o & m == o for o in fixed_u)]
     candidates = [
-        Subgroup(rank, linalg.nullspace2([c for b, c in zip(bits, vectors) if m & b], rank))
+        Subgroup(rank, linalg._nullspace2([c for b, c in zip(bits, vectors) if m & b], rank))
         for m in minimal
     ]
     return min(candidates, key=lambda F: F.basis)

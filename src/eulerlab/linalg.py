@@ -7,12 +7,15 @@ package; entries are ints over F2 and Fractions over Q.  One elimination,
 routines are deterministic: pivoting always picks the first usable row, free
 variables are set to zero, and enumeration orders are fixed.
 
-`rref2`/`rrefq` and `solve2`/`solveq` coerce every entry, so floats, strings
-and bools are input errors; a caller whose entries are already field elements
-passes `trusted=True` to `rrefq`, `solve2` or `solveq` to skip that.  The
-rank, span, canonical-basis and nullspace routines take field elements (0/1
-over F2; ints or Fractions over Q), such as the labels, covectors and bases
-the package has validated.
+The public routines coerce every entry, so floats, strings and bools are
+input errors and an F2 entry is read mod 2.  Each then calls an underscored
+kernel (`_rref`, `_solve`, `_rank`, `_rref_canonical2`, `_in_span2`,
+`_nullspace2`) that takes field elements as they are (0/1 over F2; ints or
+Fractions over Q).  `Subgroup`, `flagsearch`, `sympow` and
+`spanning_flag_from_support` call those kernels directly on labels and bases
+they have already validated.  Flags and `fixed_subrep` keep the public
+`rank2`/`rankq`/`solve2`/`solveq`: they make a few calls per flag or label,
+and those calls are what the benchmark's `linalg` spans count.
 """
 
 from itertools import combinations, product
@@ -20,13 +23,14 @@ from itertools import combinations, product
 from .polyring import F2, Q
 
 
-def _rref(field, rows, n, trusted=False):
-    """Reduced row echelon form in the first n columns; returns (rows, pivot_columns).
+def _coerced(field, rows):
+    return [tuple(map(field.coerce, row)) for row in rows]
 
-    Entries are coerced to field elements unless `trusted` says they are.
-    """
+
+def _rref(field, rows, n):
+    """Reduced row echelon form in the first n columns; returns (rows, pivot_columns)."""
     norm = field.norm
-    mat = [list(row) if trusted else [field.coerce(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(n):
@@ -47,7 +51,7 @@ def _rref(field, rows, n, trusted=False):
     return [tuple(row) for row in mat], pivots
 
 
-def _solve(field, rows, target, trusted=False):
+def _solve(field, rows, target):
     """Coefficients c with sum_i c_i * rows[i] == target, or None.
 
     Free coefficients are set to zero, so the answer is unique whenever the
@@ -55,13 +59,17 @@ def _solve(field, rows, target, trusted=False):
     """
     k = len(rows)
     aug = [[row[e] for row in rows] + [t] for e, t in enumerate(target)]
-    reduced, pivots = _rref(field, aug, k, trusted)
+    reduced, pivots = _rref(field, aug, k)
     if any(row[k] for row in reduced[len(pivots):]):
         return None
     sol = [field.coerce(0)] * k
     for row, c in zip(reduced, pivots):
         sol[c] = row[k]
     return tuple(sol)
+
+
+def _rank(field, rows, n):
+    return len(_rref(field, rows, n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -85,34 +93,37 @@ def span2(rows, n):
 
 
 def rref2(rows, n):
-    return _rref(F2, rows, n)
+    return _rref(F2, _coerced(F2, rows), n)
 
 
 def rank2(rows, n):
-    return len(_rref(F2, rows, n, trusted=True)[1])
+    return len(rref2(rows, n)[1])
+
+
+def _rref_canonical2(rows, n):
+    reduced, pivots = _rref(F2, rows, n)
+    return tuple(reduced[i] for i in range(len(pivots)))
 
 
 def rref_canonical2(rows, n):
     """Canonical basis of the row space: nonzero RREF rows as a tuple."""
-    reduced, pivots = _rref(F2, rows, n, trusted=True)
-    return tuple(reduced[i] for i in range(len(pivots)))
+    return _rref_canonical2(_coerced(F2, rows), n)
+
+
+def _in_span2(rows, v, n):
+    return _rank(F2, list(rows) + [v], n) == _rank(F2, rows, n)
 
 
 def in_span2(rows, v, n):
-    return rank2(list(rows) + [v], n) == rank2(rows, n)
+    return _in_span2(_coerced(F2, rows), tuple(map(F2.coerce, v)), n)
 
 
-def solve2(rows, target, trusted=False):
-    return _solve(F2, rows, target, trusted)
+def solve2(rows, target):
+    return _solve(F2, _coerced(F2, rows), tuple(map(F2.coerce, target)))
 
 
-def nullspace2(rows, n):
-    """Deterministic basis of {v : rows @ v == 0} over F2.
-
-    One basis vector per free column, in ascending column order; for an empty
-    row list this is the standard basis of F2^n.
-    """
-    reduced, pivots = _rref(F2, rows, n, trusted=True)
+def _nullspace2(rows, n):
+    reduced, pivots = _rref(F2, rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
@@ -122,6 +133,15 @@ def nullspace2(rows, n):
             v[p] = sum(reduced[i][c] * v[c] for c in range(n) if c != p) % 2
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def nullspace2(rows, n):
+    """Deterministic basis of {v : rows @ v == 0} over F2.
+
+    One basis vector per free column, in ascending column order; for an empty
+    row list this is the standard basis of F2^n.
+    """
+    return _nullspace2(_coerced(F2, rows), n)
 
 
 def all_vectors2(n):
@@ -153,16 +173,16 @@ def enumerate_subspace_bases2(n):
 # Q
 # ---------------------------------------------------------------------------
 
-def rrefq(rows, n, trusted=False):
-    return _rref(Q, rows, n, trusted)
+def rrefq(rows, n):
+    return _rref(Q, _coerced(Q, rows), n)
 
 
 def rankq(rows, n):
-    return len(rrefq(rows, n, trusted=True)[1])
+    return len(rrefq(rows, n)[1])
 
 
-def solveq(rows, target, trusted=False):
-    return _solve(Q, rows, target, trusted)
+def solveq(rows, target):
+    return _solve(Q, _coerced(Q, rows), tuple(map(Q.coerce, target)))
 
 
 def primitive(vec):

@@ -88,13 +88,16 @@ def _unpack(key, nvars):
 
 
 def _key(m, nvars):
-    """The packed key of the exponent tuple m, or None if m is no monomial in
-    nvars variables."""
-    if len(m) == nvars and all(
-        isinstance(e, int) and not isinstance(e, bool) and 0 <= e <= MAX_EXPONENT for e in m
-    ):
-        return _pack(m)
-    return None
+    """The packed key of the exponent tuple m; an InputError if m is no
+    monomial in nvars variables."""
+    m = tuple(require_int(e, "exponent") for e in m)
+    if len(m) != nvars:
+        raise InputError(f"monomial {m} does not have {nvars} exponents")
+    if any(e < 0 for e in m):
+        raise InputError(f"negative exponent in monomial {m}")
+    if any(e > MAX_EXPONENT for e in m):
+        raise InputError(f"exponent in monomial {m} is above the limit of {MAX_EXPONENT}")
+    return _pack(m)
 
 
 class Field(str):
@@ -204,8 +207,8 @@ class _TermsView(Mapping):
 
     def __getitem__(self, m):
         try:
-            return self._terms[_key(tuple(m), self._nvars)]
-        except (KeyError, TypeError):
+            return self._terms[_key(m, self._nvars)]
+        except (KeyError, TypeError, InputError):
             raise KeyError(m) from None
 
     def __repr__(self):
@@ -230,14 +233,7 @@ class Poly:
         raw = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for m, c in items:
-            m = tuple(require_int(e, "exponent") for e in m)
-            if len(m) != nvars:
-                raise InputError(f"monomial {m} does not have {nvars} exponents")
-            if any(e < 0 for e in m):
-                raise InputError(f"negative exponent in monomial {m}")
-            if any(e > MAX_EXPONENT for e in m):
-                raise InputError(f"exponent in monomial {m} is above the limit of {MAX_EXPONENT}")
-            key = _pack(m)
+            key = _key(m, nvars)
             raw[key] = raw.get(key, 0) + field.coerce(c)
         self._set(field, nvars, raw)
 
@@ -307,7 +303,10 @@ class Poly:
         )
 
     def coefficient(self, m):
-        return self._terms.get(_key(tuple(m), self.nvars), self.field.coerce(0))
+        try:
+            return self._terms[_key(m, self.nvars)]
+        except (KeyError, InputError):
+            return self.field.coerce(0)
 
     def total_degree(self):
         if not self._terms:

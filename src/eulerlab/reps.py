@@ -201,7 +201,7 @@ class FlagE(_Flag):
 
     @staticmethod
     def _solve(rows, target):
-        return linalg.solve2(rows, target, trusted=True)
+        return linalg.solve2(rows, target)
 
 
 class RationalFlag(_Flag):
@@ -226,7 +226,7 @@ class RationalFlag(_Flag):
 
     @staticmethod
     def _solve(rows, target):
-        return linalg.solveq(rows, target, trusted=True)
+        return linalg.solveq(rows, target)
 
 
 class Subgroup:
@@ -238,7 +238,7 @@ class Subgroup:
             raise InputError("subgroups live in groups of rank >= 1")
         rows = [RepE._validate_char(v, rank) for v in basis]
         self.rank = rank
-        self.basis = linalg.rref_canonical2(rows, rank)
+        self.basis = linalg._rref_canonical2(rows, rank)
 
     @classmethod
     def trivial(cls, rank):
@@ -253,7 +253,7 @@ class Subgroup:
         return len(self.basis)
 
     def contains_vector(self, v):
-        return linalg.in_span2(self.basis, RepE._validate_char(v, self.rank), self.rank)
+        return linalg._in_span2(self.basis, RepE._validate_char(v, self.rank), self.rank)
 
     def contains(self, other):
         if not isinstance(other, Subgroup) or other.rank != self.rank:
@@ -266,7 +266,7 @@ class Subgroup:
 
     def annihilator_basis(self):
         """Deterministic basis of the characters vanishing on the subgroup."""
-        return linalg.nullspace2(self.basis, self.rank)
+        return linalg._nullspace2(self.basis, self.rank)
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and other.rank == self.rank and other.basis == self.basis
@@ -344,7 +344,7 @@ def fixed_subrep(rep, subgroup):
     out = {}
     for char, m in rep.items():
         if subgroup.char_vanishes(char):
-            coords = linalg.solve2(annihilator, char, trusted=True)
+            coords = linalg.solve2(annihilator, char)
             out[coords] = out.get(coords, 0) + m
     return RepE(new_rank, out)
 
@@ -438,7 +438,7 @@ def spanning_flag_from_support(rep):
         raise InputError("spanning flags are built from (Z/2)^l tables")
     chosen = []
     for char in sorted(rep.nonzero_support()):
-        if not linalg.in_span2(chosen, char, rep.rank):
+        if not linalg._in_span2(chosen, char, rep.rank):
             chosen.append(char)
     if len(chosen) != rep.rank:
         raise HypothesisError(

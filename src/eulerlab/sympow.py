@@ -14,6 +14,7 @@ from math import comb
 
 from . import linalg
 from .errors import HypothesisError, InputError, require_count, require_int
+from .polyring import F2
 from .reps import FlagE, RepE, decompose
 
 # Largest symmetric-power degree.  The table's cost grows with the square of
@@ -83,7 +84,7 @@ def min_embedding_k(U, V, d, flag):
         raise InputError("rank mismatch among U, V, and the flag")
     if U.dim == 0:
         raise HypothesisError("U must be nonzero")
-    span_dim = linalg.rank2(U.nonzero_support(), U.rank)
+    span_dim = linalg._rank(F2, U.nonzero_support(), U.rank)
     if span_dim != U.rank:
         raise HypothesisError(
             "support characters do not span the dual space "

@@ -10,9 +10,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 import sympy as sp
 
 from eulerlab import linalg
+from eulerlab.errors import InputError
 
 
 def combine(coeffs, rows, n, mod=None):
@@ -122,3 +124,29 @@ def test_q_eliminations_against_sympy():
         assert [rational(x) for x in got] == free_zero
         assert combine(got, rows, n) == tuple(map(Fraction, target))
     assert min(seen.values()) > 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rankq([[0.5, 1]], 2),
+        lambda: linalg.rrefq([[1, "1"]], 2),
+        lambda: linalg.solveq([[1, 0]], [0.5, 0]),
+        lambda: linalg.rank2([[True, 0]], 1),
+        lambda: linalg.rref2([[1.0, 0]], 2),
+        lambda: linalg.rref_canonical2([[1, 0.0]], 2),
+        lambda: linalg.in_span2([[1, 0]], [True, 0], 2),
+        lambda: linalg.solve2([[1, 0]], ["1", 0]),
+        lambda: linalg.nullspace2([[1.0, 0]], 2),
+    ],
+)
+def test_public_routines_reject_non_field_entries(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_public_f2_routines_read_entries_mod_2():
+    assert linalg.rank2([[2, 1]], 2) == 1
+    assert linalg.rref_canonical2([[3, 2], [0, 5]], 2) == ((1, 0), (0, 1))
+    assert linalg.nullspace2([[2, 3]], 2) == ((1, 0),)
+    assert linalg.solve2([[3, 0], [0, 1]], [1, 2]) == (1, 0)
