@@ -158,6 +158,8 @@ def _cmd_reduce(args):
     nvars = _flag_or_field(args.nvars, doc, "nvars", "the variable count is required (--nvars or document nvars)")
     poly_text = _flag_or_field(args.poly, doc, "poly", "a polynomial is required (--poly or document poly)")
     gen_texts = _flag_or_field(args.gen, doc, "system", "a triangular system is required (--gen or document system)")
+    if not isinstance(gen_texts, list):
+        raise InputError(f"document field system must be a list of polynomials, got {gen_texts!r}")
     p = parse_poly(poly_text, field, nvars)
     system = TriangularSystem([parse_poly(g, field, nvars) for g in gen_texts])
     normal = polyring.reduce(p, system)

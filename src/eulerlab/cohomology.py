@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, perm
 
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2, Poly, TriangularSystem, format_poly, reduce
@@ -214,7 +214,7 @@ def verify_flag_ring(n, l, samples=25, seed=0):
         top = top * Poly.variable(F2, l, i) ** (n - i)
     items.append(("top-class-nonzero", not reduce(top, pres).is_zero()))
 
-    items.append(("quotient-dimension", pres.quotient_dimension == factorial(n) // factorial(n - l)))
+    items.append(("quotient-dimension", pres.quotient_dimension == perm(n, l)))
 
     if samples:
         rng = random.Random(seed)

@@ -2,20 +2,19 @@
 
 Vectors are plain tuples so they can serve as dictionary keys throughout the
 package; entries are ints over F2 and Fractions over Q.  One elimination,
-`_rref`, takes the Field object and serves both fields: `rref2`/`rrefq`,
-`rank2`/`rankq` and `solve2`/`solveq` are its per-field entry points.  All
-routines are deterministic: pivoting always picks the first usable row, free
-variables are set to zero, and enumeration orders are fixed.
+`_rref`, takes the Field object and serves both fields.  All routines are
+deterministic: pivoting always picks the first usable row, free variables are
+set to zero, and enumeration orders are fixed.
 
-The public routines coerce every entry, so floats, strings and bools are
-input errors and an F2 entry is read mod 2.  Each then calls an underscored
-kernel (`_rref`, `_solve`, `_rank`, `_rref_canonical2`, `_in_span2`,
-`_nullspace2`) that takes field elements as they are (0/1 over F2; ints or
-Fractions over Q).  `Subgroup`, `flagsearch`, `sympow` and
-`spanning_flag_from_support` call those kernels directly on labels and bases
-they have already validated.  Flags and `fixed_subrep` keep the public
-`rank2`/`rankq`/`solve2`/`solveq`: they make a few calls per flag or label,
-and those calls are what the benchmark's `linalg` spans count.
+Public names validate their input: `rank2`, `solve2`, `rrefq`, `rankq` and
+`solveq` coerce every entry, so floats, strings and bools are input errors
+and an F2 entry is read mod 2.  They are what flags and `fixed_subrep` call,
+a few times per flag or label, and what the benchmark's `linalg` spans count.
+Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
+`_in_span2`, `_nullspace2`) take field elements as they are (0/1 over F2;
+ints or Fractions over Q) and serve `Subgroup`, `flagsearch`, `sympow` and
+`spanning_flag_from_support`, which pass labels and bases they have already
+validated.
 """
 
 from itertools import combinations, product
@@ -84,38 +83,18 @@ def dot2(u, v):
     return sum(a * b for a, b in zip(u, v)) % 2
 
 
-def span2(rows, n):
-    """The full set of F2 linear combinations of `rows` (always contains 0)."""
-    vecs = {(0,) * n}
-    for r in rows:
-        vecs |= {xor(r, v) for v in vecs}
-    return vecs
-
-
-def rref2(rows, n):
-    return _rref(F2, _coerced(F2, rows), n)
-
-
 def rank2(rows, n):
-    return len(rref2(rows, n)[1])
+    return _rank(F2, _coerced(F2, rows), n)
 
 
 def _rref_canonical2(rows, n):
+    """Canonical basis of the row space: nonzero RREF rows as a tuple."""
     reduced, pivots = _rref(F2, rows, n)
     return tuple(reduced[i] for i in range(len(pivots)))
 
 
-def rref_canonical2(rows, n):
-    """Canonical basis of the row space: nonzero RREF rows as a tuple."""
-    return _rref_canonical2(_coerced(F2, rows), n)
-
-
 def _in_span2(rows, v, n):
     return _rank(F2, list(rows) + [v], n) == _rank(F2, rows, n)
-
-
-def in_span2(rows, v, n):
-    return _in_span2(_coerced(F2, rows), tuple(map(F2.coerce, v)), n)
 
 
 def solve2(rows, target):
@@ -123,6 +102,8 @@ def solve2(rows, target):
 
 
 def _nullspace2(rows, n):
+    """Basis of {v : rows @ v == 0}, one vector per free column in ascending
+    order; for no rows this is the standard basis of F2^n."""
     reduced, pivots = _rref(F2, rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -133,15 +114,6 @@ def _nullspace2(rows, n):
             v[p] = sum(reduced[i][c] * v[c] for c in range(n) if c != p) % 2
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def nullspace2(rows, n):
-    """Deterministic basis of {v : rows @ v == 0} over F2.
-
-    One basis vector per free column, in ascending column order; for an empty
-    row list this is the standard basis of F2^n.
-    """
-    return _nullspace2(_coerced(F2, rows), n)
 
 
 def all_vectors2(n):

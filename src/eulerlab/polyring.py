@@ -8,7 +8,7 @@ sign-normalised over Q) and the text of a term, so no code here or in
 `linalg` branches on a tag.
 
 Monomials are exponent tuples at the interface (`Poly`, `parse_poly`, the
-read-only mapping `terms()`, `sorted_terms`, `coefficient`, `quotient_basis`);
+read-only mapping `terms()`, `sorted_terms`, `quotient_basis`);
 the canonical order is graded lexicographic with the *last* variable most
 significant.
 
@@ -302,22 +302,6 @@ class Poly:
             key=lambda mc: monomial_key(mc[0]),
         )
 
-    def coefficient(self, m):
-        try:
-            return self._terms[_key(m, self.nvars)]
-        except (KeyError, InputError):
-            return self.field.coerce(0)
-
-    def total_degree(self):
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(m) for m in self.terms())
-
-    def degree_in(self, j):
-        """Degree in variable T_j (1-based); -1 for the zero polynomial."""
-        s = BITS * (j - 1)
-        return max(((m >> s) & MASK for m in self._terms), default=-1)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_ring(self, other):
@@ -572,7 +556,9 @@ def parse_poly(text, field, nvars):
     """Parse the polynomial text format; whitespace and term order are free."""
     field = as_field(field)
     nvars = require_int(nvars, "variable count")
-    s = "".join(str(text).split())
+    if not isinstance(text, str):
+        raise InputError(f"polynomial text must be a string, got {text!r}")
+    s = "".join(text.split())
     if not s:
         raise InputError("empty polynomial text")
     s = s.replace("-", "+-")

@@ -125,8 +125,8 @@ class RepT(_RepBase):
 
 class _Flag:
     """Complete flag of the dual space over `field`, carried as an adapted
-    dual basis.  Subclasses set the field, name the labels, validate
-    covectors and reach `linalg` through its per-field names."""
+    dual basis.  Subclasses set the field, validate covectors and reach
+    `linalg` through its per-field names."""
 
     def __init__(self, rank, dual_basis):
         rank = require_int(rank, "rank")
@@ -152,22 +152,11 @@ class _Flag:
         units = [tuple(1 if j == k else 0 for j in range(self.rank)) for k in range(self.rank)]
         return tuple(self._solve(self.dual_basis, e) for e in units)
 
-    def coordinates(self, char):
-        """The coefficients c with sum_i c_i * T_i == char.
-
-        A label of the wrong length, or with an entry that is no field
-        element, is an input error.
-        """
-        char = tuple(char)
-        if len(char) != self.rank:
-            raise InputError(f"{self.label} {char} does not have length {self.rank}")
-        return self._coordinates(tuple(map(self.field.coerce, char)))
-
     def _coordinates(self, char):
-        """`coordinates` of a label whose entries are field elements, such as
-        a table's label; each label is computed once per flag, as the
-        field-normalised combination sum_k char[k] * row k of the basis
-        inverse."""
+        """The coefficients c with sum_i c_i * T_i == char, for a label of
+        length `rank` whose entries are field elements, such as a table's
+        label.  Each label is computed once per flag, as the field-normalised
+        combination sum_k char[k] * row k of the basis inverse."""
         coords = self._known.get(char)
         if coords is None:
             field = self.field
@@ -192,7 +181,6 @@ class FlagE(_Flag):
     """Complete flag of (F2^rank)^*, carried as an adapted dual basis."""
 
     field = F2
-    label = "character"
     _covector = staticmethod(RepE._validate_char)
 
     @staticmethod
@@ -208,7 +196,6 @@ class RationalFlag(_Flag):
     """Complete flag of Q^rank; covectors normalized to primitive integer form."""
 
     field = Q
-    label = "weight"
 
     @staticmethod
     def _covector(v, rank):

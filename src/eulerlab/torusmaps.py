@@ -22,16 +22,8 @@ DEFAULT_EQUIVARIANCE_TOL = 1e-9
 # Largest sample count verify_equivariance draws; each sample costs a few
 # complex vectors of the source and target dimension.
 MAX_EQUIVARIANCE_SAMPLES = 200_000
-
-
-def _require_tol(tol):
-    """`tol` itself if it is a finite positive real number; bools, strings,
-    nan and infinities are input errors."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol <= 0:
-        raise InputError(f"tolerance must be a finite positive number, got {tol!r}")
-    return tol
-
-
+# Samples join_assemble draws per part to check that it is a sphere map.
+JOIN_CHECK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -230,20 +222,17 @@ def _slot_indices(sub_rep, full_layout):
     return np.array(idx, dtype=int)
 
 
-def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL):
+def join_assemble(parts):
     """Assemble sphere maps blockwise: f(sum t_l u_l) = sum t_l f_l(u_l).
 
     `parts` maps primitive lines to MapDescriptions whose source and target
     weights lie on that line.  Each part must send unit vectors to unit
-    vectors; this is checked at assembly time on `check_samples` seeded
-    samples, an int from 1 to MAX_EQUIVARIANCE_SAMPLES.  Blocks with zero
+    vectors; this is checked at assembly time on JOIN_CHECK_SAMPLES samples
+    drawn with seed 0, to within DEFAULT_EQUIVARIANCE_TOL.  Blocks with zero
     radial coordinate are skipped, so the output always has unit norm.
     """
     if not parts:
         raise InputError("join needs at least one part")
-    tol = _require_tol(tol)
-    check_samples = require_count(check_samples, "sample count", MAX_EQUIVARIANCE_SAMPLES, positive=True)
-    seed = require_int(seed, "seed")
     rank = None
     for lam, part in parts.items():
         lam = tuple(require_int(x, "line entry") for x in lam)
@@ -257,13 +246,13 @@ def join_assemble(parts, seed=0, check_samples=32, tol=DEFAULT_EQUIVARIANCE_TOL)
             if linalg.primitive(w) != lam:
                 raise InputError(f"part for line {lam} carries the off-line weight {w}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for lam, part in sorted(parts.items()):
         dim = part.source.dim
-        samples = random_unit_vectors(rng, check_samples, dim)
+        samples = random_unit_vectors(rng, JOIN_CHECK_SAMPLES, dim)
         norms = np.linalg.norm(np.asarray(part.evaluator(samples), dtype=complex), axis=-1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > tol:
+        if worst > DEFAULT_EQUIVARIANCE_TOL:
             raise InputError(
                 f"assembly error: part for line {lam} is not a sphere map "
                 f"(sampled norm deviates by {worst:.3e})"
@@ -381,7 +370,9 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     minimum output norm over the sphere samples and the exact exponent-level
     check that the zero set is the origin alone.
     """
-    tol = _require_tol(tol)
+    # a bool is a Real, but no tolerance
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol <= 0:
+        raise InputError(f"tolerance must be a finite positive number, got {tol!r}")
     samples = require_count(samples, "sample count", MAX_EQUIVARIANCE_SAMPLES, positive=True)
     seed = require_int(seed, "seed")
     rank = m.source.rank

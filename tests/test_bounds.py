@@ -1,15 +1,29 @@
 """Tests for the certified bound calculators and their reports."""
 
+import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from eulerlab import linalg
+from eulerlab import bounds, linalg
 from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
-from eulerlab.cohomology import presentation
-from eulerlab.polyring import F2, format_poly, parse_poly, reduce
-from eulerlab.reps import FlagE, RepE, RepT, Subgroup, decompose, fixed_subrep, flag_from_doc
+from eulerlab.cli import run
+from eulerlab.cohomology import QuotientClass, presentation
+from eulerlab.errors import HypothesisError
+from eulerlab.polyring import F2, Poly, format_poly, parse_poly, reduce
+from eulerlab.reps import (
+    FlagE,
+    RepE,
+    RepT,
+    Subgroup,
+    decompose,
+    fixed_subrep,
+    flag_from_doc,
+    rep_entries_doc,
+    rep_to_doc,
+)
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -66,6 +80,7 @@ def test_free_zero_set_witness_recomputes():
     assert format_poly(reduce(euler_poly(V1, flag), pres)) == rep.witness["certificate"]
 
 
+@pytest.mark.filterwarnings("ignore:fixed part of dimension")
 def test_free_zero_set_invariant_under_relabeling():
     rng = random.Random(13)
     for _ in range(25):
@@ -104,7 +119,8 @@ def test_free_zero_set_trivial_summand_shifts_bound():
     U = RepE(2, {A: 3, B: 1, AB: 1})
     V = RepE(2, {A: 1})
     base = bound_free_zero_set(U, V)
-    bigger = bound_free_zero_set(U.direct_sum(RepE(2, {(0, 0): 1})), V)
+    with pytest.warns(UserWarning, match="fixed part of dimension"):
+        bigger = bound_free_zero_set(U.direct_sum(RepE(2, {(0, 0): 1})), V)
     assert bigger.applicable == base.applicable
     assert bigger.bound == base.bound + 1
 
@@ -218,3 +234,78 @@ def test_torus_interior_needs_backtracking():
     assert rep.applicable and rep.bound == 4
     assert rep.witness["flag"] == {"dual_basis": [[1, 0], [0, 1]]}
     assert rep.witness["certificate"] == "81*T1^2*T2^2"
+
+
+# -- the certificate's failure branches ----------------------------------------------
+# Each fault replaces one callee by its name in eulerlab.bounds.  These branches are
+# what stand between a broken certificate and a wrong "bound: N", so each must leave
+# the bound unset, name the failed item, and make CLI `bound` exit 1.
+
+def _inadmissible_flag(monkeypatch):
+    monkeypatch.setattr(bounds, "decompose", lambda rep, flag: SimpleNamespace(dims=(1,) * flag.rank))
+    return "flag with dim U_i > dim V_i for every i"
+
+
+def _euler_check_raises(monkeypatch):
+    def raise_hypothesis(U, V, flag):
+        raise HypothesisError("forced by the test")
+
+    monkeypatch.setattr(bounds, "euler_nonvanishing", raise_hypothesis)
+    return "euler class nonvanishing"
+
+
+def _zero_normal_form(monkeypatch):
+    real = bounds.euler_nonvanishing
+
+    def vanishing(U, V, flag):
+        _, cls = real(U, V, flag)
+        return False, QuotientClass(cls.presentation, Poly.zero(cls.poly.field, cls.poly.nvars))
+
+    monkeypatch.setattr(bounds, "euler_nonvanishing", vanishing)
+    return "survives in the quotient presentation"
+
+
+def _no_subgroup_or_flag(monkeypatch):
+    def raise_hypothesis(U, V):
+        raise HypothesisError("forced by the test")
+
+    monkeypatch.setattr(bounds, "reduced_flag_search", raise_hypothesis)
+    return "subgroup/flag construction"
+
+
+_FAULT_PAIRS = {
+    "free-zero-set": (RepE(2, {A: 3, B: 1, AB: 1}), RepE(2, {A: 1})),
+    "torus-interior": (RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {(1, 1): 1})),
+}
+_THEOREMS = {
+    "free-zero-set": bound_free_zero_set,
+    "torus-interior": lambda U, V: bound_torus(U, V, variant="interior"),
+}
+
+
+@pytest.mark.parametrize("theorem, fault", [
+    ("free-zero-set", _inadmissible_flag),
+    ("free-zero-set", _euler_check_raises),
+    ("free-zero-set", _zero_normal_form),
+    ("free-zero-set", _no_subgroup_or_flag),
+    ("torus-interior", _inadmissible_flag),
+    ("torus-interior", _euler_check_raises),
+    ("torus-interior", _zero_normal_form),
+])
+def test_certificate_failure_refuses_the_bound(monkeypatch, theorem, fault):
+    U, V = _FAULT_PAIRS[theorem]
+    assert _THEOREMS[theorem](U, V).bound is not None
+    item = fault(monkeypatch)
+
+    rep = _THEOREMS[theorem](U, V)
+    assert rep.bound is None and not rep.applicable
+    failed = [h.description for h in rep.hypotheses if h.status == "fail"]
+    assert len(failed) == 1 and item in failed[0]
+    assert rep.failure == f"hypothesis failure: {failed[0]}"
+
+    doc = {**rep_to_doc(U), "target": {"entries": rep_entries_doc(V)}}
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["bound", "--theorem", theorem, "--inline", json.dumps(doc), "--machine"], out, err)
+    assert code == 1
+    assert err.getvalue() == f"hypothesis failure: {failed[0]}\n"
+    assert json.loads(out.getvalue())["bound"] is None

@@ -272,6 +272,25 @@ def test_flag_ring_relation_size_limit_exit_two(verify):
     assert f"above the limit of {cohomology.MAX_RELATION_TERMS}" in err
 
 
+def test_flag_ring_verify_large_n_at_one_step():
+    # no relation-size limit applies at l = 1; the dimension check must not cost n!
+    start = time.monotonic()
+    code, out, err = invoke(["flag-ring", "-n", "1000000", "-l", "1", "--verify", "--samples", "0"])
+    assert time.monotonic() - start < 2
+    assert code == 0, err
+    assert "quotient-dimension: pass" in out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"field": "F2", "nvars": 1, "poly": 5, "system": ["T1^2"]}, "polynomial text must be a string, got 5"),
+    ({"field": "F2", "nvars": 1, "poly": "T1", "system": "T1^2"}, "document field system must be a list"),
+])
+def test_reduce_rejects_non_text_polynomials(doc, message):
+    code, out, err = invoke(["reduce", "--inline", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 # -- machine mode round trips ------------------------------------------------------
 
 def machine_doc(argv):

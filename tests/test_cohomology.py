@@ -15,6 +15,7 @@ from eulerlab.cohomology import (
 from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q, TriangularSystem, parse_poly, quotient_basis, reduce
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, complete_flags
+from tests_support_random import span2
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -97,10 +98,8 @@ def test_lemma_euler_property_f2():
 
 
 def _block_chars(flag, i):
-    from eulerlab import linalg
-
-    span_prev = linalg.span2(flag.dual_basis[: i - 1], flag.rank)
-    span_cur = linalg.span2(flag.dual_basis[:i], flag.rank)
+    span_prev = span2(flag.dual_basis[: i - 1], flag.rank)
+    span_cur = span2(flag.dual_basis[:i], flag.rank)
     return sorted(span_cur - span_prev)
 
 

@@ -23,6 +23,7 @@ from eulerlab.flagsearch import (
     reduced_flag_search,
 )
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, Subgroup, complete_flags, decompose, line_blocks
+from tests_support_random import span2
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -151,7 +152,7 @@ def _exhaustive_best_fixed_subgroup(U, V):
         if fixed_dim(U, basis) - fixed_dim(V, basis) >= target
     ]
     index = {v: i for i, v in enumerate(linalg.all_vectors2(rank))}
-    spans = {basis: sum(1 << index[v] for v in linalg.span2(basis, rank)) for basis in qualifying}
+    spans = {basis: sum(1 << index[v] for v in span2(basis, rank)) for basis in qualifying}
     maximal = []
     for basis in sorted(qualifying, key=len, reverse=True):
         if not any(spans[basis] & spans[m] == spans[basis] for m in maximal):
@@ -164,7 +165,7 @@ def _random_scan_pair(rng, rank):
     trivial summand; V drawn from every nontrivial character."""
     vectors = linalg.all_vectors2(rank)
     nonzero = vectors[1:]
-    span = sorted(v for v in linalg.span2(rng.sample(nonzero, rng.randint(1, rank)), rank) if any(v))
+    span = sorted(v for v in span2(rng.sample(nonzero, rng.randint(1, rank)), rank) if any(v))
     U = {c: rng.randint(1, 3) for c in rng.sample(span, rng.randint(1, min(len(span), rank + 2)))}
     if rng.random() < 0.3:
         U[vectors[0]] = rng.randint(1, 2)
@@ -180,7 +181,7 @@ def test_best_fixed_subgroup_matches_exhaustive_scan():
             U, V = _random_scan_pair(rng, rank)
             assert best_fixed_subgroup(U, V) == _exhaustive_best_fixed_subgroup(U, V), (U, V)
             trivial_u += U.fixed_dim > 0
-            span = linalg.span2(U.support(), rank)
+            span = span2(U.support(), rank)
             v_outside += any(c not in span for c in V.support())
     assert trivial_u > 200 and v_outside > 200
 

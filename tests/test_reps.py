@@ -251,9 +251,9 @@ def test_euler_poly_degree_is_dimension():
         if U.dim == 0:
             continue
         flag = rng.choice(complete_flags(rank))
-        assert euler_poly(U, flag).total_degree() == U.dim
+        assert max(sum(m) for m in euler_poly(U, flag).terms()) == U.dim
     W = RepT(2, {(1, 2): 2, (0, 1): 1})
-    assert euler_poly(W, RationalFlag.standard(2)).total_degree() == W.dim
+    assert max(sum(m) for m in euler_poly(W, RationalFlag.standard(2)).terms()) == W.dim
 
 
 # -- flags ------------------------------------------------------------------------

@@ -1,8 +1,16 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and small F2 helpers for the test suite."""
 
 from fractions import Fraction
 
 from eulerlab.polyring import F2, Poly, TriangularSystem
+
+
+def span2(rows, n):
+    """The full set of F2 linear combinations of `rows` (always contains 0)."""
+    vecs = {(0,) * n}
+    for r in rows:
+        vecs |= {tuple(a ^ b for a, b in zip(r, v)) for v in vecs}
+    return vecs
 
 
 def random_triangular(rng, field, nvars, dmax=6):
