@@ -1,9 +1,10 @@
-# Character tables of symmetric powers, counted exactly by dynamic
-# programming, and the minimal truncation degree k for which the direct sum
-# of odd symmetric powers dominates a given target blockwise.
+# Character tables of symmetric powers, counted exactly by Newton's identity
+# in the group ring of the characters, and the minimal truncation degree k for
+# which the direct sum of odd symmetric powers dominates a given target
+# blockwise.
 
 from eulerlab.reps import FlagE, RepE, decompose, spanning_flag_from_support
-from eulerlab.sympow import min_embedding_k, odd_symmetric_sum, sym_multiplicities
+from eulerlab.sympow import min_embedding_k, sym_multiplicities
 
 alpha, beta = (1, 0), (0, 1)
 U = RepE(2, {alpha: 1, beta: 1})
@@ -32,7 +33,7 @@ report = min_embedding_k(U, V, 3, flag)
 print(f"minimal k = {report.k} for target dims {report.target_block_dims}, slack 3")
 print("accumulated block dims:", report.block_dims)
 print("claims:", report.claims)
-print("total dimension:", odd_symmetric_sum(U, report.k).dim)
+print("total dimension:", report.total_dim)
 
 # One rank-1 sanity case with a closed form: U the sign representation,
 # V = m copies of it, slack d: k = max(m + 1, m + d).

@@ -52,7 +52,7 @@ from .reps import (
     rep_to_doc,
     spanning_flag_from_support,
 )
-from .sympow import EmbeddingReport, min_embedding_k, odd_symmetric_sum, sym_multiplicities
+from .sympow import EmbeddingReport, min_embedding_k, sym_multiplicities
 from .torusmaps import (
     EquivarianceReport,
     LineDecomposition,

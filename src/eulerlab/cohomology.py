@@ -161,27 +161,26 @@ class VerificationReport:
 
 
 def _random_bounded_table(rng, n, l):
-    """Random table with zero fixed part and block dims q_i <= n - i (standard flag)."""
+    """Random table with zero fixed part and block dims q_i <= n - i (standard flag).
+
+    q_i is uniform on 0..n-i, and block i's coset labels in turn draw a uniform
+    share of what is left (the last takes the rest): O(2^l) draws for any n.
+    """
     table = {}
     for i in range(1, l + 1):
-        coset = _coset_vectors(l, i)
-        q_i = rng.randint(0, n - i)
-        for _ in range(q_i):
-            c = rng.choice(coset)
-            table[c] = table.get(c, 0) + 1
-    return RepE(l, table)
+        *coset, last = _coset_vectors(l, i)
+        left = rng.randint(0, n - i)
+        for c in coset:
+            table[c] = m = rng.randint(0, left)
+            left -= m
+        table[last] = left
+    return RepE(l, {c: m for c, m in table.items() if m})
 
 
 def _coset_vectors(l, i):
     """Characters whose top coordinate index is exactly i (standard flag blocks)."""
-    out = []
-    for bits in range(2 ** (i - 1)):
-        v = [0] * l
-        for j in range(i - 1):
-            v[j] = (bits >> j) & 1
-        v[i - 1] = 1
-        out.append(tuple(v))
-    return out
+    low = range(i - 1)
+    return [tuple((bits >> j) & 1 for j in low) + (1,) + (0,) * (l - i) for bits in range(2 ** (i - 1))]
 
 
 def verify_flag_ring(n, l, samples=25, seed=0):

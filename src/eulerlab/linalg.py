@@ -19,6 +19,7 @@ validated.
 
 from itertools import combinations, product
 
+from .errors import InputError
 from .polyring import F2, Q
 
 
@@ -163,5 +164,5 @@ def primitive(vec):
     the first nonzero entry positive."""
     w = Q.line(vec)
     if not any(w):
-        raise ValueError("the zero vector spans no line")
+        raise InputError("the zero vector spans no line")
     return w

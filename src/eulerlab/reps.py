@@ -202,10 +202,7 @@ class RationalFlag(_Flag):
         v = tuple(require_int(x, "covector entry") for x in v)
         if len(v) != rank:
             raise InputError(f"covector {v} does not have length {rank}")
-        try:
-            return linalg.primitive(v)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return linalg.primitive(v)
 
     @staticmethod
     def _rank(rows, n):

@@ -1,27 +1,33 @@
 """Symmetric-power character tables and the minimal embedding degree search.
 
-Multiplicities of S^d of a (Z/2)^l table are counted exactly by dynamic
-programming over the characters: a block of m variables sharing a label
-contributes C(m + k - 1, k) monomials of degree k, and only the parity of k
-moves the accumulated label.
+Multiplicities of S^d of a (Z/2)^l table U come from Newton's identity in the
+group ring of the characters, d S^d = sum_j p_j S^(d-j) with p_j the j-th power
+sum of U's labels.  Every character squares to the trivial one, so p_j is U for
+odd j and dim U times the trivial character for even j, and
+
+    d S^d = U (S^(d-1) + S^(d-3) + ...) + dim U (S^(d-2) + S^(d-4) + ...),
+
+which two running sums of alternate powers carry, dividing exactly by d.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from . import linalg
-from .errors import HypothesisError, InputError, require_count, require_int
+from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2
 from .reps import FlagE, RepE, decompose
 
-# Largest symmetric-power degree.  The table's cost grows with the square of
-# the degree: at rank 3 with four labels S^100 takes about 0.03 s, and a
-# min_embedding_k search that runs into the cap (S^1, S^3, ..., S^99) about
-# 0.5 s (CPython 3.11 on a 2-CPU Xeon host).
+# Largest symmetric-power degree, and largest dim span(supp U) (the subgroup
+# scan's bound).  S^d costs d steps of |supp U| * 2^span products.  A
+# min_embedding_k search that runs into the degree cap (S^1, S^3, ..., S^99)
+# takes 0.04 s on four unit characters and 2.6 s on the full support of span 6,
+# the worst case accepted; ten unit characters would take 4.1 s (CPython 3.11
+# on a 2-CPU Xeon host).
 MAX_SYM_DEGREE = 100
+MAX_SYM_SPAN = 6
 
 
 def sym_multiplicities(U, d):
@@ -29,28 +35,25 @@ def sym_multiplicities(U, d):
     if not isinstance(U, RepE):
         raise InputError("symmetric powers are computed for (Z/2)^l tables")
     d = require_count(d, "symmetric power degree", MAX_SYM_DEGREE)
-    zero = (0,) * U.rank
-    states = {(0, zero): 1}
-    for char, m in sorted(U.items()):
-        new = {}
-        for (deg, acc), count in states.items():
-            for k in range(d - deg + 1):
-                label = linalg.xor(acc, char) if k % 2 else acc
-                key = (deg + k, label)
-                new[key] = new.get(key, 0) + count * comb(m + k - 1, k)
-        states = new
-    table = {label: c for (deg, label), c in states.items() if deg == d and c}
+    span = linalg._rank(F2, U.nonzero_support(), U.rank)
+    if span > MAX_SYM_SPAN:
+        raise ResourceLimitError(f"dim span(supp U) = {span} is above the sympow limit of {MAX_SYM_SPAN}")
+    # labels as bit masks, so the group-ring product is an xor of ints
+    weights = [(sum(b << i for i, b in enumerate(c)), m) for c, m in U.items()]
+    dim_u = U.dim
+    # S^e, and the running sums S^(e-1) + S^(e-3) + ... and S^(e-2) + S^(e-4) + ...
+    power, prev, prev2 = {0: 1}, {0: 1}, {}
+    for e in range(1, d + 1):
+        total = {label: dim_u * c for label, c in prev2.items()}
+        for char, m in weights:
+            for label, c in prev.items():
+                total[char ^ label] = total.get(char ^ label, 0) + m * c
+        power = {label: c // e for label, c in total.items() if c}
+        for label, c in power.items():
+            prev2[label] = prev2.get(label, 0) + c
+        prev, prev2 = prev2, prev
+    table = {tuple((label >> i) & 1 for i in range(U.rank)): c for label, c in power.items()}
     return RepE(U.rank, dict(sorted(table.items())))
-
-
-def odd_symmetric_sum(U, k):
-    """Direct sum of the symmetric powers of odd degree 1, 3, ..., 2k - 1."""
-    if k < 1:
-        raise InputError("need k >= 1")
-    acc = sym_multiplicities(U, 1)
-    for j in range(2, k + 1):
-        acc = acc.direct_sum(sym_multiplicities(U, 2 * j - 1))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,8 @@ def min_embedding_k(U, V, d, flag):
     V^E = 0, and a flag meeting every block of U.  Under these, S^(2k-1)
     holds every label of U, so U[k] has at least k times U's dimension in
     each block and some k qualifies; the search stops with a resource limit
-    only when S^(2k-1) passes MAX_SYM_DEGREE.  The report also checks that
+    only when S^(2k-1) passes MAX_SYM_DEGREE, or at S^1 when the rank (the
+    span of U's labels) passes MAX_SYM_SPAN.  The report also checks that
     each odd power dominates the base blockwise and that U[k] grows at least
     k-fold per block.
     """
@@ -103,28 +107,22 @@ def min_embedding_k(U, V, d, flag):
     if d < 0:
         raise InputError("degree target must be nonnegative")
 
-    acc = None
+    # U[k] is summed one odd power at a time: its block dims, dim and dim U[k]^E
+    dims, total_dim, fixed_dim = (0,) * U.rank, 0, 0
     per_degree_ok = True
     for k in itertools.count(1):
         power = sym_multiplicities(U, 2 * k - 1)
-        if any(p < b for p, b in zip(decompose(power, flag).dims, base_dims)):
+        blocks = decompose(power, flag)
+        if any(p < b for p, b in zip(blocks.dims, base_dims)):
             per_degree_ok = False
-        acc = power if acc is None else acc.direct_sum(power)
-        acc_decomp = decompose(acc, flag)
-        dims = acc_decomp.dims
-        if all(a > t for a, t in zip(dims, target_dims)) and acc.dim - V.dim >= d:
+        dims = tuple(a + p for a, p in zip(dims, blocks.dims))
+        total_dim += power.dim
+        fixed_dim += blocks.fixed_dim
+        if all(a > t for a, t in zip(dims, target_dims)) and total_dim - V.dim >= d:
             claims = {
                 "per_degree_at_least_base": per_degree_ok,
                 "accumulated_at_least_k_times_base": all(
                     a >= k * b for a, b in zip(dims, base_dims)
                 ),
             }
-            return EmbeddingReport(
-                k=k,
-                degree_target=d,
-                block_dims=dims,
-                target_block_dims=target_dims,
-                total_dim=acc.dim,
-                fixed_dim=acc_decomp.fixed_dim,
-                claims=claims,
-            )
+            return EmbeddingReport(k, d, dims, target_dims, total_dim, fixed_dim, claims)

@@ -1,6 +1,7 @@
 """Tests for quotient presentations, nonvanishing checks, and flag rings."""
 
 import random
+import time
 from math import factorial
 
 import pytest
@@ -207,6 +208,13 @@ def test_verify_flag_ring_small_cases():
     rep = verify_flag_ring(3, 3, samples=10)
     assert rep.passed
     assert flag_ring(3, 3).quotient_dimension == 6
+
+
+def test_verify_flag_ring_random_tables_do_not_scale_with_n():
+    # a table is drawn label by label, not one unit of block dimension at a time
+    start = time.perf_counter()
+    assert verify_flag_ring(10**6, 1, samples=1000).passed
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_flag_ring_sample_cap():

@@ -73,6 +73,8 @@ def test_rational_flag_normalization():
     assert f.dual_basis == ((1, 0), (1, 2))
     with pytest.raises(InputError):
         RationalFlag(2, [(1, 0), (2, 0)])
+    with pytest.raises(InputError, match="zero vector spans no line"):
+        RationalFlag(2, [(0, 0), (0, 1)])
 
 
 def test_subgroup_canonical_basis():

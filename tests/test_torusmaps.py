@@ -222,6 +222,13 @@ def test_join_rejects_off_line_weights():
         join_assemble({(1, 0): identity_map(U)})
 
 
+def test_torus_helpers_reject_the_zero_line():
+    with pytest.raises(InputError, match="zero vector spans no line"):
+        embed_on_line(circle_example(2, 3, 1), (0, 0))
+    with pytest.raises(InputError, match="zero vector spans no line"):
+        join_assemble({(0, 0): identity_map(RepT(2, {(1, 0): 1}))})
+
+
 def test_normalized_circle_part_is_sphere_map():
     part = normalize_to_sphere(circle_example(3, 2, 2))
     rng = np.random.default_rng(11)
