@@ -5,6 +5,10 @@ representations of elementary abelian 2-groups and tori, decides their
 survival in quotient cohomology presentations by triangular normal forms,
 constructs the flags and subgroups the bound theorems ask for, and emits
 machine-checkable lower bounds on zero-set dimensions of equivariant maps.
+
+Everything is pure Python except the sampling of torus sphere maps in
+`torusmaps`, which imports numpy on its first sampling call; importing the
+package does not load numpy.
 """
 
 from .bounds import BoundReport, HypothesisItem, bound_free_zero_set, bound_stiefel, bound_torus

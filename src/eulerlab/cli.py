@@ -9,8 +9,9 @@ is optional); flag-find group, module, target; euler-check these and flag;
 bound these and n (-n and n only with a stiefel theorem); sympow these, flag
 and degree (flag only with a target); torus-decompose group, module.
 flag-ring and torus-example read no document and are the only ones that
-sample, seeded by --seed, else EULERLAB_SEED, else 0.  Exit codes: 0
-success, 1 hypothesis failure, 2 input error.
+sample, seeded by --seed, else EULERLAB_SEED, else 0; only torus-example
+needs numpy, which is not loaded before it runs.  Exit codes: 0 success, 1
+hypothesis failure, 2 input error.
 
 Every subcommand handler returns one report, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed

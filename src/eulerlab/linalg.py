@@ -40,8 +40,10 @@ def _rref(field, rows, n):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inverse(mat[r][c])
-        pivot = mat[r] = [norm(x * inv) for x in mat[r]]
+        pivot = mat[r]
+        if pivot[c] != 1:  # over F2 every pivot is 1 already
+            inv = field.inverse(pivot[c])
+            pivot = mat[r] = [norm(x * inv) for x in pivot]
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:

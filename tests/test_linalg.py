@@ -15,7 +15,7 @@ import sympy as sp
 
 from eulerlab import linalg
 from eulerlab.errors import InputError
-from eulerlab.polyring import F2
+from eulerlab.polyring import F2, Q
 
 
 def combine(coeffs, rows, n, mod=None):
@@ -145,3 +145,61 @@ def test_public_routines_reject_non_field_entries(call):
 def test_public_f2_routines_read_entries_mod_2():
     assert linalg.rank2([[2, 1]], 2) == 1
     assert linalg.solve2([[3, 0], [0, 1]], [1, 2]) == (1, 0)
+
+
+def rref_inverting_every_pivot(field, rows, n):
+    """`_rref` as it was before a pivot of 1 skipped the rescale: every pivot
+    row is multiplied by `field.inverse` of its pivot."""
+    norm = field.norm
+    mat = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inverse(mat[r][c])
+        pivot = mat[r] = [norm(x * inv) for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [norm(a - f * b) for a, b in zip(row, pivot)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat], pivots
+
+
+def test_f2_rref_never_inverts(monkeypatch):
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        cases.append((rows, n, rref_inverting_every_pivot(F2, rows, n)))
+
+    def refuse(self, c):
+        raise AssertionError(f"_rref inverted the pivot {c!r} over F2")
+
+    monkeypatch.setattr(type(F2), "inverse", refuse)
+    for rows, n, expected in cases:
+        assert linalg._rref(F2, rows, n) == expected
+
+
+def test_q_rref_matches_the_loop_that_inverts_every_pivot():
+    rng = random.Random(20261019)
+    ones = 0
+
+    def entry():  # many entries of 1, so many pivots skip the rescale
+        return Fraction(rng.choice([-2, -1, 0, 0, 1, 1, 1, 3]), rng.choice([1, 1, 2, 3]))
+
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        reduced, pivots = linalg._rref(Q, rows, n)
+        assert (reduced, pivots) == rref_inverting_every_pivot(Q, rows, n)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        ones += any(row[0] == 1 for row in rows)
+    assert ones > 50
