@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from .cohomology import euler_nonvanishing
 from .errors import HypothesisError, InputError, require_int
 from .flagsearch import find_rational_flag, reduced_flag_search
-from .reps import (
-    FlagE,
-    RationalFlag,
-    RepE,
-    RepT,
-    decompose,
-    flag_to_doc,
-)
+from .reps import RepE, RepT, decompose, flag_to_doc, require_tables
 
 PASS = "pass"
 FAIL = "fail"
@@ -125,10 +118,7 @@ def bound_free_zero_set(U, V):
     search, Euler-class nonvanishing.  The certified zero set sits inside the
     fixed space of the subgroup and carries a free action of the quotient.
     """
-    if not isinstance(U, RepE) or not isinstance(V, RepE):
-        raise InputError("expected representations of (Z/2)^l")
-    if U.rank != V.rank:
-        raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
+    require_tables(RepE, U, V)
     report = BoundReport(theorem="free-zero-set", hypotheses=[])
 
     if not _check(report, "V^E = 0", not V.fixed_dim, f"dim V^E = {V.fixed_dim}"):
@@ -173,14 +163,6 @@ def bound_free_zero_set(U, V):
     return report
 
 
-def _flag_from_entry_order(P):
-    """Flag whose i-th covector is the i-th declared label of P."""
-    labels = [c for c, _ in P.items()]
-    if isinstance(P, RepE):
-        return FlagE(P.rank, labels)
-    return RationalFlag(P.rank, labels)
-
-
 def bound_stiefel(P, Q, n, kind="real"):
     """Zero-set bound for maps from a Stiefel manifold of isometric embeddings.
 
@@ -193,18 +175,13 @@ def bound_stiefel(P, Q, n, kind="real"):
     if kind not in ("real", "complex"):
         raise InputError(f"kind must be real or complex, got {kind!r}")
     real = kind == "real"
-    if real and not (isinstance(P, RepE) and isinstance(Q, RepE)):
-        raise InputError("real case expects (Z/2)^l tables")
-    if not real and not (isinstance(P, RepT) and isinstance(Q, RepT)):
-        raise InputError("complex case expects torus tables")
-    if P.rank != Q.rank:
-        raise InputError(f"rank mismatch: {P.rank} vs {Q.rank}")
+    cls = RepE if real else RepT
+    require_tables(cls, P, Q)
     n = require_int(n, "n")
     l = P.rank
-    fixed_name = "P^E = 0" if real else "P^T = 0"
-    report = BoundReport(theorem="stiefel-real" if real else "stiefel-complex", hypotheses=[])
+    report = BoundReport(theorem=f"stiefel-{kind}", hypotheses=[])
 
-    if not _check(report, fixed_name, not P.fixed_dim, f"fixed dimension {P.fixed_dim}"):
+    if not _check(report, f"P^{cls.letter} = 0", not P.fixed_dim, f"fixed dimension {P.fixed_dim}"):
         return report
 
     lines_desc = "labels of P form l independent lines, each of multiplicity 1"
@@ -212,15 +189,14 @@ def bound_stiefel(P, Q, n, kind="real"):
     flag = None
     if mults_ok:
         try:
-            flag = _flag_from_entry_order(P)
+            flag = cls.flag_type(l, P.support())  # T_i is the i-th declared label
         except InputError:
             mults_ok = False
     evidence = f"dim P = {P.dim} = l" if mults_ok else f"entries {P.items()}"
     if not _check(report, lines_desc, mults_ok, evidence):
         return report
 
-    q_fixed_name = "Q^E = 0" if real else "Q^T = 0"
-    if not _check(report, q_fixed_name, not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}"):
+    if not _check(report, f"Q^{cls.letter} = 0", not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}"):
         return report
     if not _check(report, "n > l", n > l, f"n = {n}, l = {l}"):
         return report
@@ -269,10 +245,7 @@ def bound_torus(U, V, variant="interior"):
     """
     if variant not in ("interior", "annulus"):
         raise InputError(f"variant must be interior or annulus, got {variant!r}")
-    if not isinstance(U, RepT) or not isinstance(V, RepT):
-        raise InputError("expected torus representations")
-    if U.rank != V.rank:
-        raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
+    require_tables(RepT, U, V)
     report = BoundReport(theorem=f"torus-{variant}", hypotheses=[])
 
     for name, rep in (("U", U), ("V", V)):

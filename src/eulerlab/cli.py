@@ -40,7 +40,7 @@ from .errors import HypothesisError, InputError, ResourceLimitError, require_cou
 from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
 from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
 from .reps import (
-    ELEM_ABELIAN_2,
+    RepE,
     decompose,
     flag_from_doc,
     flag_to_doc,
@@ -174,7 +174,7 @@ def _cmd_reduce(args):
 def _cmd_euler_check(args):
     doc = _load_document(args)
     U, V = _pair_from_doc(doc)
-    flag = _doc_flag(doc, U) or (find_flag(U, V) if U.kind == ELEM_ABELIAN_2 else find_rational_flag(U, V))
+    flag = _doc_flag(doc, U) or (find_flag if isinstance(U, RepE) else find_rational_flag)(U, V)
     nonzero, certificate = cohomology.euler_nonvanishing(U, V, flag)
     pres = certificate.presentation
     return Report([

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb, perm
 
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
@@ -86,21 +87,11 @@ def _homogeneous_sum(nvars, degree, indices):
             f"a flag-ring relation would have {count} terms, above the limit of {MAX_RELATION_TERMS}"
         )
     terms = {}
-
-    def rec(pos, remaining, acc):
-        if pos == len(indices) - 1:
-            acc[indices[pos]] = remaining
-            terms[tuple(acc)] = 1
-            acc[indices[pos]] = 0
-            return
-        for e in range(remaining + 1):
-            acc[indices[pos]] = e
-            rec(pos + 1, remaining - e, acc)
-        acc[indices[pos]] = 0
-
-    if degree == 0:
-        return Poly.one(F2, nvars)
-    rec(0, degree, [0] * nvars)
+    for choice in combinations_with_replacement(indices, degree):
+        exponents = [0] * nvars
+        for i in choice:
+            exponents[i] += 1
+        terms[tuple(exponents)] = 1
     return Poly(F2, nvars, terms)
 
 

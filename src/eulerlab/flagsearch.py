@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import HypothesisError, InputError, ResourceLimitError
+from .errors import HypothesisError, ResourceLimitError
 from .polyring import F2, Q
-from .reps import FlagE, RationalFlag, RepE, RepT, Subgroup, fixed_subrep, line_blocks
+from .reps import FlagE, RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
 
 MAX_SUBGROUP_RANK = 6
 MAX_CHAIN_NODES = 20000
@@ -24,8 +24,7 @@ MAX_CHAIN_NODES = 20000
 
 def gap_table(U, V):
     """d^alpha = dim U^alpha - dim V^alpha on the union of the supports."""
-    if type(U) is not type(V) or U.rank != V.rank:
-        raise InputError("gap tables need two tables of the same kind and rank")
+    require_tables(RepE, U, V)
     gaps = {}
     for c, m in U.items():
         gaps[c] = gaps.get(c, 0) + m
@@ -36,12 +35,8 @@ def gap_table(U, V):
 
 def _check_pair_e(U, V, gap=False):
     """Input checks and V^E = 0; with `gap`, also dim U - dim V > dim U^E."""
-    if not isinstance(U, RepE) or not isinstance(V, RepE):
-        raise InputError("expected representations of (Z/2)^l")
-    if U.rank != V.rank:
-        raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
-    if V.fixed_dim:
-        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
+    require_tables(RepE, U, V)
+    require_no_fixed_part("V", V)
     if gap and U.dim - V.dim <= U.fixed_dim:
         raise HypothesisError(
             f"dim U - dim V must exceed dim U^E ({U.dim} - {V.dim} = {U.dim - V.dim} "
@@ -125,7 +120,7 @@ def find_flag(U, V):
     gaps = {c: g for c, g in gap_table(U, V).items() if any(c)}
     vectors = linalg.all_vectors2(U.rank)
     failure = "no flag extension with positive dimension gap"
-    return FlagE(U.rank, _chain_search(F2, U.rank, gaps, vectors, failure))
+    return RepE.flag_type(U.rank, _chain_search(F2, U.rank, gaps, vectors, failure))
 
 
 def best_fixed_subgroup(U, V):
@@ -235,20 +230,14 @@ def find_rational_flag(U, V):
     admissible chain must cover a new line of U, so the chain is spanned by
     U lines and this finite candidate set realizes every admissible pattern.
     """
-    if not isinstance(U, RepT) or not isinstance(V, RepT):
-        raise InputError("expected torus representations")
-    if U.rank != V.rank:
-        raise InputError(f"rank mismatch: {U.rank} vs {V.rank}")
-    if U.fixed_dim:
-        raise HypothesisError(f"U^T = 0 is required (dim U^T = {U.fixed_dim})")
-    if V.fixed_dim:
-        raise HypothesisError(f"V^T = 0 is required (dim V^T = {V.fixed_dim})")
+    require_tables(RepT, U, V)
+    require_no_fixed_part("U", U)
+    require_no_fixed_part("V", V)
     rank = U.rank
     u_lines = line_blocks(U)
     line_gaps = {lam: block.dim for lam, block in u_lines.items()}
     for lam, block in line_blocks(V).items():
         line_gaps[lam] = line_gaps.get(lam, 0) - block.dim
-    standard = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    candidates = sorted(set(u_lines) | set(standard))
+    candidates = sorted(set(u_lines) | set(linalg.unit_vectors(rank)))
     failure = "no admissible flag extension"
-    return RationalFlag(rank, _chain_search(Q, rank, line_gaps, candidates, failure))
+    return RepT.flag_type(rank, _chain_search(Q, rank, line_gaps, candidates, failure))

@@ -74,6 +74,11 @@ def _rank(field, rows, n):
     return len(_rref(field, rows, n)[1])
 
 
+def unit_vectors(n):
+    """The standard basis of F2^n or Q^n, as int tuples."""
+    return [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # F2
 # ---------------------------------------------------------------------------

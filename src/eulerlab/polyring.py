@@ -51,7 +51,6 @@ __all__ = [
     "power",
     "TriangularSystem",
     "reduce",
-    "reduce_in_variable",
     "quotient_basis",
     "format_poly",
     "parse_poly",
@@ -482,33 +481,23 @@ class TriangularSystem:
         return f"TriangularSystem({list(self.gens)!r})"
 
 
-def _check_match(p, system):
-    if p.field != system.field or p.nvars != system.nvars:
-        raise InputError("polynomial and system have mismatched field or variable count")
-
-
-def reduce_in_variable(p, j, system):
+def _reduce_level(p, j, system):
     """Eliminate every T_j-power >= d_j from p by division against g_j.
 
-    T_j^{d_j} is rewritten with the system's precomputed tail of g_j, one
-    T_j-degree at a time from the top down: rewriting only adds lower degrees,
-    so a coefficient is final when its degree is reached.  A p with no T_j-power
-    reaching d_j is already reduced and is returned itself.  Rewriting can
-    raise the degrees of T_1..T_{j-1}, so each level's keys are checked for a
-    set guard bit before they are rewritten, and the result's keys at the end.
+    Each x * T_j^e with e >= FAR_FACTOR * d_j is first replaced by x times
+    the normal form of T_j^e.  The rest is rewritten with the system's
+    precomputed tail of g_j, one T_j-degree at a time from the top down:
+    rewriting only adds lower degrees, so a coefficient is final when its
+    degree is reached.  A p with no T_j-power reaching d_j is already reduced
+    and is returned itself.  Rewriting can raise the degrees of T_1..T_{j-1},
+    so each level's keys are checked for a set guard bit before they are
+    rewritten, and the result's keys at the end.
     """
-    _check_match(p, system)
-    return _reduce_level(p, j, system, 1 << BITS)
-
-
-def _reduce_level(p, j, system, far):
-    """`reduce_in_variable`'s division, after each x * T_j^e with e >= far
-    is replaced by x times the normal form of T_j^e.  `reduce_in_variable`
-    passes far = 2^32, which no exponent reaches."""
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
     if all((m >> s) & MASK < d for m in p._terms):
         return p
+    far = FAR_FACTOR * d
     clean = p.field.clean
     tail = system.tails[j - 1]
     levels = {}
@@ -545,7 +534,8 @@ def reduce(p, system):
     introduce variables below T_j, so one sweep suffices.  A T_j-exponent e of
     at least FAR_FACTOR * d_j is cleared by squaring, in about log e products.
     """
-    _check_match(p, system)
+    if p.field != system.field or p.nvars != system.nvars:
+        raise InputError("polynomial and system have mismatched field or variable count")
     return _normal_form(p, system, system.nvars)
 
 
@@ -558,7 +548,7 @@ def _normal_form(p, system, top):
     squaring moves none of its counters.
     """
     for j in range(top, 0, -1):
-        p = _reduce_level(p, j, system, FAR_FACTOR * system.lead_degrees[j - 1])
+        p = _reduce_level(p, j, system)
     return p
 
 

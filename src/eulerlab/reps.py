@@ -15,18 +15,17 @@ from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .polyring import F2, Q, Poly, power, reduce
 
-ELEM_ABELIAN_2 = "elem_abelian_2"
-TORUS = "torus"
-
 # Largest term count of an unreduced euler class or of any partial product
 # on the way to it; reduced classes are bounded by the quotient instead.
 MAX_EULER_TERMS = 100_000
 
 
 class _RepBase:
-    """Shared table mechanics for both group kinds."""
+    """Shared table mechanics for both group kinds.
 
-    kind = None
+    Each kind names its document `kind`, its `flag_type`, the `noun` of its
+    tables in messages, and the `letter` of the group in U^E or U^T.
+    """
 
     def __init__(self, rank, multiplicities=None):
         rank = require_int(rank, "rank")
@@ -74,8 +73,7 @@ class _RepBase:
         return self._table.get(tuple(char), 0)
 
     def direct_sum(self, other):
-        if type(other) is not type(self) or other.rank != self.rank:
-            raise InputError("direct sum requires the same group kind and rank")
+        require_tables(type(self), self, other)
         merged = dict(self._table)
         for c, m in other._table.items():
             merged[c] = merged.get(c, 0) + m
@@ -95,32 +93,13 @@ class _RepBase:
         return f"{type(self).__name__}({self.rank}, {self._table!r})"
 
 
-class RepE(_RepBase):
-    """Real representation of (Z/2)^rank as a character table."""
-
-    kind = ELEM_ABELIAN_2
-
-    @staticmethod
-    def _validate_char(char, rank):
-        char = tuple(require_int(x, "character entry") for x in char)
-        if len(char) != rank:
-            raise InputError(f"character {char} does not have length {rank}")
-        if any(x not in (0, 1) for x in char):
-            raise InputError(f"character {char} must have 0/1 entries")
-        return char
-
-
-class RepT(_RepBase):
-    """Complex representation of a rank-l torus; `dim` is the complex dimension."""
-
-    kind = TORUS
-
-    @staticmethod
-    def _validate_char(char, rank):
-        char = tuple(require_int(x, "weight entry") for x in char)
-        if len(char) != rank:
-            raise InputError(f"weight {char} does not have length {rank}")
-        return char
+def _binary_char(char, rank):
+    char = tuple(require_int(x, "character entry") for x in char)
+    if len(char) != rank:
+        raise InputError(f"character {char} does not have length {rank}")
+    if any(x not in (0, 1) for x in char):
+        raise InputError(f"character {char} must have 0/1 entries")
+    return char
 
 
 class _Flag:
@@ -143,14 +122,13 @@ class _Flag:
 
     @classmethod
     def standard(cls, rank):
-        return cls(rank, [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)])
+        return cls(rank, linalg.unit_vectors(rank))
 
     @cached_property
     def _inverse(self):
         """Row k holds the flag coordinates of the k-th unit vector, solved
         once per flag, on the first coordinates asked for."""
-        units = [tuple(1 if j == k else 0 for j in range(self.rank)) for k in range(self.rank)]
-        return tuple(self._solve(self.dual_basis, e) for e in units)
+        return tuple(self._solve(self.dual_basis, e) for e in linalg.unit_vectors(self.rank))
 
     def _coordinates(self, char):
         """The coefficients c with sum_i c_i * T_i == char, for a label of
@@ -181,7 +159,7 @@ class FlagE(_Flag):
     """Complete flag of (F2^rank)^*, carried as an adapted dual basis."""
 
     field = F2
-    _covector = staticmethod(RepE._validate_char)
+    _covector = staticmethod(_binary_char)
 
     @staticmethod
     def _rank(rows, n):
@@ -213,6 +191,48 @@ class RationalFlag(_Flag):
         return linalg.solveq(rows, target)
 
 
+class RepE(_RepBase):
+    """Real representation of (Z/2)^rank as a character table."""
+
+    kind = "elem_abelian_2"
+    flag_type = FlagE
+    noun = "representations of (Z/2)^l"
+    letter = "E"
+    _validate_char = staticmethod(_binary_char)
+
+
+class RepT(_RepBase):
+    """Complex representation of a rank-l torus; `dim` is the complex dimension."""
+
+    kind = "torus"
+    flag_type = RationalFlag
+    noun = "torus representations"
+    letter = "T"
+
+    @staticmethod
+    def _validate_char(char, rank):
+        char = tuple(require_int(x, "weight entry") for x in char)
+        if len(char) != rank:
+            raise InputError(f"weight {char} does not have length {rank}")
+        return char
+
+
+def require_tables(cls, *tables):
+    """InputError unless every table is a `cls` and all have one rank."""
+    if not all(isinstance(t, cls) for t in tables):
+        raise InputError(f"expected {cls.noun}")
+    ranks = dict.fromkeys(t.rank for t in tables)
+    if len(ranks) > 1:
+        raise InputError("rank mismatch: " + " vs ".join(map(str, ranks)))
+
+
+def require_no_fixed_part(name, rep):
+    """HypothesisError unless the table `name` has no trivial summand."""
+    if rep.fixed_dim:
+        fixed = f"{name}^{rep.letter}"
+        raise HypothesisError(f"{fixed} = 0 is required (dim {fixed} = {rep.fixed_dim})")
+
+
 class Subgroup:
     """Subgroup F <= (Z/2)^rank, stored as a canonical RREF basis."""
 
@@ -220,7 +240,7 @@ class Subgroup:
         rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError("subgroups live in groups of rank >= 1")
-        rows = [RepE._validate_char(v, rank) for v in basis]
+        rows = [_binary_char(v, rank) for v in basis]
         self.rank = rank
         self.basis = linalg._rref_canonical2(rows, rank)
 
@@ -230,14 +250,14 @@ class Subgroup:
 
     @classmethod
     def full(cls, rank):
-        return cls(rank, [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)])
+        return cls(rank, linalg.unit_vectors(rank))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains_vector(self, v):
-        return linalg._in_span2(self.basis, RepE._validate_char(v, self.rank), self.rank)
+        return linalg._in_span2(self.basis, _binary_char(v, self.rank), self.rank)
 
     def contains(self, other):
         if not isinstance(other, Subgroup) or other.rank != self.rank:
@@ -283,10 +303,8 @@ class FlagDecomposition:
 
 
 def _check_pairing(rep, flag):
-    if isinstance(rep, RepE) and not isinstance(flag, FlagE):
-        raise InputError("a representation of (Z/2)^l needs an F2 flag")
-    if isinstance(rep, RepT) and not isinstance(flag, RationalFlag):
-        raise InputError("a torus representation needs a rational flag")
+    if not isinstance(flag, rep.flag_type):
+        raise InputError(f"{rep.noun} need a flag over {rep.flag_type.field}")
     if rep.rank != flag.rank:
         raise InputError(f"rank mismatch: representation {rep.rank}, flag {flag.rank}")
 
@@ -319,8 +337,7 @@ def fixed_subrep(rep, subgroup):
     The quotient coordinates come from the deterministic annihilator basis, so
     identical inputs always yield identical tables.
     """
-    if not isinstance(rep, RepE):
-        raise InputError("fixed_subrep expects a representation of (Z/2)^l")
+    require_tables(RepE, rep)
     if rep.rank != subgroup.rank:
         raise InputError(f"rank mismatch: representation {rep.rank}, subgroup {subgroup.rank}")
     annihilator = subgroup.annihilator_basis()
@@ -376,8 +393,7 @@ def _check_term_count(p):
 
 def line_blocks(rep):
     """Group a torus table by rational lines (primitive, sign-normalized reps)."""
-    if not isinstance(rep, RepT):
-        raise InputError("line grouping applies to torus representations")
+    require_tables(RepT, rep)
     zero = (0,) * rep.rank
     lines = {}
     for w, m in rep.items():
@@ -418,8 +434,7 @@ def spanning_flag_from_support(rep):
     Works whenever the nonzero labels span the dual space; otherwise the
     spanning hypothesis fails.
     """
-    if not isinstance(rep, RepE):
-        raise InputError("spanning flags are built from (Z/2)^l tables")
+    require_tables(RepE, rep)
     chosen = []
     for char in sorted(rep.nonzero_support()):
         if not linalg._in_span2(chosen, char, rep.rank):
@@ -436,7 +451,14 @@ def spanning_flag_from_support(rep):
 # Input documents (JSON)
 # ---------------------------------------------------------------------------
 
-_GROUP_KINDS = (ELEM_ABELIAN_2, TORUS)
+# The table class of each document group kind.
+_TABLE_TYPES = {cls.kind: cls for cls in (RepE, RepT)}
+
+
+def _table_type(kind):
+    if not isinstance(kind, str) or kind not in _TABLE_TYPES:
+        raise InputError(f"group kind must be one of {tuple(_TABLE_TYPES)}, got {kind!r}")
+    return _TABLE_TYPES[kind]
 
 
 def _require_keys(doc, allowed, where):
@@ -455,24 +477,24 @@ def _vector_from_doc(value, what):
 
 
 def group_from_doc(doc):
+    """(table class, rank) of a `{"kind": ..., "rank": ...}` document."""
     _require_keys(doc, {"kind", "rank"}, "group")
     try:
         kind = doc["kind"]
         rank = require_int(doc["rank"], "group rank")
     except KeyError as exc:
         raise InputError(f"bad group document: {exc}") from exc
-    if kind not in _GROUP_KINDS:
-        raise InputError(f"group kind must be one of {_GROUP_KINDS}, got {kind!r}")
+    cls = _table_type(kind)
     if rank < 1:
         raise InputError("group rank must be >= 1")
-    return kind, rank
+    return cls, rank
 
 
 def rep_from_doc(doc, key="module"):
     """Build a representation from `{"group": ..., key: {"entries": [...]}}`."""
     if "group" not in doc:
         raise InputError("document is missing the group field")
-    kind, rank = group_from_doc(doc["group"])
+    cls, rank = group_from_doc(doc["group"])
     if key not in doc:
         raise InputError(f"document is missing the {key} field")
     sub = doc[key]
@@ -480,7 +502,6 @@ def rep_from_doc(doc, key="module"):
     entries = sub.get("entries")
     if not isinstance(entries, list):
         raise InputError(f"{key}.entries must be a list")
-    cls = RepE if kind == ELEM_ABELIAN_2 else RepT
     pairs = []
     for entry in entries:
         _require_keys(entry, {"char", "mult"}, f"{key} entry")
@@ -509,7 +530,7 @@ def flag_from_doc(doc, kind, rank):
     if not isinstance(basis, list):
         raise InputError(f"flag dual_basis must be a list, got {basis!r}")
     basis = [_vector_from_doc(v, "flag covector") for v in basis]
-    return FlagE(rank, basis) if kind == ELEM_ABELIAN_2 else RationalFlag(rank, basis)
+    return _table_type(kind).flag_type(rank, basis)
 
 
 def flag_to_doc(flag):

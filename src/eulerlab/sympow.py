@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2
-from .reps import FlagE, RepE, decompose
+from .reps import RepE, decompose, require_no_fixed_part, require_tables
 
 # Largest symmetric-power degree, and largest dim span(supp U) (the subgroup
 # scan's bound).  S^d costs d steps of |supp U| * 2^span products.  A
@@ -32,8 +32,7 @@ MAX_SYM_SPAN = 6
 
 def sym_multiplicities(U, d):
     """Character table of the degree-d symmetric power of U (same table as U*)."""
-    if not isinstance(U, RepE):
-        raise InputError("symmetric powers are computed for (Z/2)^l tables")
+    require_tables(RepE, U)
     d = require_count(d, "symmetric power degree", MAX_SYM_DEGREE)
     span = linalg._rank(F2, U.nonzero_support(), U.rank)
     if span > MAX_SYM_SPAN:
@@ -82,10 +81,8 @@ def min_embedding_k(U, V, d, flag):
     each odd power dominates the base blockwise and that U[k] grows at least
     k-fold per block.
     """
-    if not isinstance(U, RepE) or not isinstance(V, RepE):
-        raise InputError("expected (Z/2)^l tables")
-    if U.rank != V.rank or (flag is not None and flag.rank != U.rank):
-        raise InputError("rank mismatch among U, V, and the flag")
+    require_tables(RepE, U, V)
+    base_dims = decompose(U, flag).dims
     if U.dim == 0:
         raise HypothesisError("U must be nonzero")
     span_dim = linalg._rank(F2, U.nonzero_support(), U.rank)
@@ -94,11 +91,7 @@ def min_embedding_k(U, V, d, flag):
             "support characters do not span the dual space "
             f"(span has dimension {span_dim} < {U.rank})"
         )
-    if V.fixed_dim:
-        raise HypothesisError(f"V^E = 0 is required (dim V^E = {V.fixed_dim})")
-    if not isinstance(flag, FlagE):
-        raise InputError("a flag is required")
-    base_dims = decompose(U, flag).dims
+    require_no_fixed_part("V", V)
     for i, dim_i in enumerate(base_dims, start=1):
         if dim_i == 0:
             raise HypothesisError(f"flag block {i} misses U (dim U_{i} = 0)")

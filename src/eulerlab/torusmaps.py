@@ -18,7 +18,7 @@ from numbers import Real
 
 from . import linalg
 from .errors import InputError, require_count, require_int
-from .reps import RepT, line_blocks, rep_entries_doc
+from .reps import RepT, line_blocks, rep_entries_doc, require_tables
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
 # Largest sample count verify_equivariance draws; each sample costs a few
@@ -52,8 +52,7 @@ class LineDecomposition:
 
 def line_decomposition(U):
     """Group the weights of U by primitive line representative."""
-    if not isinstance(U, RepT):
-        raise InputError("expected a torus representation")
+    require_tables(RepT, U)
     return LineDecomposition(rank=U.rank, lines=line_blocks(U), fixed_dim=U.fixed_dim)
 
 
@@ -90,8 +89,7 @@ class MapDescription:
 
 
 def identity_map(U):
-    if not isinstance(U, RepT):
-        raise InputError("expected a torus representation")
+    require_tables(RepT, U)
 
     def evaluator(z):
         import numpy as np
@@ -219,19 +217,12 @@ def random_unit_vectors(rng, count, dim):
 
 
 def _slot_indices(sub_rep, full_layout):
+    """The slots of `full_layout` that carry `sub_rep`'s weights; the parts
+    of a join have disjoint weights, each part's on its own line."""
     import numpy as np
 
-    used = [False] * len(full_layout)
-    idx = []
-    for w in coordinate_weights(sub_rep):
-        for i, fw in enumerate(full_layout):
-            if not used[i] and fw == w:
-                used[i] = True
-                idx.append(i)
-                break
-        else:
-            raise InputError(f"weight {w} missing from the assembled layout")
-    return np.array(idx, dtype=int)
+    weights = set(sub_rep.support())
+    return np.array([i for i, w in enumerate(full_layout) if w in weights], dtype=int)
 
 
 def join_assemble(parts):
@@ -245,15 +236,11 @@ def join_assemble(parts):
     """
     if not parts:
         raise InputError("join needs at least one part")
-    rank = None
+    require_tables(RepT, *(rep for part in parts.values() for rep in (part.source, part.target)))
     for lam, part in parts.items():
         lam = tuple(require_int(x, "line entry") for x in lam)
         if linalg.primitive(lam) != lam:
             raise InputError(f"line {lam} is not primitive and sign-normalized")
-        if rank is None:
-            rank = part.source.rank
-        if part.source.rank != rank or part.target.rank != rank:
-            raise InputError("all parts must share the torus rank")
         for w in part.source.support() + part.target.support():
             if linalg.primitive(w) != lam:
                 raise InputError(f"part for line {lam} carries the off-line weight {w}")

@@ -555,6 +555,32 @@ def test_seed_environment_ignored_where_nothing_is_sampled(monkeypatch, command)
     assert code == 0, err
 
 
+# -- a document of the other group kind -------------------------------------------
+
+def _kind_doc(kind, **extra):
+    entries = [{"char": [1, 0], "mult": 1}, {"char": [0, 1], "mult": 1}]
+    return {"group": {"kind": kind, "rank": 2}, "module": {"entries": entries}, **extra}
+
+
+_E_NOUN, _T_NOUN = "representations of (Z/2)^l", "torus representations"
+
+
+@pytest.mark.parametrize("argv, doc, noun", [
+    (["bound", "--theorem", "stiefel-real", "-n", "5"], _kind_doc("torus", target={"entries": []}), _E_NOUN),
+    (["bound", "--theorem", "stiefel-complex", "-n", "5"], _kind_doc("elem_abelian_2", target={"entries": []}), _T_NOUN),
+    (["bound", "--theorem", "free-zero-set"], _kind_doc("torus", target={"entries": []}), _E_NOUN),
+    (["bound", "--theorem", "torus-interior"], _kind_doc("elem_abelian_2", target={"entries": []}), _T_NOUN),
+    (["flag-find"], _kind_doc("torus", target={"entries": []}), _E_NOUN),
+    (["torus-decompose"], _kind_doc("elem_abelian_2"), _T_NOUN),
+    (["sympow", "-d", "2"], _kind_doc("torus"), _E_NOUN),
+    (["sympow", "-d", "1"], _kind_doc("torus", target={"entries": []}), _E_NOUN),
+    (["sympow", "-d", "1"], _kind_doc("torus", target={"entries": []}, flag={"dual_basis": [[1, 0], [0, 1]]}), _E_NOUN),
+])
+def test_document_of_the_other_kind_exit_two(argv, doc, noun):
+    code, out, err = invoke(argv + ["--inline", json.dumps(doc)])
+    assert (code, out, err) == (2, "", f"error: expected {noun}\n")
+
+
 # -- a resource limit and a closed stdout --------------------------------------------
 
 def test_sympow_degree_cap_exit_two():

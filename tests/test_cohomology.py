@@ -1,20 +1,23 @@
 """Tests for quotient presentations, nonvanishing checks, and flag rings."""
 
+import itertools
 import random
 import time
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from eulerlab.cohomology import (
     MAX_FLAG_RING_SAMPLES,
+    MAX_RELATION_TERMS,
+    _homogeneous_sum,
     euler_nonvanishing,
     flag_ring,
     presentation,
     verify_flag_ring,
 )
 from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
-from eulerlab.polyring import F2, Q, TriangularSystem, parse_poly, quotient_basis, reduce
+from eulerlab.polyring import F2, Q, Poly, TriangularSystem, parse_poly, quotient_basis, reduce
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, complete_flags
 from tests_support_random import span2
 
@@ -220,6 +223,27 @@ def test_verify_flag_ring_random_tables_do_not_scale_with_n():
 def test_verify_flag_ring_sample_cap():
     with pytest.raises(ResourceLimitError, match="above the limit"):
         verify_flag_ring(3, 2, samples=MAX_FLAG_RING_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("nvars, indices", [(1, [0]), (3, [0, 1, 2]), (4, [1, 3]), (4, [0, 2, 3])])
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_homogeneous_sum_matches_brute_force(nvars, indices, degree):
+    # every exponent vector of the given degree supported on the chosen variables
+    expected = {
+        m: 1
+        for m in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(m) == degree and all(e == 0 for i, e in enumerate(m) if i not in indices)
+    }
+    h = _homogeneous_sum(nvars, degree, indices)
+    assert h == Poly(F2, nvars, expected)
+    assert h.term_count() == comb(degree + len(indices) - 1, len(indices) - 1)
+
+
+def test_homogeneous_sum_refuses_before_building(monkeypatch):
+    # comb(MAX_RELATION_TERMS + 1, 1) terms: refused without a Poly being built
+    monkeypatch.setattr(Poly, "__init__", lambda *args: pytest.fail("built a relation"))
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        _homogeneous_sum(2, MAX_RELATION_TERMS, [0, 1])
 
 
 def test_symmetrized_relation_expansion_by_hand():

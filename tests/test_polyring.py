@@ -16,8 +16,8 @@ from eulerlab.polyring import (
     parse_poly,
     quotient_basis,
     reduce,
-    reduce_in_variable,
 )
+from tests_support_random import reference_reduce_in_variable
 
 
 def P(text, field=F2, nvars=None):
@@ -196,7 +196,7 @@ def test_normal_form_is_order_independent():
             while True:
                 for j in range(1, nvars + 1):
                     if degree_in(r, j) >= S.lead_degrees[j - 1]:
-                        r = reduce_in_variable(r, j, S)
+                        r = Poly(field, nvars, reference_reduce_in_variable(field, dict(r.terms()), j, S))
                         break
                 else:
                     break

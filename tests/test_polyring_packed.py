@@ -3,7 +3,8 @@
 A `Poly` stores each monomial as one int with a 32-bit field per variable.
 The reference here is the tuple-keyed multiply and reduction the package
 used before: exponent tuples added entry by entry, and division tails built
-from the generators' tuple terms.  Random F2 and Q polynomials in 1-6
+from the generators' tuple terms (the reduction is shared with other tests
+through `tests_support_random`).  Random F2 and Q polynomials in 1-6
 variables must give the same terms both ways, and every path that could
 produce an exponent of 2^31 or more must raise instead of wrapping into the
 next variable's field.
@@ -30,9 +31,9 @@ from eulerlab.polyring import (
     parse_poly,
     power,
     reduce,
-    reduce_in_variable,
 )
 from eulerlab.reps import FlagE, RepE, euler_poly
+from tests_support_random import reference_reduce_in_variable
 
 SETTINGS = settings(
     max_examples=150,
@@ -53,42 +54,6 @@ def reference_mul(field, a, b):
             m = tuple(map(add, m1, m2))
             terms[m] = terms.get(m, 0) + c1 * c2
     return {m: c for m, r in terms.items() if (c := field.norm(r))}
-
-
-def reference_tail(system, j):
-    """(m / T_j^{d_j}, T_j-shift, -c/lead) for every other term c*m of g_j."""
-    field, i = system.field, j - 1
-    d = system.lead_degrees[i]
-    terms = system.gens[i].terms()
-    scale = -field.inverse(next(c for m, c in terms.items() if m[i] == d))
-    return [
-        (m[:i] + (m[i] - d,) + m[i + 1:], m[i] - d, field.norm(c * scale))
-        for m, c in terms.items()
-        if m[i] < d
-    ]
-
-
-def reference_reduce_in_variable(field, terms, j, system):
-    """Division of a tuple-keyed term dict by g_j, one T_j-degree at a time."""
-    i = j - 1
-    d = system.lead_degrees[i]
-    tail = reference_tail(system, j)
-    levels = {}
-    for m, c in terms.items():
-        levels.setdefault(m[i], {})[m] = c
-    while levels and (top := max(levels)) >= d:
-        heads = levels.pop(top)
-        for m, c in heads.items():
-            c = field.norm(c)
-            if c:
-                for mt, shift, ct in tail:
-                    level = levels.setdefault(top + shift, {})
-                    mm = tuple(map(add, m, mt))
-                    level[mm] = level.get(mm, 0) + c * ct
-    out = {}
-    for level in levels.values():
-        out.update(level)
-    return {m: c for m, r in out.items() if (c := field.norm(r))}
 
 
 # -- strategies -----------------------------------------------------------------
@@ -166,9 +131,7 @@ def test_reduce_matches_tuple_reference(field, nvars, seed, data):
     p = Poly(field, nvars, data.draw(term_dicts(field, nvars, st.integers(0, 6))))
     r = p
     for j in range(nvars, 0, -1):
-        expected = reference_reduce_in_variable(field, dict(r.terms()), j, system)
-        r = reduce_in_variable(r, j, system)
-        assert r.terms() == expected
+        r = Poly(field, nvars, reference_reduce_in_variable(field, dict(r.terms()), j, system))
     assert reduce(p, system) == r
 
 
@@ -211,8 +174,6 @@ GUARD_GENS = ["T1^2147483647", "T2^2+T1^1073741824"]
 @pytest.mark.parametrize("text", ["T2^4", "T2^8", "T2^9+T1"])
 def test_reduction_above_the_limit_raises(text):
     system = TriangularSystem([parse_poly(g, F2, 2) for g in GUARD_GENS])
-    with pytest.raises(ResourceLimitError, match="above the limit of 2147483647"):
-        reduce_in_variable(parse_poly(text, F2, 2), 2, system)
     with pytest.raises(ResourceLimitError, match="above the limit of 2147483647"):
         reduce(parse_poly(text, F2, 2), system)
     assert reduce(parse_poly("T2^3", F2, 2), system) == parse_poly("T1^1073741824*T2", F2, 2)
@@ -259,7 +220,8 @@ def test_triangular_system_tails_with_a_wide_lower_exponent():
     # the tail of g_2 subtracts T2^3 from the key and adds T1^(2^31 - 1)
     system = TriangularSystem([parse_poly(g, Q, 2) for g in ["T1^2147483647+1", "2*T2^3-T1^2147483646"]])
     p = parse_poly("T2^3", Q, 2)
-    assert reduce_in_variable(p, 2, system) == parse_poly("1/2*T1^2147483646", Q, 2)
+    # T1^2147483646 is below d_1, so reduce stops after clearing T2
+    assert reduce(p, system) == parse_poly("1/2*T1^2147483646", Q, 2)
     assert reduce(parse_poly("T1*T2^3", Q, 2), system) == parse_poly("-1/2", Q, 2)
 
 

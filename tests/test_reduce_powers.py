@@ -2,8 +2,8 @@
 
 `reduce` replaces x * T_j^e, e >= FAR_FACTOR * d_j, by x times the normal form
 of T_j^e, taken by repeated squaring modulo g_1..g_j, so its cost grows with
-log e.  Oracles: the level-by-level sweep of `reduce_in_variable` that
-`reduce` ran before, at exponents up to 10^4, and sympy's `reduced` in lex
+log e.  Oracles: the level-by-level sweep that `reduce` ran before (the
+tuple-keyed division of `tests_support_random`), at exponents up to 10^4, and sympy's `reduced` in lex
 order with T_l > ... > T_1 (where every g_j leads with T_j^{d_j}), over F2
 (modulus=2) and Q in 1-3 variables.
 """
@@ -18,15 +18,15 @@ import pytest
 
 from eulerlab import polyring
 from eulerlab.cli import run
-from eulerlab.errors import ResourceLimitError
+from eulerlab.errors import InputError
 from eulerlab.polyring import F2, FAR_FACTOR, MAX_EXPONENT, Q, Poly, TriangularSystem, parse_poly, reduce
-from tests_support_random import random_triangular
+from tests_support_random import random_triangular, reference_reduce_in_variable
 
 
 def level_by_level(p, system):
     """The sweep `reduce` ran before far powers were squared."""
     for j in range(system.nvars, 0, -1):
-        p = polyring.reduce_in_variable(p, j, system)
+        p = Poly(p.field, p.nvars, reference_reduce_in_variable(p.field, dict(p.terms()), j, system))
     return p
 
 
@@ -117,12 +117,14 @@ def test_power_normal_forms_are_memoised_and_bypass_traced_names(monkeypatch):
 
 def test_far_power_past_the_packed_limit_of_a_lower_variable():
     # T2^16 = T1^(2^33) modulo g_2, above MAX_EXPONENT, so the level-by-level
-    # sweep refuses it; T1^3 = 1 modulo g_1 and 2^33 = 2 (mod 3), so the
-    # normal form is T1^2 = T1 + 1
+    # sweep cannot hold it in a packed key; T1^3 = 1 modulo g_1 and
+    # 2^33 = 2 (mod 3), so the normal form is T1^2 = T1 + 1
     system = TriangularSystem([parse_poly("T1^2+T1+1", F2, 2), parse_poly("T2^2+T1^1073741824", F2, 2)])
     p = parse_poly("T2^16", F2, 2)
-    with pytest.raises(ResourceLimitError):
-        level_by_level(p, system)
+    swept = reference_reduce_in_variable(F2, dict(p.terms()), 2, system)
+    assert swept == {(2**33, 0): 1}
+    with pytest.raises(InputError, match="above the limit of 2147483647"):
+        Poly(F2, 2, swept)
     assert reduce(p, system) == parse_poly("T1+1", F2, 2)
 
 

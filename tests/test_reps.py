@@ -1,10 +1,11 @@
 """Tests for representation tables, flags, subgroups, and Euler polynomials."""
 
 import random
+import re
 
 import pytest
 
-from eulerlab import cohomology, linalg, reps, sympow, torusmaps
+from eulerlab import bounds, cohomology, flagsearch, linalg, reps, sympow, torusmaps
 from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q, Poly, parse_poly
 from eulerlab.reps import (
@@ -388,3 +389,94 @@ def test_flag_doc_round_trip():
     assert flag_from_doc(doc, "elem_abelian_2", 2) == flag
     rflag = RationalFlag(2, [(1, 1), (0, 1)])
     assert flag_from_doc(flag_to_doc(rflag), "torus", 2) == rflag
+
+
+# -- one kind check for every entry that takes tables ----------------------------------
+
+def _tables(cls, rank):
+    """A nonzero module and a smaller target of the given kind and rank."""
+    return cls(rank, {A[:rank]: 2, B[:rank]: 1} if rank > 1 else {(1,): 2}), cls(rank, {A[:rank]: 1})
+
+
+# entry -> (the table class it takes, a call on a module U and a second table V);
+# entries that take one table use V only for the rank of their second argument,
+# and decompose and euler_poly take a flag of V's class
+KIND_ENTRIES = {
+    "bound_free_zero_set": (RepE, lambda U, V: bounds.bound_free_zero_set(U, V)),
+    "bound_stiefel-real": (RepE, lambda U, V: bounds.bound_stiefel(U, V, 5, kind="real")),
+    "bound_stiefel-complex": (RepT, lambda U, V: bounds.bound_stiefel(U, V, 5, kind="complex")),
+    "bound_torus-interior": (RepT, lambda U, V: bounds.bound_torus(U, V)),
+    "bound_torus-annulus": (RepT, lambda U, V: bounds.bound_torus(U, V, variant="annulus")),
+    "find_flag": (RepE, lambda U, V: flagsearch.find_flag(U, V)),
+    "find_rational_flag": (RepT, lambda U, V: flagsearch.find_rational_flag(U, V)),
+    "best_fixed_subgroup": (RepE, lambda U, V: flagsearch.best_fixed_subgroup(U, V)),
+    "reduced_flag_search": (RepE, lambda U, V: flagsearch.reduced_flag_search(U, V)),
+    "gap_table": (RepE, lambda U, V: flagsearch.gap_table(U, V)),
+    "min_embedding_k": (RepE, lambda U, V: sympow.min_embedding_k(U, V, 1, FlagE.standard(U.rank))),
+    "fixed_subrep": (RepE, lambda U, V: fixed_subrep(U, Subgroup.trivial(V.rank))),
+    "decompose": (RepE, lambda U, V: decompose(U, type(V).flag_type.standard(V.rank))),
+    "euler_poly": (RepE, lambda U, V: euler_poly(U, type(V).flag_type.standard(V.rank))),
+    "decompose-torus": (RepT, lambda U, V: decompose(U, type(V).flag_type.standard(V.rank))),
+    "euler_poly-torus": (RepT, lambda U, V: euler_poly(U, type(V).flag_type.standard(V.rank))),
+    "sym_multiplicities": (RepE, lambda U, V: sympow.sym_multiplicities(U, 2)),
+    "spanning_flag_from_support": (RepE, lambda U, V: spanning_flag_from_support(U)),
+    "line_blocks": (RepT, lambda U, V: reps.line_blocks(U)),
+    "line_decomposition": (RepT, lambda U, V: torusmaps.line_decomposition(U)),
+    "identity_map": (RepT, lambda U, V: torusmaps.identity_map(U)),
+}
+SINGLE_TABLE = {
+    "fixed_subrep", "sym_multiplicities", "spanning_flag_from_support",
+    "line_blocks", "line_decomposition", "identity_map",
+}
+FLAG_PAIRED = {"decompose", "euler_poly", "decompose-torus", "euler_poly-torus"}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ENTRIES))
+def test_entries_accept_their_own_kind(name):
+    cls, call = KIND_ENTRIES[name]
+    call(*_tables(cls, 2))
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ENTRIES))
+def test_wrong_kind_is_an_input_error(name):
+    cls, call = KIND_ENTRIES[name]
+    other = RepT if cls is RepE else RepE
+    (U, V), (U_other, V_other) = _tables(cls, 2), _tables(other, 2)
+    if name in FLAG_PAIRED:
+        pairs, message = [(U, V_other), (U_other, V)], "need a flag over"
+    else:
+        pairs = [(U_other, V)] if name in SINGLE_TABLE else [(U_other, V_other), (U, V_other), (U_other, V)]
+        message = f"^expected {re.escape(cls.noun)}$"
+    for pair in pairs:
+        with pytest.raises(InputError, match=message):
+            call(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(set(KIND_ENTRIES) - SINGLE_TABLE | {"fixed_subrep"}))
+def test_unequal_ranks_are_an_input_error(name):
+    cls, call = KIND_ENTRIES[name]
+    (U, _), (_, V) = _tables(cls, 2), _tables(cls, 1)
+    with pytest.raises(InputError, match="rank mismatch"):
+        call(U, V)
+    with pytest.raises(InputError, match="rank mismatch"):
+        call(V, U)
+
+
+def test_direct_sum_needs_one_kind_and_rank():
+    (U, V), (U1, _), (T, _) = _tables(RepE, 2), _tables(RepE, 1), _tables(RepT, 2)
+    assert U.direct_sum(V) == RepE(2, {A: 3, B: 1})
+    with pytest.raises(InputError, match="rank mismatch: 2 vs 1"):
+        U.direct_sum(U1)
+    with pytest.raises(InputError, match=re.escape("expected representations of (Z/2)^l")):
+        U.direct_sum(T)
+    with pytest.raises(InputError, match="expected torus representations"):
+        T.direct_sum(U)
+
+
+def test_group_kind_must_be_a_known_name():
+    for kind in ["nope", ["torus"], None]:
+        with pytest.raises(InputError, match=r"group kind must be one of \('elem_abelian_2', 'torus'\)"):
+            rep_from_doc({"group": {"kind": kind, "rank": 1}, "module": {"entries": []}})
+        with pytest.raises(InputError, match=r"group kind must be one of \('elem_abelian_2', 'torus'\)"):
+            flag_from_doc({"dual_basis": [[1]]}, kind, 1)
+    assert flag_from_doc({"dual_basis": [[2]]}, "torus", 1) == RationalFlag(1, [(1,)])

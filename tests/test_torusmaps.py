@@ -222,6 +222,12 @@ def test_join_rejects_off_line_weights():
         join_assemble({(1, 0): identity_map(U)})
 
 
+def test_join_rejects_parts_of_another_rank():
+    parts = {(1, 0): identity_map(RepT(2, {(1, 0): 1})), (0, 1): identity_map(RepT(3, {(0, 1, 0): 1}))}
+    with pytest.raises(InputError, match="rank mismatch: 2 vs 3"):
+        join_assemble(parts)
+
+
 def test_torus_helpers_reject_the_zero_line():
     with pytest.raises(InputError, match="zero vector spans no line"):
         embed_on_line(circle_example(2, 3, 1), (0, 0))
