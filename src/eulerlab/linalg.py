@@ -10,7 +10,9 @@ Public names validate their input: `rank2`, `solve2`, `rrefq`, `rankq` and
 `solveq` coerce every entry, so floats, strings and bools are input errors
 and an F2 entry is read mod 2.  They are what flags and `fixed_subrep` call,
 a few times per flag or label, and what the benchmark's `linalg` spans count.
-Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
+`unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
+dimension n and raise `InputError` unless it is a nonnegative int (a bool is
+not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
 `_in_span2`, `_nullspace2`) take field elements as they are (0/1 over F2;
 ints or Fractions over Q) and serve `Subgroup`, `flagsearch`, `sympow` and
 `spanning_flag_from_support`, which pass labels and bases they have already
@@ -19,7 +21,7 @@ validated.
 
 from itertools import combinations, product
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .polyring import F2, Q
 
 
@@ -74,8 +76,16 @@ def _rank(field, rows, n):
     return len(_rref(field, rows, n)[1])
 
 
+def _dimension(n):
+    """`n` itself if it is a nonnegative int."""
+    if require_int(n, "dimension") < 0:
+        raise InputError(f"the dimension must be nonnegative, got {n}")
+    return n
+
+
 def unit_vectors(n):
     """The standard basis of F2^n or Q^n, as int tuples."""
+    n = _dimension(n)
     return [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
 
@@ -126,27 +136,33 @@ def _nullspace2(rows, n):
 
 def all_vectors2(n):
     """All vectors of F2^n in ascending lexicographic order."""
-    return [tuple(bits) for bits in product((0, 1), repeat=n)]
+    return [tuple(bits) for bits in product((0, 1), repeat=_dimension(n))]
 
 
 def enumerate_subspace_bases2(n):
-    """Canonical RREF bases of every subspace of F2^n, each exactly once."""
-    yield ()
-    for k in range(1, n + 1):
+    """Canonical RREF bases of every subspace of F2^n, each exactly once.
+
+    Order: by pivot count ascending, pivot sets in `combinations` order, then
+    the free entries as `product` bits with the last row varying fastest (and,
+    within a row, its last free column).  Each row's possible values are built
+    once per pivot set, so consecutive bases share their row tuples.  A bad
+    `n` raises `InputError` when iteration starts.
+    """
+    n = _dimension(n)
+    for k in range(n + 1):
         for pivots in combinations(range(n), k):
-            free_pos = [
-                (i, c)
-                for i in range(k)
-                for c in range(pivots[i] + 1, n)
-                if c not in pivots
-            ]
-            for bits in product((0, 1), repeat=len(free_pos)):
-                rows = [[0] * n for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, c), b in zip(free_pos, bits):
-                    rows[i][c] = b
-                yield tuple(tuple(r) for r in rows)
+            choices = []
+            for p in pivots:
+                free = [c for c in range(p + 1, n) if c not in pivots]
+                rows = []
+                for bits in product((0, 1), repeat=len(free)):
+                    row = [0] * n
+                    row[p] = 1
+                    for c, b in zip(free, bits):
+                        row[c] = b
+                    rows.append(tuple(row))
+                choices.append(rows)
+            yield from product(*choices)
 
 
 # ---------------------------------------------------------------------------

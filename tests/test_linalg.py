@@ -16,6 +16,7 @@ import sympy as sp
 from eulerlab import linalg
 from eulerlab.errors import InputError
 from eulerlab.polyring import F2, Q
+from tests_support_random import reference_subspace_bases2, span2
 
 
 def combine(coeffs, rows, n, mod=None):
@@ -140,6 +141,34 @@ def test_q_eliminations_against_sympy():
 def test_public_routines_reject_non_field_entries(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_subspace_bases_match_the_reference_enumeration():
+    for n, count in enumerate((1, 2, 5, 16, 67, 374, 2825)):
+        bases = list(linalg.enumerate_subspace_bases2(n))
+        assert bases == list(reference_subspace_bases2(n))
+        assert len(bases) == count
+        assert all(basis == linalg._rref_canonical2(basis, n) for basis in bases)
+        assert len({frozenset(span2(basis, n)) for basis in bases}) == count
+
+
+@pytest.mark.parametrize("n", [-1, -2, True, False, 2.0, "3", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: next(linalg.enumerate_subspace_bases2(n)),
+        linalg.unit_vectors,
+        linalg.all_vectors2,
+    ],
+)
+def test_dimension_must_be_a_nonnegative_int(call, n):
+    with pytest.raises(InputError):
+        call(n)
+
+
+def test_dimension_zero_is_accepted():
+    assert linalg.unit_vectors(0) == []
+    assert linalg.all_vectors2(0) == [()]
 
 
 def test_public_f2_routines_read_entries_mod_2():

@@ -1,7 +1,8 @@
-"""Shared random generators, small F2 helpers and the level-by-level
-reduction oracle for the test suite."""
+"""Shared random generators, small F2 helpers, the subspace enumeration
+oracle and the level-by-level reduction oracle for the test suite."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from operator import add
 
 from eulerlab.polyring import F2, Poly, TriangularSystem
@@ -13,6 +14,27 @@ def span2(rows, n):
     for r in rows:
         vecs |= {tuple(a ^ b for a, b in zip(r, v)) for v in vecs}
     return vecs
+
+
+def reference_subspace_bases2(n):
+    """Canonical RREF bases of every subspace of F2^n, each exactly once, every
+    row built from scratch; the order of `linalg.enumerate_subspace_bases2`."""
+    yield ()
+    for k in range(1, n + 1):
+        for pivots in combinations(range(n), k):
+            free_pos = [
+                (i, c)
+                for i in range(k)
+                for c in range(pivots[i] + 1, n)
+                if c not in pivots
+            ]
+            for bits in product((0, 1), repeat=len(free_pos)):
+                rows = [[0] * n for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, c), b in zip(free_pos, bits):
+                    rows[i][c] = b
+                yield tuple(tuple(r) for r in rows)
 
 
 def random_triangular(rng, field, nvars, dmax=6):
