@@ -46,7 +46,6 @@ from .reps import (
     RepE,
     RepT,
     Subgroup,
-    complete_flags,
     decompose,
     euler_poly,
     fixed_subrep,

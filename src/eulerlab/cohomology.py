@@ -75,17 +75,21 @@ MAX_RELATION_TERMS = 100_000
 MAX_FLAG_RING_SAMPLES = 10_000
 
 
-def _homogeneous_sum(nvars, degree, indices):
-    """Complete homogeneous sum of the given degree in the chosen variables (F2).
-
-    It has comb(degree + k - 1, k - 1) terms in k variables; above
-    MAX_RELATION_TERMS nothing is built and ResourceLimitError is raised.
-    """
-    count = comb(degree + len(indices) - 1, len(indices) - 1)
+def _check_relation_size(degree, k):
+    """ResourceLimitError if the complete homogeneous sum of the given degree
+    in k variables, which has comb(degree + k - 1, k - 1) terms, has more
+    than MAX_RELATION_TERMS."""
+    count = comb(degree + k - 1, k - 1)
     if count > MAX_RELATION_TERMS:
         raise ResourceLimitError(
             f"a flag-ring relation would have {count} terms, above the limit of {MAX_RELATION_TERMS}"
         )
+
+
+def _homogeneous_sum(nvars, degree, indices):
+    """Complete homogeneous sum of the given degree in the chosen variables (F2);
+    nothing is built when `_check_relation_size` refuses it."""
+    _check_relation_size(degree, len(indices))
     terms = {}
     for choice in combinations_with_replacement(indices, degree):
         exponents = [0] * nvars
@@ -100,7 +104,8 @@ def flag_ring(n, l, bounds=None):
 
     The i-th relation is the complete homogeneous sum of degree n - i + 1 in
     t_1..t_i; with nested dimension bounds n_1 <= ... <= n_l the degree
-    becomes n_i - i + 1.
+    becomes n_i - i + 1.  Every relation's term count is checked against
+    MAX_RELATION_TERMS before any relation is built.
     """
     n = require_int(n, "n")
     l = require_int(l, "l")
@@ -117,11 +122,12 @@ def flag_ring(n, l, bounds=None):
                 raise InputError(f"bound n_{i} = {b} violates {i} <= n_{i} <= {n}")
         if any(bounds[i] > bounds[i + 1] for i in range(l - 1)):
             raise InputError("bounds must be nondecreasing")
-    gens = []
-    for i in range(1, l + 1):
-        top = (bounds[i - 1] if bounds is not None else n) - i + 1
-        gens.append(_homogeneous_sum(l, top, list(range(i))))
-    return TriangularSystem(gens)
+    tops = [(bounds[i - 1] if bounds is not None else n) - i + 1 for i in range(1, l + 1)]
+    for i, top in enumerate(tops, start=1):  # refuse before building any relation
+        _check_relation_size(top, i)
+    return TriangularSystem(
+        _homogeneous_sum(l, top, list(range(i))) for i, top in enumerate(tops, start=1)
+    )
 
 
 @dataclass

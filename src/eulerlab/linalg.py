@@ -1,7 +1,9 @@
 """Exact linear algebra over the fields F2 and Q of `polyring`.
 
 Vectors are plain tuples so they can serve as dictionary keys throughout the
-package; entries are ints over F2 and Fractions over Q.  One elimination,
+package; entries are ints over F2, and over Q ints when integral and
+Fractions otherwise (mixed arithmetic is exact, so no routine checks the
+type, and every entry computed is put back in that form).  One elimination,
 `_rref`, takes the Field object and serves both fields.  All routines are
 deterministic: pivoting always picks the first usable row, free variables are
 set to zero, and enumeration orders are fixed.
@@ -14,9 +16,9 @@ a few times per flag or label, and what the benchmark's `linalg` spans count.
 dimension n and raise `InputError` unless it is a nonnegative int (a bool is
 not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
 `_in_span2`, `_nullspace2`) take field elements as they are (0/1 over F2;
-ints or Fractions over Q) and serve `Subgroup`, `flagsearch`, `sympow` and
-`spanning_flag_from_support`, which pass labels and bases they have already
-validated.
+over Q in the canonical form that `Q.coerce` gives) and serve `Subgroup`,
+`flagsearch`, `sympow` and `spanning_flag_from_support`, which pass labels
+and bases they have already validated.
 """
 
 from itertools import combinations, product

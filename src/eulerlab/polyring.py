@@ -2,10 +2,16 @@
 
 The fields are the `Field` values `F2` and `Q`: strings equal to their tags,
 so "F2" and "Q" still name them through `as_field`.  Each carries strict
-coercion, the normalisation of a sum or product (mod 2 over F2, none over Q),
-inverses, the canonical vector on a line (mod 2 over F2; primitive and
-sign-normalised over Q) and the text of a term, so no code here or in
-`linalg` branches on a tag.
+coercion, the normalisation of a sum or product (mod 2 over F2; over Q an
+integral value becomes an int), inverses, the canonical vector on a line
+(mod 2 over F2; primitive and sign-normalised over Q) and the text of a term,
+so no code here or in `linalg` branches on a tag.
+
+An element of F2 is the int 0 or 1.  An element of Q is an int when it is
+integral and a Fraction otherwise, so most coefficients of Euler classes and
+flag coordinates never build a Fraction.  Python's arithmetic, comparison and
+hashing are exact across int and Fraction, and `str(Fraction(2)) == "2"`, so
+callers never check which type an element has.
 
 Monomials are exponent tuples at the interface (`Poly`, `parse_poly`, the
 read-only mapping `terms()`, `sorted_terms`, `quotient_basis`);
@@ -108,13 +114,17 @@ def _key(m, nvars):
 class Field(str):
     """A coefficient field that compares and hashes as its tag string.
 
-    Elements are ints over F2 and Fractions over Q.  Arithmetic may add and
-    multiply raw elements and apply `norm` once at the end; `clean` does that
-    for a whole dict of terms and drops the zeros.
+    Elements are ints over F2.  Over Q an element is an int when it is
+    integral and a Fraction otherwise; mixed int/Fraction arithmetic is
+    exact, so a caller never needs to check the type.  Arithmetic may add
+    and multiply raw elements and apply `norm` once at the end, which also
+    turns an integral Fraction into an int; `clean` does that for a whole
+    dict of terms and drops the zeros.
     """
 
     def coerce(self, value):
-        """`value` as a field element.  Only ints and Fractions are read:
+        """`value` as a field element in canonical form (over Q an int when
+        it is integral, else a Fraction).  Only ints and Fractions are read:
         bools, floats and everything else are input errors, never rounded."""
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise InputError(f"coefficient {value!r} must be an int or a Fraction")
@@ -152,15 +162,15 @@ class _F2(Field):
 class _Q(Field):
     @staticmethod
     def _element(value):
-        return Fraction(value)
+        return value if type(value) is int else _Q.norm(Fraction(value))
 
     @staticmethod
     def norm(c):
-        return c
+        return c.numerator if c.denominator == 1 else c
 
     @staticmethod
     def clean(raw):
-        return {m: r for m, r in raw.items() if r}
+        return {m: r.numerator if r.denominator == 1 else r for m, r in raw.items() if r}
 
     @staticmethod
     def line(v):
@@ -182,7 +192,9 @@ _FIELDS = {F2: F2, Q: Q}
 
 
 def as_field(tag):
-    """The Field named by `tag`: F2, Q, or the plain string "F2" or "Q"."""
+    """The Field named by `tag`: a Field itself, or the plain string "F2" or "Q"."""
+    if isinstance(tag, Field):
+        return tag
     try:
         return _FIELDS[tag]
     except (KeyError, TypeError):
@@ -265,11 +277,7 @@ class Poly:
 
     @classmethod
     def one(cls, field, nvars):
-        return cls.constant(field, nvars, 1)
-
-    @classmethod
-    def constant(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * require_int(nvars, "variable count"): value})
+        return cls(field, nvars, {(0,) * require_int(nvars, "variable count"): 1})
 
     @classmethod
     def variable(cls, field, nvars, index):

@@ -244,25 +244,9 @@ class Subgroup:
         self.rank = rank
         self.basis = linalg._rref_canonical2(rows, rank)
 
-    @classmethod
-    def trivial(cls, rank):
-        return cls(rank, ())
-
-    @classmethod
-    def full(cls, rank):
-        return cls(rank, linalg.unit_vectors(rank))
-
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains_vector(self, v):
-        return linalg._in_span2(self.basis, _binary_char(v, self.rank), self.rank)
-
-    def contains(self, other):
-        if not isinstance(other, Subgroup) or other.rank != self.rank:
-            raise InputError("subgroup comparison requires matching rank")
-        return all(self.contains_vector(r) for r in other.basis)
 
     def char_vanishes(self, char):
         """Whether the character is identically zero on this subgroup."""
@@ -402,30 +386,6 @@ def line_blocks(rep):
         lam = linalg.primitive(w)
         lines.setdefault(lam, {})[w] = m
     return {lam: RepT(rep.rank, tbl) for lam, tbl in sorted(lines.items())}
-
-
-def complete_flags(rank):
-    """Every complete flag of (F2^rank)^*, each with its canonical adapted basis."""
-    if rank < 1:
-        raise InputError("rank must be >= 1")
-    zero = (0,) * rank
-    vectors = linalg.all_vectors2(rank)
-    flags = []
-
-    def extend(chosen, span):
-        if len(chosen) == rank:
-            flags.append(FlagE(rank, tuple(chosen)))
-            return
-        seen = set(span)
-        for gamma in vectors:
-            if gamma in seen:
-                continue
-            coset = {linalg.xor(gamma, s) for s in span}
-            seen |= coset
-            extend(chosen + [gamma], span | coset)
-
-    extend([], {zero})
-    return flags
 
 
 def spanning_flag_from_support(rep):

@@ -21,7 +21,7 @@ from eulerlab.cohomology import euler_nonvanishing, flag_ring, verify_flag_ring
 from eulerlab.errors import HypothesisError
 from eulerlab.flagsearch import reduced_flag_search
 from eulerlab.polyring import quotient_basis
-from eulerlab.reps import FlagE, RepE, RepT, complete_flags, decompose
+from eulerlab.reps import FlagE, RepE, RepT, decompose
 from eulerlab.sympow import sym_multiplicities
 from eulerlab.torusmaps import (
     MapDescription,
@@ -34,7 +34,7 @@ from eulerlab.torusmaps import (
     random_unit_vectors,
     verify_equivariance,
 )
-from tests_support_random import random_triangular
+from tests_support_random import complete_flags, random_triangular
 
 
 def _flag_block_maps(rank):

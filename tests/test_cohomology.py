@@ -18,8 +18,8 @@ from eulerlab.cohomology import (
 )
 from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q, Poly, TriangularSystem, parse_poly, quotient_basis, reduce
-from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, complete_flags
-from tests_support_random import span2
+from eulerlab.reps import FlagE, RationalFlag, RepE, RepT
+from tests_support_random import complete_flags, span2
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -244,6 +244,15 @@ def test_homogeneous_sum_refuses_before_building(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", lambda *args: pytest.fail("built a relation"))
     with pytest.raises(ResourceLimitError, match="above the limit"):
         _homogeneous_sum(2, MAX_RELATION_TERMS, [0, 1])
+
+
+def test_flag_ring_refuses_before_building_any_relation(monkeypatch):
+    # relation i of the 12-step flags in R^40 has comb(40, i - 1) terms:
+    # relations 1..5 fit the limit, the sixth does not
+    assert comb(40, 4) <= MAX_RELATION_TERMS < comb(40, 5)
+    monkeypatch.setattr(Poly, "__init__", lambda *args: pytest.fail("built a relation"))
+    with pytest.raises(ResourceLimitError, match=f"would have {comb(40, 5)} terms"):
+        flag_ring(40, 12)
 
 
 def test_symmetrized_relation_expansion_by_hand():

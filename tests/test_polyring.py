@@ -97,7 +97,8 @@ def test_constructor_rejects_inexact_input(field, nvars, terms):
 def test_field_tags_name_the_fields():
     assert (F2, Q) == ("F2", "Q")
     assert Poly("F2", 1, {(1,): Fraction(3)}) == Poly(F2, 1, {(1,): 1})
-    assert type(Poly("Q", 1, {(1,): 2}).terms()[(1,)]) is Fraction
+    assert type(Poly("Q", 1, {(1,): Fraction(4, 2)}).terms()[(1,)]) is int
+    assert type(Poly("Q", 1, {(1,): Fraction(1, 2)}).terms()[(1,)]) is Fraction
     assert Poly("Q", 1).field is Q
 
 

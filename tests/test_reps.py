@@ -14,7 +14,6 @@ from eulerlab.reps import (
     RepE,
     RepT,
     Subgroup,
-    complete_flags,
     decompose,
     euler_poly,
     fixed_subrep,
@@ -24,7 +23,7 @@ from eulerlab.reps import (
     rep_to_doc,
     spanning_flag_from_support,
 )
-from tests_support_random import reference_subspace_bases2
+from tests_support_random import complete_flags, reference_subspace_bases2, subgroup_contains
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -82,8 +81,8 @@ def test_rational_flag_normalization():
 def test_subgroup_canonical_basis():
     F = Subgroup(2, [AB, A])
     assert F.basis == ((1, 0), (0, 1))
-    assert Subgroup.trivial(3).dim == 0
-    assert Subgroup.full(3).dim == 3
+    assert Subgroup(3).dim == 0
+    assert Subgroup(3, linalg.unit_vectors(3)).dim == 3
 
 
 # -- decompose -------------------------------------------------------------------
@@ -132,12 +131,12 @@ def test_decompose_is_a_partition():
 
 def test_fixed_subrep_trivial_subgroup_is_identity():
     U = RepE(2, {A: 3, B: 1, AB: 1})
-    assert fixed_subrep(U, Subgroup.trivial(2)) == U
+    assert fixed_subrep(U, Subgroup(2)) == U
 
 
 def test_fixed_subrep_full_subgroup_keeps_fixed_part():
     U = RepE(2, {(0, 0): 2, A: 3})
-    out = fixed_subrep(U, Subgroup.full(2))
+    out = fixed_subrep(U, Subgroup(2, linalg.unit_vectors(2)))
     assert out.rank == 0 and out.items() == [((), 2)]
 
 
@@ -156,7 +155,7 @@ def test_fixed_subrep_composes_over_nested_subgroups():
             U = random_rep(rng, rank)
             for F in subgroups:
                 for G in subgroups:
-                    if not G.contains(F) or G.dim == F.dim:
+                    if not subgroup_contains(G, F) or G.dim == F.dim:
                         continue
                     # express G/F in the quotient coordinates used by fixed_subrep
                     ann = F.annihilator_basis()
@@ -414,7 +413,7 @@ KIND_ENTRIES = {
     "reduced_flag_search": (RepE, lambda U, V: flagsearch.reduced_flag_search(U, V)),
     "gap_table": (RepE, lambda U, V: flagsearch.gap_table(U, V)),
     "min_embedding_k": (RepE, lambda U, V: sympow.min_embedding_k(U, V, 1, FlagE.standard(U.rank))),
-    "fixed_subrep": (RepE, lambda U, V: fixed_subrep(U, Subgroup.trivial(V.rank))),
+    "fixed_subrep": (RepE, lambda U, V: fixed_subrep(U, Subgroup(V.rank))),
     "decompose": (RepE, lambda U, V: decompose(U, type(V).flag_type.standard(V.rank))),
     "euler_poly": (RepE, lambda U, V: euler_poly(U, type(V).flag_type.standard(V.rank))),
     "decompose-torus": (RepT, lambda U, V: decompose(U, type(V).flag_type.standard(V.rank))),

@@ -11,13 +11,14 @@ import pytest
 from eulerlab import linalg
 from eulerlab.cli import run
 from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
-from eulerlab.reps import FlagE, RepE, complete_flags, decompose
+from eulerlab.reps import FlagE, RepE, decompose
 from eulerlab.sympow import (
     MAX_SYM_DEGREE,
     MAX_SYM_SPAN,
     min_embedding_k,
     sym_multiplicities,
 )
+from tests_support_random import complete_flags
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 

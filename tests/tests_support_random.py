@@ -1,11 +1,41 @@
 """Shared random generators, small F2 helpers, the subspace enumeration
-oracle and the level-by-level reduction oracle for the test suite."""
+oracle, the level-by-level reduction oracle and the Fraction-only reference
+field over Q for the test suite."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add
 
-from eulerlab.polyring import F2, Poly, TriangularSystem
+from eulerlab import linalg
+from eulerlab.polyring import F2, Poly, TriangularSystem, _Q
+from eulerlab.reps import FlagE
+
+
+class FractionQ(_Q):
+    """Q with every element a Fraction, integral ones included: the field as
+    it was before integral elements became ints.  Its tag is "Q", so its
+    Polys compare equal to those over `polyring.Q` with the same values."""
+
+    @staticmethod
+    def _element(value):
+        return Fraction(value)
+
+    @staticmethod
+    def norm(c):
+        return c
+
+    @staticmethod
+    def clean(raw):
+        return {m: r for m, r in raw.items() if r}
+
+
+REFERENCE_Q = FractionQ("Q")
+
+
+def is_canonical_q(c):
+    """Whether c is a Q element in canonical form: an int when it is
+    integral, a Fraction otherwise."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
 
 
 def span2(rows, n):
@@ -14,6 +44,32 @@ def span2(rows, n):
     for r in rows:
         vecs |= {tuple(a ^ b for a, b in zip(r, v)) for v in vecs}
     return vecs
+
+
+def subgroup_contains(G, F):
+    """Whether the subgroup F lies in G, by comparing their full spans."""
+    return span2(F.basis, F.rank) <= span2(G.basis, G.rank)
+
+
+def complete_flags(rank):
+    """Every complete flag of (F2^rank)^*, each with its canonical adapted basis."""
+    vectors = linalg.all_vectors2(rank)
+    flags = []
+
+    def extend(chosen, span):
+        if len(chosen) == rank:
+            flags.append(FlagE(rank, tuple(chosen)))
+            return
+        seen = set(span)
+        for gamma in vectors:
+            if gamma in seen:
+                continue
+            coset = {linalg.xor(gamma, s) for s in span}
+            seen |= coset
+            extend(chosen + [gamma], span | coset)
+
+    extend([], {(0,) * rank})
+    return flags
 
 
 def reference_subspace_bases2(n):
