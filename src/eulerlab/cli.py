@@ -225,12 +225,13 @@ def _cmd_flag_ring(args):
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
     seed = _resolve_seed(args)
-    pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
     verification = None
-    if args.verify:
-        if bounds is not None:
-            raise InputError("--verify applies to the unbounded flag ring only")
+    if args.verify and bounds is None:
+        # first, so that a check too large to run is refused before any relation is built
         verification = cohomology.verify_flag_ring(args.n, args.l, samples=args.samples, seed=seed)
+    pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
+    if args.verify and bounds is not None:
+        raise InputError("--verify applies to the unbounded flag ring only")
     return Report([
         ("n", None, args.n),
         ("l", None, args.l),

@@ -75,14 +75,14 @@ MAX_RELATION_TERMS = 100_000
 MAX_FLAG_RING_SAMPLES = 10_000
 
 
-def _check_relation_size(degree, k):
+def _check_relation_size(degree, k, what="a flag-ring relation"):
     """ResourceLimitError if the complete homogeneous sum of the given degree
     in k variables, which has comb(degree + k - 1, k - 1) terms, has more
-    than MAX_RELATION_TERMS."""
+    than MAX_RELATION_TERMS; `what` names the sum in the message."""
     count = comb(degree + k - 1, k - 1)
     if count > MAX_RELATION_TERMS:
         raise ResourceLimitError(
-            f"a flag-ring relation would have {count} terms, above the limit of {MAX_RELATION_TERMS}"
+            f"{what} would have {count} terms, above the limit of {MAX_RELATION_TERMS}"
         )
 
 
@@ -99,14 +99,9 @@ def _homogeneous_sum(nvars, degree, indices):
     return Poly(F2, nvars, terms)
 
 
-def flag_ring(n, l, bounds=None):
-    """Mod-2 cohomology presentation of the manifold of l-step flags in R^n.
-
-    The i-th relation is the complete homogeneous sum of degree n - i + 1 in
-    t_1..t_i; with nested dimension bounds n_1 <= ... <= n_l the degree
-    becomes n_i - i + 1.  Every relation's term count is checked against
-    MAX_RELATION_TERMS before any relation is built.
-    """
+def _relation_degrees(n, l, bounds):
+    """The degree of each flag-ring relation, after checking n, l and the
+    bounds and every relation's term count; nothing is built."""
     n = require_int(n, "n")
     l = require_int(l, "l")
     if l < 1:
@@ -123,8 +118,20 @@ def flag_ring(n, l, bounds=None):
         if any(bounds[i] > bounds[i + 1] for i in range(l - 1)):
             raise InputError("bounds must be nondecreasing")
     tops = [(bounds[i - 1] if bounds is not None else n) - i + 1 for i in range(1, l + 1)]
-    for i, top in enumerate(tops, start=1):  # refuse before building any relation
+    for i, top in enumerate(tops, start=1):
         _check_relation_size(top, i)
+    return tops
+
+
+def flag_ring(n, l, bounds=None):
+    """Mod-2 cohomology presentation of the manifold of l-step flags in R^n.
+
+    The i-th relation is the complete homogeneous sum of degree n - i + 1 in
+    t_1..t_i; with nested dimension bounds n_1 <= ... <= n_l the degree
+    becomes n_i - i + 1.  Every relation's term count is checked against
+    MAX_RELATION_TERMS before any relation is built.
+    """
+    tops = _relation_degrees(n, l, bounds)
     return TriangularSystem(
         _homogeneous_sum(l, top, list(range(i))) for i, top in enumerate(tops, start=1)
     )
@@ -191,6 +198,10 @@ def verify_flag_ring(n, l, samples=25, seed=0):
     """
     samples = require_count(samples, "sample count", MAX_FLAG_RING_SAMPLES)
     seed = require_int(seed, "seed")
+    # item (a)'s largest sum, the class symmetrized from relation 1, is
+    # refused before the presentation is built
+    _relation_degrees(n, l, None)
+    _check_relation_size(n, l, "the symmetrized flag-ring class")
     pres = flag_ring(n, l)
     items = []
 

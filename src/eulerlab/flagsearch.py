@@ -12,6 +12,7 @@ MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import linalg
 from .errors import HypothesisError, ResourceLimitError
@@ -51,7 +52,13 @@ def _chain_search(field, rank, gaps, candidates, failure):
     `gaps` maps nonzero labels to gaps and `candidates` are ascending
     covectors.  A span is a canonical integer RREF, and the residual of a
     vector, put in `field.line` normal form, names the extension it spans: a
-    coset over F2, a line over Q.
+    coset over F2, a line over Q.  The residuals are carried down the
+    search: each node holds the summed gap of every nonzero label residual
+    and the least candidate of every nonzero candidate residual, and a child
+    reduces those residuals by its new row alone.  For a fixed pivot set the
+    pivot-free residual is unique (up to the scalar `field.line` removes), so
+    this gives what reducing every label and candidate by the whole span
+    would.
     Extensions go best summed gap first, ties to the least candidate, so the
     gap-maximizing path is returned whenever it never dead-ends.  Dead spans
     are memoized; on failure HypothesisError names one step past the longest
@@ -60,14 +67,23 @@ def _chain_search(field, rank, gaps, candidates, failure):
     dead = set()
     nodes = 0
     deepest = 0
+    line = field.line
 
-    def residual(v, rows):
-        for p, row in rows:
-            if v[p]:
-                v = field.line(tuple(row[p] * a - v[p] * b for a, b in zip(v, row)))
-        return v
+    def by(v, q, d):
+        """The vector v reduced by the row d of pivot q."""
+        return line(tuple(d[q] * a - v[q] * b for a, b in zip(v, d))) if v[q] else v
 
-    def extend(rows, remaining):
+    def reduced(classes, q, d, merge):
+        """`classes` with every residual reduced by the row d of pivot q;
+        the values of residuals that meet are merged, zero residuals dropped."""
+        out = {}
+        for v, x in classes.items():
+            v = by(v, q, d)
+            if any(v):
+                out[v] = merge(out[v], x) if v in out else x
+        return out
+
+    def extend(rows, score, rep, remaining):
         nonlocal nodes, deepest
         depth = len(rows)
         if depth == rank:
@@ -82,26 +98,24 @@ def _chain_search(field, rank, gaps, candidates, failure):
         # every remaining step needs a gap of at least 1, and the steps
         # together cover every label not yet in the span
         if remaining >= rank - depth:
-            score = {}
-            for label, gap in gaps.items():
-                d = residual(label, rows)
-                if any(d):
-                    score[d] = score.get(d, 0) + gap
-            rep = {}
-            for w in candidates:
-                d = residual(w, rows)
-                if score.get(d, 0) > 0:
-                    rep.setdefault(d, w)
-            for d in sorted(rep, key=lambda d: (-score[d], rep[d])):
+            best = sorted((d for d in rep if score.get(d, 0) > 0), key=lambda d: (-score[d], rep[d]))
+            for d in best:
                 q = next(i for i, a in enumerate(d) if a)
-                grown = [(p, residual(row, [(q, d)])) for p, row in rows] + [(q, d)]
-                rest = extend(sorted(grown), remaining - score[d])
+                grown = [(p, by(row, q, d)) for p, row in rows]
+                rest = extend(
+                    sorted(grown + [(q, d)]),
+                    reduced(score, q, d, add),
+                    reduced(rep, q, d, min),
+                    remaining - score[d],
+                )
                 if rest is not None:
                     return [rep[d]] + rest
         dead.add(key)
         return None
 
-    chain = extend([], sum(gaps.values()))
+    score = {label: gap for label, gap in gaps.items() if any(label)}
+    rep = {w: w for w in candidates if any(w)}
+    chain = extend([], score, rep, sum(gaps.values()))
     if chain is None:
         raise HypothesisError(f"{failure} at step {deepest + 1}")
     return chain
@@ -137,7 +151,10 @@ def best_fixed_subgroup(U, V):
     f exactly when x . y = 0 for y = (s_i . f)_i; a character of V outside S
     is fixed by no F containing K.  So the scan runs over the subspaces of
     F2^k, and the fixed set of one is the AND of its basis rows' bitmasks of
-    orthogonal characters, each distinct set's gap sum taken once.
+    orthogonal characters.  Parity is additive, odd(x . (y ^ y')) =
+    odd(x . y) ^ odd(x . y'), so the 2^k masks take one XOR each past the
+    unit vectors.  Each distinct set's gap sum is taken once, by adding up
+    per-byte tables of the gaps.
 
     Maximality: let M be the set of U-characters fixed by a qualifying F.  A
     U-character in span(M) lies in F^perp, so it is already in M.  Hence
@@ -171,27 +188,40 @@ def best_fixed_subgroup(U, V):
             vectors.append(c)
             coords.append(sum(a << i for i, a in enumerate(x)))
             gaps.append(g)
-    bits = [1 << j for j in range(len(vectors))]
-    u_bits = sum(b for b, c in zip(bits, vectors) if U.multiplicity(c))
-    mask_of = {}
-    for y in linalg.all_vectors2(k):
-        y_int = sum(a << i for i, a in enumerate(y))
-        mask_of[y] = sum(b for b, x in zip(bits, coords) if not (x & y_int).bit_count() & 1)
-
     everything = (1 << len(vectors)) - 1
+    u_bits = sum(1 << j for j, c in enumerate(vectors) if U.multiplicity(c))
+    # odd[y] has bit j when coords[j] . y is odd; parity is additive, so
+    # odd[y] = odd[y without its lowest bit] ^ odd[that bit]
+    odd = [0] * (1 << k)
+    for i in range(k):
+        odd[1 << i] = sum(1 << j for j, x in enumerate(coords) if x >> i & 1)
+    for y in range(1, 1 << k):
+        low = y & -y
+        odd[y] = odd[y ^ low] ^ odd[low]
+    mask_of = {tuple(y >> i & 1 for i in range(k)): everything ^ odd[y] for y in range(1 << k)}
+
     fixed_sets = set()
     for basis in linalg.enumerate_subspace_bases2(k):
         m = everything
         for y in basis:
             m &= mask_of[y]
         fixed_sets.add(m)
+    # gap sums by byte: the table of the characters lo..lo+7 maps each byte
+    # b to the sum of the gaps of the characters lo + j over the bits j of b
+    sets = list(fixed_sets)
+    totals = [0] * len(sets)
+    for lo in range(0, len(vectors), 8):
+        chunk = gaps[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] + chunk[low.bit_length() - 1]
+        totals = [t + table[m >> lo & 255] for t, m in zip(totals, sets)]
     target = U.dim - V.dim
-    fixed_u = {
-        m & u_bits for m in fixed_sets if sum(g for b, g in zip(bits, gaps) if m & b) >= target
-    }
+    fixed_u = {m & u_bits for m, t in zip(sets, totals) if t >= target}
     minimal = [m for m in fixed_u if not any(o != m and o & m == o for o in fixed_u)]
     candidates = [
-        Subgroup(rank, linalg._nullspace2([c for b, c in zip(bits, vectors) if m & b], rank))
+        Subgroup(rank, linalg._nullspace2([c for j, c in enumerate(vectors) if m >> j & 1], rank))
         for m in minimal
     ]
     return min(candidates, key=lambda F: F.basis)

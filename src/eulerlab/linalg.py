@@ -10,8 +10,9 @@ set to zero, and enumeration orders are fixed.
 
 Public names validate their input: `rank2`, `solve2`, `rrefq`, `rankq` and
 `solveq` coerce every entry, so floats, strings and bools are input errors
-and an F2 entry is read mod 2.  They are what flags and `fixed_subrep` call,
-a few times per flag or label, and what the benchmark's `linalg` spans count.
+and an F2 entry is read mod 2.  They are what flags call, a few times per
+flag, and what the benchmark's `linalg` spans count; `fixed_subrep` reads its
+quotient coordinates off the free columns instead of solving.
 `unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
 dimension n and raise `InputError` unless it is a nonnegative int (a bool is
 not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,

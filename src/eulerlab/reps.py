@@ -44,6 +44,15 @@ class _RepBase:
         self.rank = rank
         self._table = table
 
+    @classmethod
+    def _trusted(cls, rank, table):
+        """A table from a dict whose labels and multiplicities were validated
+        already, such as a part of a validated table; the dict is kept."""
+        rep = object.__new__(cls)
+        rep.rank = rank
+        rep._table = table
+        return rep
+
     @staticmethod
     def _validate_char(char, rank):
         raise NotImplementedError
@@ -310,28 +319,31 @@ def decompose(rep, flag):
             blocks[max(i for i, c in enumerate(coords) if c)][char] = m
     cls = type(rep)
     return FlagDecomposition(
-        blocks=tuple(cls(rep.rank, b) for b in blocks),
-        fixed=cls(rep.rank, fixed),
+        blocks=tuple(cls._trusted(rep.rank, b) for b in blocks),
+        fixed=cls._trusted(rep.rank, fixed),
     )
 
 
 def fixed_subrep(rep, subgroup):
     """Characters vanishing on the subgroup, re-expressed for the quotient group.
 
-    The quotient coordinates come from the deterministic annihilator basis, so
-    identical inputs always yield identical tables.
+    The quotient coordinates are those in the deterministic annihilator
+    basis, so identical inputs always yield identical tables.  That basis has
+    one vector per free column of the subgroup's RREF basis, with a 1 in its
+    own free column and 0 in the others, so the coordinates of a vanishing
+    character are its entries at the free columns, read off without a solve.
     """
     require_tables(RepE, rep)
     if rep.rank != subgroup.rank:
         raise InputError(f"rank mismatch: representation {rep.rank}, subgroup {subgroup.rank}")
-    annihilator = subgroup.annihilator_basis()
-    new_rank = rep.rank - subgroup.dim
+    pivots = {row.index(1) for row in subgroup.basis}
+    free = [c for c in range(rep.rank) if c not in pivots]
     out = {}
     for char, m in rep.items():
         if subgroup.char_vanishes(char):
-            coords = linalg.solve2(annihilator, char)
+            coords = tuple(char[c] for c in free)
             out[coords] = out.get(coords, 0) + m
-    return RepE(new_rank, out)
+    return RepE._trusted(len(free), out)
 
 
 def euler_poly(rep, flag, system=None):
@@ -385,7 +397,7 @@ def line_blocks(rep):
             continue
         lam = linalg.primitive(w)
         lines.setdefault(lam, {})[w] = m
-    return {lam: RepT(rep.rank, tbl) for lam, tbl in sorted(lines.items())}
+    return {lam: RepT._trusted(rep.rank, tbl) for lam, tbl in sorted(lines.items())}
 
 
 def spanning_flag_from_support(rep):

@@ -272,6 +272,18 @@ def test_flag_ring_relation_size_limit_exit_two(verify):
     assert f"above the limit of {cohomology.MAX_RELATION_TERMS}" in err
 
 
+def test_flag_ring_verify_refuses_the_symmetrized_class_exit_two():
+    # the relations fit the limit; the symmetrized class of item (a) does not
+    start = time.monotonic()
+    code, out, err = invoke(["flag-ring", "-n", "40", "-l", "5", "--verify", "--samples", "0"])
+    assert time.monotonic() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the symmetrized flag-ring class would have 135751 terms, "
+        f"above the limit of {cohomology.MAX_RELATION_TERMS}\n"
+    )
+
+
 def test_flag_ring_verify_large_n_at_one_step():
     # no relation-size limit applies at l = 1; the dimension check must not cost n!
     start = time.monotonic()

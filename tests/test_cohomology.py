@@ -255,6 +255,16 @@ def test_flag_ring_refuses_before_building_any_relation(monkeypatch):
         flag_ring(40, 12)
 
 
+def test_verify_flag_ring_refuses_the_symmetrized_class_before_building(monkeypatch):
+    # every relation of the 5-step flags in R^40 fits the limit, but item (a)
+    # symmetrizes relation 1 to degree 40 in 5 variables: comb(44, 4) terms
+    assert max(comb(40, i) for i in range(5)) <= MAX_RELATION_TERMS < comb(44, 4)
+    monkeypatch.setattr(Poly, "__init__", lambda *args: pytest.fail("built a polynomial"))
+    message = f"^the symmetrized flag-ring class would have {comb(44, 4)} terms"
+    with pytest.raises(ResourceLimitError, match=message):
+        verify_flag_ring(40, 5, samples=0)
+
+
 def test_symmetrized_relation_expansion_by_hand():
     # h_3(t1,t2) = t1^3 + t2 * h_2(t1,t2) over F2
     ebar = parse_poly("T1^3+T1^2*T2+T1*T2^2+T2^3", F2, 2)

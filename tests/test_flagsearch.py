@@ -3,15 +3,20 @@
 The search is checked against two independent oracles: brute force over every
 admissible flag (F2: all complete flags; Q: chains spanned by candidate
 lines), and the single-path gap-maximizing loops it replaced, kept here as
-reference implementations.  The subgroup scan is checked against the scan over
-every subspace of (F2)^l that it replaced, also kept here.
+reference implementations.  Its carried residuals are checked against the
+search that reduces by the whole span at every node, in tests_support_random.
+The subgroup scan is checked against the scan over every subspace of (F2)^l
+that it replaced, also kept here.
 """
 
 import random
 import time
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulerlab import flagsearch, linalg
 from eulerlab.errors import HypothesisError, ResourceLimitError
@@ -22,8 +27,15 @@ from eulerlab.flagsearch import (
     gap_table,
     reduced_flag_search,
 )
+from eulerlab.polyring import F2, Q
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, Subgroup, decompose, line_blocks
-from tests_support_random import complete_flags, reference_subspace_bases2, span2, subgroup_contains
+from tests_support_random import (
+    complete_flags,
+    reference_chain_search,
+    reference_subspace_bases2,
+    span2,
+    subgroup_contains,
+)
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -121,6 +133,25 @@ def test_best_fixed_subgroup_precondition():
 
 def _unit(rank, i):
     return tuple(1 if j == i else 0 for j in range(rank))
+
+
+@pytest.mark.parametrize("k, count", enumerate([1, 2, 5, 16, 67, 374, 2825]))
+def test_best_fixed_subgroup_draws_every_subspace_once(monkeypatch, k, count):
+    # one basis per subspace of F2^k, all of them drawn from the generator
+    drawn = []
+    enumerate_bases = linalg.enumerate_subspace_bases2
+
+    def counted(n):
+        for basis in enumerate_bases(n):
+            drawn.append(basis)
+            yield basis
+
+    monkeypatch.setattr(linalg, "enumerate_subspace_bases2", counted)
+    rank = max(k, 1)
+    U = RepE(rank, {_unit(rank, i): 1 for i in range(k)} or {(0,) * rank: 1})
+    F = best_fixed_subgroup(U, RepE(rank, {}))
+    assert len(drawn) == len(set(drawn)) == count
+    assert F.dim == (1 if k == 0 else 0)
 
 
 def test_best_fixed_subgroup_resource_limit():
@@ -469,3 +500,61 @@ def test_chain_search_node_limit(monkeypatch):
         find_flag(RepE(2, {A: 2, B: 1}), RepE(2, {}))
     with pytest.raises(ResourceLimitError, match="chain nodes"):
         find_rational_flag(RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {}))
+
+
+# -- carried residuals against reduction by the whole span -------------------------
+
+CHAIN_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+NODE_LIMITS = st.one_of(st.integers(1, 6), st.just(flagsearch.MAX_CHAIN_NODES))
+
+
+def _search_outcome(search, field, rank, gaps, candidates, limit):
+    """The chain, or the kind and text of the error, with the node limit set."""
+    with mock.patch.object(flagsearch, "MAX_CHAIN_NODES", limit):
+        try:
+            return "chain", search(field, rank, gaps, candidates, "no extension")
+        except (HypothesisError, ResourceLimitError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+def _check_chain_search(field, table, limit):
+    rank, gaps, candidates = table
+    outcome = _search_outcome(flagsearch._chain_search, field, rank, gaps, candidates, limit)
+    assert outcome == _search_outcome(reference_chain_search, field, rank, gaps, candidates, limit)
+
+
+@st.composite
+def f2_gap_tables(draw):
+    rank = draw(st.integers(1, 4))
+    vectors = linalg.all_vectors2(rank)
+    gaps = draw(st.dictionaries(st.sampled_from(vectors[1:]), st.integers(-2, 4)))
+    return rank, gaps, vectors
+
+
+@st.composite
+def q_gap_tables(draw):
+    """Labels and candidates are any nonzero integer vectors, lines repeated
+    and not primitive included; the unit vectors are always candidates."""
+    rank = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    gaps = draw(st.dictionaries(vector, st.integers(-1, 4), min_size=rank, max_size=8))
+    candidates = sorted(set(draw(st.lists(vector, max_size=6))) | set(linalg.unit_vectors(rank)))
+    return rank, gaps, candidates
+
+
+@CHAIN_SETTINGS
+@given(f2_gap_tables(), NODE_LIMITS)
+def test_chain_search_matches_whole_span_reduction_f2(table, limit):
+    _check_chain_search(F2, table, limit)
+
+
+@CHAIN_SETTINGS
+@given(q_gap_tables(), NODE_LIMITS)
+def test_chain_search_matches_whole_span_reduction_q(table, limit):
+    _check_chain_search(Q, table, limit)

@@ -169,6 +169,87 @@ def test_fixed_subrep_composes_over_nested_subgroups():
                     assert lhs == rhs
 
 
+def _random_subgroup(rng, rank):
+    return Subgroup(rank, [tuple(rng.randint(0, 1) for _ in range(rank)) for _ in range(rng.randint(0, rank))])
+
+
+def _solve2_fixed_subrep(rep, subgroup):
+    """fixed_subrep as it was: one solve2 against the annihilator basis per
+    vanishing character."""
+    annihilator = subgroup.annihilator_basis()
+    out = {}
+    for char, m in rep.items():
+        if subgroup.char_vanishes(char):
+            coords = linalg.solve2(annihilator, char)
+            out[coords] = out.get(coords, 0) + m
+    return RepE(rep.rank - subgroup.dim, out)
+
+
+def test_fixed_subrep_matches_solve2_loop():
+    rng = random.Random(23)
+    vanishing = 0
+    for rank in range(1, 7):
+        for _ in range(60):
+            F = _random_subgroup(rng, rank)
+            ann = F.annihilator_basis()
+            # half of the labels vanish on F: sums of annihilator vectors
+            inside = {}
+            for _ in range(rng.randint(0, 4)):
+                c = (0,) * rank
+                for v in ann:
+                    if rng.random() < 0.5:
+                        c = linalg.xor(c, v)
+                inside[c] = rng.randint(1, 3)
+            U = random_rep(rng, rank).direct_sum(RepE(rank, inside))
+            out = fixed_subrep(U, F)
+            expected = _solve2_fixed_subrep(U, F)
+            assert out == expected and repr(out) == repr(expected), (U, F)
+            vanishing += out.dim
+    assert vanishing > 500
+
+
+def test_annihilator_basis_is_the_identity_at_free_columns():
+    # fixed_subrep reads quotient coordinates off the free columns, which
+    # holds because annihilator vector j is 1 at free column j, 0 at the others
+    rng = random.Random(24)
+    subgroups = [Subgroup(r, b) for r in range(1, 5) for b in reference_subspace_bases2(r)]
+    subgroups += [_random_subgroup(rng, rank) for rank in (5, 6) for _ in range(50)]
+    for F in subgroups:
+        pivots = {row.index(1) for row in F.basis}
+        free = [c for c in range(F.rank) if c not in pivots]
+        ann = F.annihilator_basis()
+        assert [[v[c] for c in free] for v in ann] == [[int(i == j) for j in range(len(free))] for i in range(len(free))]
+        assert all(linalg.dot2(v, f) == 0 for v in ann for f in F.basis)
+        assert linalg.rank2(ann, F.rank) == len(ann) == F.rank - F.dim
+
+
+def _random_rational_flag(rng, rank):
+    while True:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rank)]
+        if linalg.rankq(rows, rank) == rank:
+            return RationalFlag(rank, rows)
+
+
+def test_derived_tables_equal_validated_tables():
+    # decompose, line_blocks and fixed_subrep build their tables unvalidated
+    rng = random.Random(25)
+    flags = {rank: complete_flags(rank) for rank in (1, 2, 3, 4)}
+    derived = []
+    for _ in range(150):
+        rank = rng.randint(1, 4)
+        U = random_rep(rng, rank, max_chars=6)
+        decomp = decompose(U, rng.choice(flags[rank]))
+        derived += [*decomp.blocks, decomp.fixed, fixed_subrep(U, _random_subgroup(rng, rank))]
+        weights = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, 6))]
+        T = RepT(rank, {w: rng.randint(1, 3) for w in weights})
+        decomp = decompose(T, _random_rational_flag(rng, rank))
+        derived += [*decomp.blocks, decomp.fixed, *reps.line_blocks(T).values()]
+    for rep in derived:
+        validated = type(rep)(rep.rank, rep.multiplicities())
+        assert rep == validated and repr(rep) == repr(validated)
+    assert sum(rep.dim for rep in derived) > 1000
+
+
 # -- euler polynomials -------------------------------------------------------------
 
 def test_euler_poly_power_of_sign_rep():

@@ -1,12 +1,14 @@
 """Shared random generators, small F2 helpers, the subspace enumeration
-oracle, the level-by-level reduction oracle and the Fraction-only reference
-field over Q for the test suite."""
+oracle, the chain search that reduces by the whole span at every node, the
+level-by-level reduction oracle and the Fraction-only reference field over Q
+for the test suite."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add
 
-from eulerlab import linalg
+from eulerlab import flagsearch, linalg
+from eulerlab.errors import HypothesisError, ResourceLimitError
 from eulerlab.polyring import F2, Poly, TriangularSystem, _Q
 from eulerlab.reps import FlagE
 
@@ -91,6 +93,58 @@ def reference_subspace_bases2(n):
                 for (i, c), b in zip(free_pos, bits):
                     rows[i][c] = b
                 yield tuple(tuple(r) for r in rows)
+
+
+def reference_chain_search(field, rank, gaps, candidates, failure):
+    """`flagsearch._chain_search` as it was before residuals were carried
+    down the search: every node reduces every label and every candidate by
+    its whole span.  Reads `flagsearch.MAX_CHAIN_NODES` when it runs."""
+    dead = set()
+    nodes = 0
+    deepest = 0
+
+    def residual(v, rows):
+        for p, row in rows:
+            if v[p]:
+                v = field.line(tuple(row[p] * a - v[p] * b for a, b in zip(v, row)))
+        return v
+
+    def extend(rows, remaining):
+        nonlocal nodes, deepest
+        depth = len(rows)
+        if depth == rank:
+            return []
+        key = tuple(row for _, row in rows)
+        if key in dead:
+            return None
+        nodes += 1
+        if nodes > flagsearch.MAX_CHAIN_NODES:
+            raise ResourceLimitError(f"flag search exceeded {flagsearch.MAX_CHAIN_NODES} chain nodes")
+        deepest = max(deepest, depth)
+        if remaining >= rank - depth:
+            score = {}
+            for label, gap in gaps.items():
+                d = residual(label, rows)
+                if any(d):
+                    score[d] = score.get(d, 0) + gap
+            rep = {}
+            for w in candidates:
+                d = residual(w, rows)
+                if score.get(d, 0) > 0:
+                    rep.setdefault(d, w)
+            for d in sorted(rep, key=lambda d: (-score[d], rep[d])):
+                q = next(i for i, a in enumerate(d) if a)
+                grown = [(p, residual(row, [(q, d)])) for p, row in rows] + [(q, d)]
+                rest = extend(sorted(grown), remaining - score[d])
+                if rest is not None:
+                    return [rep[d]] + rest
+        dead.add(key)
+        return None
+
+    chain = extend([], sum(gaps.values()))
+    if chain is None:
+        raise HypothesisError(f"{failure} at step {deepest + 1}")
+    return chain
 
 
 def random_triangular(rng, field, nvars, dmax=6):
