@@ -6,12 +6,14 @@ only rewritten on a deliberate change of output, by running this module:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-torus-example prints sampled float residuals, so its cases are checked
-against `verify_equivariance(...)` run on the same map and seed instead.
+torus-example prints sampled float residuals, so its cases are checked line by
+line instead, with the floats matched by pattern, and its --machine document by
+its exact key set and non-float values.
 """
 
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,13 @@ def test_cli_output_is_golden(golden, name, mode):
     assert invoke(CASES[name] + MODES[mode]) == golden[name][mode]
 
 
+# torus-example's sampled floats, as its text prints them (%.3e and %.6e)
+_E3 = r"\d\.\d{3}e[+-]\d\d"
+_E6 = r"\d\.\d{6}e[+-]\d\d"
+VERIFICATION_KEYS = {"tag", "samples", "tol", "seed", "max_residual", "equivariant", "min_norm",
+                     "zero_set_isolated", "passed"}
+
+
 @pytest.mark.parametrize("abc, seed, tol, passed", [
     ((2, 3, 1), 4, torusmaps.DEFAULT_EQUIVARIANCE_TOL, True),
     ((1, 1, 3), 0, torusmaps.DEFAULT_EQUIVARIANCE_TOL, True),
@@ -124,20 +133,42 @@ def test_torus_example_output(abc, seed, tol, passed, mode):
     a, b, c = abc
     argv = ["torus-example", "-a", str(a), "-b", str(b), "-c", str(c), "--samples", "200",
             "--seed", str(seed), "--tol", str(tol)]
+    result = invoke(argv + MODES[mode])
+    stderr = "" if passed else "hypothesis failure: equivariance verification failed\n"
+    assert (result["exit"], result["stderr"]) == (0 if passed else 1, stderr)
     m = torusmaps.circle_example(a, b, c)
-    report = torusmaps.verify_equivariance(m, samples=200, tol=tol, seed=seed)
-    assert report.passed is passed
+    verdict = "yes" if passed else "no"
     if mode == "text":
         source = [[a * c], [b * c]] if a != b else [[a * c]]
         target = [[a * b * c], [c]] if a * b != 1 else [[c]]
         p = m.params
-        stdout = (f"map weights: source {source}, target {target}\n"
-                  f"cofactors: a'={p['a_prime']}, b'={p['b_prime']}\n" + report.to_text() + "\n")
+        patterns = [
+            re.escape(f"map weights: source {source}, target {target}"),
+            re.escape(f"cofactors: a'={p['a_prime']}, b'={p['b_prime']}"),
+            re.escape("map: circle-example"),
+            re.escape(f"samples: 200  tol: {tol}  seed: {seed}"),
+            f"max residual: {_E3}",
+            f"equivariant: {verdict}",
+            re.escape("min |f| on sphere samples: ") + _E6,
+            re.escape("zero set reduced to the origin (symbolic): yes"),
+            f"passed: {verdict}",
+        ]
+        lines = result["stdout"].split("\n")
+        assert lines[-1] == ""
+        assert len(lines) - 1 == len(patterns)
+        for line, pattern in zip(lines, patterns):
+            assert re.fullmatch(pattern, line), (line, pattern)
     else:
-        doc = {"map": m.to_doc(), "verification": report.to_doc()}
-        stdout = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    stderr = "" if passed else "hypothesis failure: equivariance verification failed\n"
-    assert invoke(argv + MODES[mode]) == {"exit": 0 if passed else 1, "stdout": stdout, "stderr": stderr}
+        assert result["stdout"].endswith("}\n") and result["stdout"].count("\n") == 1
+        doc = json.loads(result["stdout"])
+        assert set(doc) == {"map", "verification"}
+        assert doc["map"] == m.to_doc()
+        verification = doc["verification"]
+        assert set(verification) == VERIFICATION_KEYS
+        assert isinstance(verification.pop("max_residual"), float)
+        assert verification.pop("min_norm") > 0
+        assert verification == {"tag": "circle-example", "samples": 200, "tol": tol, "seed": seed,
+                                "equivariant": passed, "zero_set_isolated": True, "passed": passed}
 
 
 if __name__ == "__main__":
