@@ -30,13 +30,13 @@ print()
 # every block and exceeds it in total dimension by at least d.
 V = RepE(2, {alpha: 2, beta: 1})
 report = min_embedding_k(U, V, 3, flag)
-print(f"minimal k = {report.k} for target dims {report.target_block_dims}, slack 3")
-print("accumulated block dims:", report.block_dims)
-print("claims:", report.claims)
-print("total dimension:", report.total_dim)
+print(f"minimal k = {report['k']} for target dims {tuple(report['target_block_dims'])}, slack 3")
+print("accumulated block dims:", tuple(report["block_dims"]))
+print("claims:", report["claims"])
+print("total dimension:", report["total_dim"])
 
 # One rank-1 sanity case with a closed form: U the sign representation,
 # V = m copies of it, slack d: k = max(m + 1, m + d).
 for m, d in [(1, 0), (2, 1), (3, 4)]:
     r = min_embedding_k(RepE(1, {(1,): 1}), RepE(1, {(1,): m}), d, FlagE.standard(1))
-    print(f"m={m}, d={d}: k = {r.k}")
+    print(f"m={m}, d={d}: k = {r['k']}")

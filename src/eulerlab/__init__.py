@@ -11,10 +11,9 @@ Everything is pure Python except the sampling of torus sphere maps in
 package does not load numpy.
 """
 
-from .bounds import BoundReport, HypothesisItem, bound_free_zero_set, bound_stiefel, bound_torus
+from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from .cohomology import (
     QuotientClass,
-    VerificationReport,
     euler_nonvanishing,
     flag_ring,
     presentation,
@@ -55,9 +54,9 @@ from .reps import (
     rep_to_doc,
     spanning_flag_from_support,
 )
-from .sympow import EmbeddingReport, min_embedding_k, sym_multiplicities
+from .report import Report
+from .sympow import min_embedding_k, sym_multiplicities
 from .torusmaps import (
-    EquivarianceReport,
     LineDecomposition,
     MapDescription,
     circle_example,

@@ -8,85 +8,41 @@ can be recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cohomology import euler_nonvanishing
 from .errors import HypothesisError, InputError, require_int
 from .flagsearch import find_rational_flag, reduced_flag_search
+from .report import ASSUMED, FAIL, PASS, Report, checklist
 from .reps import RepE, RepT, decompose, flag_to_doc, require_tables
 
-PASS = "pass"
-FAIL = "fail"
-ASSUMED = "assumed"
+
+def _report(theorem, checks, bound=None, witness=None, notes=()):
+    """The bound's report from its checklist of (description, status, evidence)
+    items.  A failed item blanks the bound and the witness and leaves the one
+    "not applicable" note."""
+    failure = checklist(checks)
+    if failure:
+        bound, witness, notes = None, None, ["not applicable: a hypothesis failed"]
+    witness = witness or {}
+    return Report([
+        ("theorem", "theorem", theorem),
+        ("hypotheses", None, [{"description": d, "status": s, "evidence": e} for d, s, e in checks]),
+        *((None, None, f"  [{s}] {d}" + (f"  ({e})" if e else "")) for d, s, e in checks),
+        ("bound", None, bound),
+        (None, "bound", "not applicable" if bound is None else bound),
+        ("witness", None, witness),
+        *((None, f"witness.{key}", value) for key, value in witness.items()),
+        ("notes", None, list(notes)),
+        *((None, "note", note) for note in notes),
+    ], failure)
 
 
-@dataclass(frozen=True)
-class HypothesisItem:
-    description: str
-    status: str
-    evidence: str = ""
-
-
-@dataclass
-class BoundReport:
-    theorem: str
-    hypotheses: list
-    bound: object = None
-    witness: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def applicable(self):
-        return self.bound is not None
-
-    @property
-    def failure(self):
-        """None when a bound applies, else the hypothesis-failure line naming the failed items."""
-        if self.applicable:
-            return None
-        failed = "; ".join(h.description for h in self.hypotheses if h.status == FAIL)
-        return f"hypothesis failure: {failed}"
-
-    def to_text(self):
-        lines = [f"theorem: {self.theorem}"]
-        for h in self.hypotheses:
-            suffix = f"  ({h.evidence})" if h.evidence else ""
-            lines.append(f"  [{h.status}] {h.description}{suffix}")
-        lines.append(f"bound: {self.bound if self.bound is not None else 'not applicable'}")
-        for key, value in self.witness.items():
-            lines.append(f"witness.{key}: {value}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-    def to_doc(self):
-        return {
-            "theorem": self.theorem,
-            "hypotheses": [
-                {"description": h.description, "status": h.status, "evidence": h.evidence}
-                for h in self.hypotheses
-            ],
-            "bound": self.bound,
-            "witness": self.witness,
-            "notes": list(self.notes),
-        }
-
-
-def _check(report, description, ok, evidence=""):
-    """Record one checklist item; a failed item makes the report not applicable."""
-    report.hypotheses.append(HypothesisItem(description, PASS if ok else FAIL, evidence))
-    if not ok:
-        report.bound = None
-        report.notes.append("not applicable: a hypothesis failed")
+def _check(checks, description, ok, evidence=""):
+    """Record one checklist item; returns whether it passed."""
+    checks.append((description, PASS if ok else FAIL, evidence))
     return ok
 
 
-def _fail(report, description, evidence=""):
-    _check(report, description, False, evidence)
-    return report
-
-
-def _certify(report, U, V, flag, flag_item, survival_item):
+def _certify(checks, U, V, flag, flag_item, survival_item):
     """Check that the flag is admissible for (U, V) and that e(V) survives.
 
     Returns (U block dims, V block dims, certificate), or None after recording
@@ -95,7 +51,7 @@ def _certify(report, U, V, flag, flag_item, survival_item):
     u_dims = decompose(U, flag).dims
     v_dims = decompose(V, flag).dims
     if not _check(
-        report,
+        checks,
         flag_item,
         all(a > b for a, b in zip(u_dims, v_dims)),
         f"U blocks {list(u_dims)}, V blocks {list(v_dims)}",
@@ -104,9 +60,9 @@ def _certify(report, U, V, flag, flag_item, survival_item):
     try:
         nonzero, certificate = euler_nonvanishing(U, V, flag)
     except HypothesisError as exc:
-        _fail(report, "euler class nonvanishing", str(exc))
+        _check(checks, "euler class nonvanishing", False, str(exc))
         return None
-    if not _check(report, survival_item, nonzero, f"normal form {certificate.text()}"):
+    if not _check(checks, survival_item, nonzero, f"normal form {certificate.text()}"):
         return None
     return u_dims, v_dims, certificate
 
@@ -119,35 +75,35 @@ def bound_free_zero_set(U, V):
     fixed space of the subgroup and carries a free action of the quotient.
     """
     require_tables(RepE, U, V)
-    report = BoundReport(theorem="free-zero-set", hypotheses=[])
+    theorem, checks = "free-zero-set", []
 
-    if not _check(report, "V^E = 0", not V.fixed_dim, f"dim V^E = {V.fixed_dim}"):
-        return report
+    if not _check(checks, "V^E = 0", not V.fixed_dim, f"dim V^E = {V.fixed_dim}"):
+        return _report(theorem, checks)
 
     gap = U.dim - V.dim
     evidence = f"dim U - dim V = {U.dim} - {V.dim} = {gap}, dim U^E = {U.fixed_dim}"
-    if not _check(report, "dim U - dim V > dim U^E", gap > U.fixed_dim, evidence):
-        return report
+    if not _check(checks, "dim U - dim V > dim U^E", gap > U.fixed_dim, evidence):
+        return _report(theorem, checks)
 
     try:
         search = reduced_flag_search(U, V)
     except HypothesisError as exc:
-        return _fail(report, "subgroup/flag construction", str(exc))
+        _check(checks, "subgroup/flag construction", False, str(exc))
+        return _report(theorem, checks)
 
     F = search.subgroup
     U1, V1 = search.quotient_module, search.quotient_target
     evidence = f"dim F = {F.dim}, dim U^F - dim V^F = {U1.dim} - {V1.dim} = {U1.dim - V1.dim}"
-    _check(report, "maximal subgroup F with dim U^F - dim V^F >= dim U - dim V", True, evidence)
+    _check(checks, "maximal subgroup F with dim U^F - dim V^F >= dim U - dim V", True, evidence)
     flag_item = "flag with dim U_i > dim V_i for every i (over the quotient group)"
     survival_item = "euler class of V^F survives in the quotient presentation"
-    certified = _certify(report, U1, V1, search.flag, flag_item, survival_item)
+    certified = _certify(checks, U1, V1, search.flag, flag_item, survival_item)
     if certified is None:
-        return report
+        return _report(theorem, checks)
     u_dims, v_dims, certificate = certified
 
     quotient_rank = U.rank - F.dim
-    report.bound = gap
-    report.witness = {
+    witness = {
         "subgroup_basis": [list(r) for r in F.basis],
         "quotient_rank": quotient_rank,
         "flag": flag_to_doc(search.flag),
@@ -156,11 +112,11 @@ def bound_free_zero_set(U, V):
         "relations": certificate.presentation.relation_texts(),
         "certificate": certificate.text(),
     }
-    report.notes.append(
+    note = (
         "the zero set contains a compact subspace of the fixed space of F, "
         f"free for the quotient group of rank {quotient_rank}"
     )
-    return report
+    return _report(theorem, checks, gap, witness, [note])
 
 
 def bound_stiefel(P, Q, n, kind="real"):
@@ -179,10 +135,10 @@ def bound_stiefel(P, Q, n, kind="real"):
     require_tables(cls, P, Q)
     n = require_int(n, "n")
     l = P.rank
-    report = BoundReport(theorem=f"stiefel-{kind}", hypotheses=[])
+    theorem, checks = f"stiefel-{kind}", []
 
-    if not _check(report, f"P^{cls.letter} = 0", not P.fixed_dim, f"fixed dimension {P.fixed_dim}"):
-        return report
+    if not _check(checks, f"P^{cls.letter} = 0", not P.fixed_dim, f"fixed dimension {P.fixed_dim}"):
+        return _report(theorem, checks)
 
     lines_desc = "labels of P form l independent lines, each of multiplicity 1"
     mults_ok = len(P.items()) == l and all(m == 1 for _, m in P.items())
@@ -193,47 +149,36 @@ def bound_stiefel(P, Q, n, kind="real"):
         except InputError:
             mults_ok = False
     evidence = f"dim P = {P.dim} = l" if mults_ok else f"entries {P.items()}"
-    if not _check(report, lines_desc, mults_ok, evidence):
-        return report
-
-    if not _check(report, f"Q^{cls.letter} = 0", not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}"):
-        return report
-    if not _check(report, "n > l", n > l, f"n = {n}, l = {l}"):
-        return report
+    if not (
+        _check(checks, lines_desc, mults_ok, evidence)
+        and _check(checks, f"Q^{cls.letter} = 0", not Q.fixed_dim, f"fixed dimension {Q.fixed_dim}")
+        and _check(checks, "n > l", n > l, f"n = {n}, l = {l}")
+    ):
+        return _report(theorem, checks)
 
     q_dims = decompose(Q, flag).dims
     if not _check(
-        report,
+        checks,
         "dim Q_i <= n - i for every i",
         all(q_dims[i] <= n - (i + 1) for i in range(l)),
         f"Q blocks {list(q_dims)}, caps {[n - i for i in range(1, l + 1)]}",
     ):
-        return report
+        return _report(theorem, checks)
 
-    if real:
-        certified = l * n - l * (l + 1) // 2 - Q.dim
-        printed = l * n - l * (l - 1) // 2 - Q.dim
-        report.bound = certified
-        report.witness = {
-            "flag": flag_to_doc(flag),
-            "q_block_dims": list(q_dims),
-            "bound_dimension_consistent": certified,
-            "bound_printed": printed,
-        }
-        report.notes.append(
-            "discrepancy: two top-degree conventions give bounds "
-            f"{certified} (orbit-space dimension l*n - l(l+1)/2 - dim Q, certified) "
-            f"and {printed} (variant l*n - l(l-1)/2 - dim Q, recorded as bound_printed)"
-        )
-        report.notes.append("zero-set non-empty")
-    else:
-        report.bound = 2 * l * n - l * l - 2 * Q.dim
-        report.witness = {
-            "flag": flag_to_doc(flag),
-            "q_block_dims": list(q_dims),
-        }
-        report.notes.append("zero-set non-empty and carries a free torus action")
-    return report
+    witness = {"flag": flag_to_doc(flag), "q_block_dims": list(q_dims)}
+    if not real:
+        note = "zero-set non-empty and carries a free torus action"
+        return _report(theorem, checks, 2 * l * n - l * l - 2 * Q.dim, witness, [note])
+    certified = l * n - l * (l + 1) // 2 - Q.dim
+    printed = l * n - l * (l - 1) // 2 - Q.dim
+    witness.update(bound_dimension_consistent=certified, bound_printed=printed)
+    notes = [
+        "discrepancy: two top-degree conventions give bounds "
+        f"{certified} (orbit-space dimension l*n - l(l+1)/2 - dim Q, certified) "
+        f"and {printed} (variant l*n - l(l-1)/2 - dim Q, recorded as bound_printed)",
+        "zero-set non-empty",
+    ]
+    return _report(theorem, checks, certified, witness, notes)
 
 
 def bound_torus(U, V, variant="interior"):
@@ -246,53 +191,46 @@ def bound_torus(U, V, variant="interior"):
     if variant not in ("interior", "annulus"):
         raise InputError(f"variant must be interior or annulus, got {variant!r}")
     require_tables(RepT, U, V)
-    report = BoundReport(theorem=f"torus-{variant}", hypotheses=[])
+    theorem, checks = f"torus-{variant}", []
 
     for name, rep in (("U", U), ("V", V)):
         fixed = rep.fixed_dim
         evidence = f"dim {name}^T = {fixed}" if fixed else "fixed dimension 0"
-        if not _check(report, f"{name}^T = 0", not fixed, evidence):
-            return report
+        if not _check(checks, f"{name}^T = 0", not fixed, evidence):
+            return _report(theorem, checks)
 
     gap = U.dim - V.dim
 
     if variant == "annulus":
         evidence = f"dim_C U = {U.dim}, dim_C V = {V.dim}"
-        if not _check(report, "dim_C U > dim_C V", gap > 0, evidence):
-            return report
-        report.hypotheses.append(
-            HypothesisItem(
-                "boundary condition assumed: the invariant scalar map is negative at the "
-                "origin and positive for large norm",
-                ASSUMED,
-                "analytic input, not checked symbolically",
-            )
-        )
-        report.bound = 2 * gap - 1
-        report.notes.append(
-            "bound applies to the intersection of the zero set with the level shell"
-        )
-        return report
+        if not _check(checks, "dim_C U > dim_C V", gap > 0, evidence):
+            return _report(theorem, checks)
+        checks.append((
+            "boundary condition assumed: the invariant scalar map is negative at the "
+            "origin and positive for large norm",
+            ASSUMED,
+            "analytic input, not checked symbolically",
+        ))
+        note = "bound applies to the intersection of the zero set with the level shell"
+        return _report(theorem, checks, 2 * gap - 1, None, [note])
 
     flag_item = "rational flag with dim U_i > dim V_i for every i"
     try:
         flag = find_rational_flag(U, V)
     except HypothesisError as exc:
-        return _fail(report, flag_item, str(exc))
+        _check(checks, flag_item, False, str(exc))
+        return _report(theorem, checks)
     survival_item = "euler class of V survives in the quotient presentation"
-    certified = _certify(report, U, V, flag, flag_item, survival_item)
+    certified = _certify(checks, U, V, flag, flag_item, survival_item)
     if certified is None:
-        return report
+        return _report(theorem, checks)
     u_dims, v_dims, certificate = certified
 
-    report.bound = 2 * gap
-    report.witness = {
+    witness = {
         "flag": flag_to_doc(flag),
         "module_block_dims": list(u_dims),
         "target_block_dims": list(v_dims),
         "certificate": certificate.text(),
     }
-    report.notes.append(
-        "the zero set contains a compact subspace on which the torus acts with finite isotropy"
-    )
-    return report
+    note = "the zero set contains a compact subspace on which the torus acts with finite isotropy"
+    return _report(theorem, checks, 2 * gap, witness, [note])

@@ -13,15 +13,15 @@ sample, seeded by --seed, else EULERLAB_SEED, else 0; only torus-example
 needs numpy, which is not loaded before it runs.  Exit codes: 0 success, 1
 hypothesis failure, 2 input error.
 
-Every subcommand handler returns one report, which renders itself:
+Every subcommand handler returns one `report.Report`, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
 with --machine as a single JSON line, and `failure` is None on success or
-else the stderr line for exit 1.  The bound theorems return their
-`BoundReport`; the other handlers build a `Report` from (key, label, value)
-rows and nest the library's `VerificationReport` or `EquivarianceReport`.
-`run` only prints the report and takes its exit code from `failure`; errors
-raised before a report exists print `error: ...` (exit 2) or
-`hypothesis failure: ...` (exit 1).
+else the stderr line for exit 1.  bound and sympow with a target return the
+calculator's report as it is; the other handlers build theirs from (key,
+label, value) rows, nesting the report of `verify_flag_ring` or
+`verify_equivariance`.  `run` only prints the report and takes its exit code
+from `failure`; errors raised before a report exists print `error: ...`
+(exit 2) or `hypothesis failure: ...` (exit 1).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
 from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
+from .report import Report
 from .reps import (
     RepE,
     decompose,
@@ -110,47 +111,13 @@ def _pair_from_doc(doc):
     return rep_from_doc(doc, key="module"), rep_from_doc(doc, key="target")
 
 
-class Report:
-    """Result rows declared once, as (key, label, value).
-
-    The document maps key -> value; the text prints `label: value`, booleans
-    as yes/no.  A row with key None is text only, one with label None is
-    document only.  A nested report (or None) adds its document under its
-    key, its text after the rows, and its failure.
-    """
-
-    def __init__(self, rows, **nested):
-        self.rows = rows
-        self.nested = nested
-
-    def to_doc(self):
-        doc = {key: value for key, _, value in self.rows if key is not None}
-        doc.update((key, None if r is None else r.to_doc()) for key, r in self.nested.items())
-        return doc
-
-    def to_text(self):
-        lines = [f"{label}: {_show(value)}" for _, label, value in self.rows if label is not None]
-        lines.extend(r.to_text() for r in self.nested.values() if r is not None)
-        return "\n".join(lines)
-
-    @property
-    def failure(self):
-        return next((r.failure for r in self.nested.values() if r is not None and r.failure), None)
-
-
-def _show(value):
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return value
-
-
 def _flag_rows(flag):
     doc = flag_to_doc(flag)
     return [("flag", None, doc), (None, "flag dual basis", doc["dual_basis"])]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns a report (Report, BoundReport, ...)
+# Subcommand handlers: each returns a Report
 # ---------------------------------------------------------------------------
 
 def _cmd_reduce(args):
@@ -225,13 +192,15 @@ def _cmd_flag_ring(args):
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
     seed = _resolve_seed(args)
-    verification = None
     if args.verify and bounds is None:
-        # first, so that a check too large to run is refused before any relation is built
-        verification = cohomology.verify_flag_ring(args.n, args.l, samples=args.samples, seed=seed)
+        # a check too large to run is refused before any relation is built
+        cohomology.require_verifiable(args.n, args.l)
     pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
-    if args.verify and bounds is not None:
-        raise InputError("--verify applies to the unbounded flag ring only")
+    verification = None
+    if args.verify:
+        if bounds is not None:
+            raise InputError("--verify applies to the unbounded flag ring only")
+        verification = cohomology.verify_flag_ring(args.n, args.l, args.samples, seed, presentation=pres)
     return Report([
         ("n", None, args.n),
         ("l", None, args.l),
@@ -239,7 +208,8 @@ def _cmd_flag_ring(args):
         ("relations", "relations", pres.relation_texts()),
         ("lead_degrees", "lead degrees", list(pres.lead_degrees)),
         ("quotient_dim", "quotient dimension", pres.quotient_dimension),
-    ], verification=verification)
+        ("verification", None, verification),
+    ])
 
 
 def _cmd_sympow(args):
@@ -258,18 +228,7 @@ def _cmd_sympow(args):
             *((None, f"  char {e['char']}", e["mult"]) for e in entries),
         ])
     V = rep_from_doc(doc, key="target")
-    flag = _doc_flag(doc, U) or spanning_flag_from_support(U)
-    report = sympow.min_embedding_k(U, V, d, flag)
-    return Report([
-        ("k", "minimal k", report.k),
-        ("degree_target", None, report.degree_target),
-        ("block_dims", "block dims", list(report.block_dims)),
-        ("target_block_dims", "target block dims", list(report.target_block_dims)),
-        ("total_dim", "total dim", report.total_dim),
-        ("fixed_dim", None, report.fixed_dim),
-        ("claims", "claims", dict(report.claims)),
-        ("flag", None, flag_to_doc(flag)),
-    ])
+    return sympow.min_embedding_k(U, V, d, _doc_flag(doc, U) or spanning_flag_from_support(U))
 
 
 def _cmd_torus_decompose(args):
@@ -291,7 +250,8 @@ def _cmd_torus_example(args):
         ("map", None, doc),
         (None, "map weights", f"source {weights[0]}, target {weights[1]}"),
         (None, "cofactors", f"a'={m.params['a_prime']}, b'={m.params['b_prime']}"),
-    ], verification=report)
+        ("verification", None, report),
+    ])
 
 
 def build_parser():

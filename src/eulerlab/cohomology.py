@@ -16,6 +16,7 @@ from math import comb, perm
 
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2, Poly, TriangularSystem, format_poly, reduce
+from .report import FAIL, PASS, Report, checklist
 from .reps import FlagE, RepE, decompose, euler_poly
 
 
@@ -137,33 +138,6 @@ def flag_ring(n, l, bounds=None):
     )
 
 
-@dataclass
-class VerificationReport:
-    """Line-oriented pass/fail items plus a machine-readable mirror."""
-
-    items: list
-
-    @property
-    def passed(self):
-        return all(ok for _, ok in self.items)
-
-    @property
-    def failure(self):
-        """None when every item passes, else the hypothesis-failure line naming the failed items."""
-        if self.passed:
-            return None
-        return "hypothesis failure: " + "; ".join(name for name, ok in self.items if not ok)
-
-    def to_text(self):
-        return "\n".join(f"{name}: {'pass' if ok else 'fail'}" for name, ok in self.items)
-
-    def to_doc(self):
-        return {
-            "items": [{"name": name, "status": "pass" if ok else "fail"} for name, ok in self.items],
-            "passed": self.passed,
-        }
-
-
 def _random_bounded_table(rng, n, l):
     """Random table with zero fixed part and block dims q_i <= n - i (standard flag).
 
@@ -187,22 +161,28 @@ def _coset_vectors(l, i):
     return [tuple((bits >> j) & 1 for j in low) + (1,) + (0,) * (l - i) for bits in range(2 ** (i - 1))]
 
 
-def verify_flag_ring(n, l, samples=25, seed=0):
+def require_verifiable(n, l):
+    """Refuse, before anything is built, a flag ring too large for
+    `verify_flag_ring`: item (a)'s largest sum, the class symmetrized from
+    relation 1, has comb(n + l - 1, l - 1) terms."""
+    _relation_degrees(n, l, None)
+    _check_relation_size(n, l, "the symmetrized flag-ring class")
+
+
+def verify_flag_ring(n, l, samples=25, seed=0, presentation=None):
     """Check the structural identities of the flag-ring presentation.
 
     Items: (a) each symmetrized relation in all l variables equals the stated
     combination of the presentation's relations; (b) the product of the
     t_i^(n-i) survives in the quotient; (c) the quotient dimension is
     n!/(n-l)!; (d) for random tables with block dims <= n - i the Euler class
-    survives (skipped when samples = 0).
+    survives (skipped when samples = 0).  `presentation` is `flag_ring(n, l)`
+    when the caller has built it already; it is built here otherwise.
     """
     samples = require_count(samples, "sample count", MAX_FLAG_RING_SAMPLES)
     seed = require_int(seed, "seed")
-    # item (a)'s largest sum, the class symmetrized from relation 1, is
-    # refused before the presentation is built
-    _relation_degrees(n, l, None)
-    _check_relation_size(n, l, "the symmetrized flag-ring class")
-    pres = flag_ring(n, l)
+    require_verifiable(n, l)
+    pres = flag_ring(n, l) if presentation is None else presentation
     items = []
 
     ok = True
@@ -236,4 +216,9 @@ def verify_flag_ring(n, l, samples=25, seed=0):
                 break
         items.append((f"random-tables-euler-nonzero ({samples} samples)", ok))
 
-    return VerificationReport(items=items)
+    items = [(name, PASS if ok else FAIL) for name, ok in items]
+    return Report([
+        ("items", None, [{"name": name, "status": status} for name, status in items]),
+        *((None, name, status) for name, status in items),
+        ("passed", None, all(status == PASS for _, status in items)),
+    ], checklist(items))

@@ -13,12 +13,12 @@ which two running sums of alternate powers carry, dividing exactly by d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2
-from .reps import RepE, decompose, require_no_fixed_part, require_tables
+from .report import Report
+from .reps import RepE, decompose, flag_to_doc, require_no_fixed_part, require_tables
 
 # Largest symmetric-power degree, and largest dim span(supp U) (the subgroup
 # scan's bound).  S^d costs d steps of |supp U| * 2^span products.  A
@@ -53,19 +53,6 @@ def sym_multiplicities(U, d):
         prev, prev2 = prev2, prev
     table = {tuple((label >> i) & 1 for i in range(U.rank)): c for label, c in power.items()}
     return RepE(U.rank, dict(sorted(table.items())))
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Least k whose odd symmetric sum dominates the target at every block."""
-
-    k: int
-    degree_target: int
-    block_dims: tuple
-    target_block_dims: tuple
-    total_dim: int
-    fixed_dim: int
-    claims: dict
 
 
 def min_embedding_k(U, V, d, flag):
@@ -118,4 +105,13 @@ def min_embedding_k(U, V, d, flag):
                     a >= k * b for a, b in zip(dims, base_dims)
                 ),
             }
-            return EmbeddingReport(k, d, dims, target_dims, total_dim, fixed_dim, claims)
+            return Report([
+                ("k", "minimal k", k),
+                ("degree_target", None, d),
+                ("block_dims", "block dims", list(dims)),
+                ("target_block_dims", "target block dims", list(target_dims)),
+                ("total_dim", "total dim", total_dim),
+                ("fixed_dim", None, fixed_dim),
+                ("claims", "claims", claims),
+                ("flag", None, flag_to_doc(flag)),
+            ])

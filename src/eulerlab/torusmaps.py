@@ -18,6 +18,7 @@ from numbers import Real
 
 from . import linalg
 from .errors import InputError, require_count, require_int
+from .report import Report
 from .reps import RepT, line_blocks, rep_entries_doc, require_tables
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
@@ -297,59 +298,6 @@ def join_assemble(parts):
     )
 
 
-@dataclass
-class EquivarianceReport:
-    """Numeric equivariance residuals plus the circle-specific symbolic check."""
-
-    tag: str
-    samples: int
-    tol: float
-    seed: int
-    max_residual: float
-    equivariant: bool
-    min_norm: object = None
-    zero_set_isolated: object = None
-
-    @property
-    def passed(self):
-        return self.equivariant and self.zero_set_isolated is not False
-
-    @property
-    def failure(self):
-        """None when the map passed, else the hypothesis-failure line."""
-        return None if self.passed else "hypothesis failure: equivariance verification failed"
-
-    def to_text(self):
-        lines = [
-            f"map: {self.tag}",
-            f"samples: {self.samples}  tol: {self.tol}  seed: {self.seed}",
-            f"max residual: {self.max_residual:.3e}",
-            f"equivariant: {'yes' if self.equivariant else 'no'}",
-        ]
-        if self.min_norm is not None:
-            lines.append(f"min |f| on sphere samples: {self.min_norm:.6e}")
-        if self.zero_set_isolated is not None:
-            lines.append(
-                "zero set reduced to the origin (symbolic): "
-                + ("yes" if self.zero_set_isolated else "no")
-            )
-        lines.append(f"passed: {'yes' if self.passed else 'no'}")
-        return "\n".join(lines)
-
-    def to_doc(self):
-        return {
-            "tag": self.tag,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "max_residual": self.max_residual,
-            "equivariant": self.equivariant,
-            "min_norm": self.min_norm,
-            "zero_set_isolated": self.zero_set_isolated,
-            "passed": self.passed,
-        }
-
-
 def _circle_zero_set_isolated(params):
     # Second coordinate x^a' * conj(y)^b' vanishes only on the axes when both
     # exponents are >= 1; the first coordinate then reduces to a pure power of
@@ -393,15 +341,29 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     f_tx = np.asarray(m.evaluator(src_phase * xs), dtype=complex)
     residuals = np.linalg.norm(f_tx - tgt_phase * fx, axis=-1)
     max_residual = float(np.max(residuals))
-    report = EquivarianceReport(
-        tag=m.tag,
-        samples=samples,
-        tol=float(tol),
-        seed=seed,
-        max_residual=max_residual,
-        equivariant=max_residual < tol,
-    )
+    equivariant = max_residual < tol
+    rows = [
+        ("tag", "map", m.tag),
+        ("samples", None, samples),
+        ("tol", None, float(tol)),
+        ("seed", None, seed),
+        (None, None, f"samples: {samples}  tol: {float(tol)}  seed: {seed}"),
+        ("max_residual", None, max_residual),
+        (None, "max residual", f"{max_residual:.3e}"),
+        ("equivariant", "equivariant", equivariant),
+    ]
+    min_norm = zero_set_isolated = None
     if m.tag == "circle-example":
-        report.min_norm = float(np.min(np.linalg.norm(fx, axis=-1)))
-        report.zero_set_isolated = _circle_zero_set_isolated(m.params)
-    return report
+        min_norm = float(np.min(np.linalg.norm(fx, axis=-1)))
+        zero_set_isolated = _circle_zero_set_isolated(m.params)
+        rows += [
+            (None, "min |f| on sphere samples", f"{min_norm:.6e}"),
+            (None, "zero set reduced to the origin (symbolic)", zero_set_isolated),
+        ]
+    passed = equivariant and zero_set_isolated is not False
+    rows += [
+        ("min_norm", None, min_norm),
+        ("zero_set_isolated", None, zero_set_isolated),
+        ("passed", "passed", passed),
+    ]
+    return Report(rows, None if passed else "hypothesis failure: equivariance verification failed")

@@ -133,12 +133,12 @@ def test_acceptance_3_flag_ring_suite():
     for n in range(2, 7):
         for l in range(1, n + 1):
             report = verify_flag_ring(n, l, samples=0)
-            assert report.passed, f"structural items failed for n={n}, l={l}: {report.to_text()}"
+            assert report["passed"], f"structural items failed for n={n}, l={l}: {report.to_text()}"
             assert flag_ring(n, l).quotient_dimension == factorial(n) // factorial(n - l)
     for n in range(2, 6):
         for l in range(1, min(n, 3) + 1):
             report = verify_flag_ring(n, l, samples=100, seed=0)
-            assert report.passed, f"random-table item failed for n={n}, l={l}"
+            assert report["passed"], f"random-table item failed for n={n}, l={l}"
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"criterion 3 took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 (flag-ring suite, {elapsed:.1f}s): PASS")
@@ -207,14 +207,14 @@ def test_acceptance_5_stiefel_bounds():
             qtable[tuple(1 if j == i else 0 for j in range(l))] = n - (i + 1)
         report = bound_stiefel(P, RepE(l, qtable), n, kind="real")
         assert report.applicable
-        assert report.witness["bound_printed"] == l
-        assert report.witness["bound_dimension_consistent"] == 0
-        assert report.bound == 0
-        assert any("discrepancy" in note for note in report.notes)
+        assert report["witness"]["bound_printed"] == l
+        assert report["witness"]["bound_dimension_consistent"] == 0
+        assert report["bound"] == 0
+        assert any("discrepancy" in note for note in report["notes"])
     for n in (2, 4, 7):
         P = RepT(1, {(1,): 1})
         report = bound_stiefel(P, RepT(1, {(1,): n - 1}), n, kind="complex")
-        assert report.applicable and report.bound == 1
+        assert report.applicable and report["bound"] == 1
     print("\nACCEPTANCE 5 (stiefel bounds, exact integers): PASS")
 
 
@@ -278,9 +278,9 @@ def test_acceptance_7_circle_example():
                 ap, bp = m.params["a_prime"], m.params["b_prime"]
                 assert a * ap - b * bp == 1
                 report = verify_equivariance(m, samples=10000, tol=1e-9, seed=0)
-                assert report.equivariant, f"(a,b,c)=({a},{b},{c}) residual {report.max_residual}"
-                assert report.zero_set_isolated is True
-                assert report.min_norm > 0
+                assert report["equivariant"], f"(a,b,c)=({a},{b},{c}) residual {report['max_residual']}"
+                assert report["zero_set_isolated"] is True
+                assert report["min_norm"] > 0
                 # negative control: first coordinate slot declared one weight too high
                 slots = coordinate_weights(m.target)
                 slots[0] = (slots[0][0] + 1,)
@@ -292,7 +292,7 @@ def test_acceptance_7_circle_example():
                     evaluator=m.evaluator, tag="user",
                 )
                 bad = verify_equivariance(corrupted, samples=10000, seed=0)
-                assert bad.max_residual > 1e-3
+                assert bad["max_residual"] > 1e-3
     print("\nACCEPTANCE 7 (circle example, all coprime a,b <= 7, c <= 3): PASS")
 
 

@@ -71,3 +71,17 @@ def test_euler_f2_counters_are_pinned():
             workload.run(case)
     metrics = tracer.metrics()
     assert {key: metrics[key] for key in EULER_F2_COUNTERS} == EULER_F2_COUNTERS
+
+
+@pytest.mark.filterwarnings("ignore:fixed part of dimension")
+def test_traced_bound_workloads_read_their_reports():
+    # the hooks of the bound spans read the returned report (`applicable`);
+    # the euler-f2 pass above never calls a bound calculator
+    workloads = load("workloads").WORKLOADS
+    with load("tracing").Tracer() as tracer:
+        for name, count in (("subgroup-scan", 3), ("cli-mix", 20)):
+            for case in workloads[name].cases(101, count):
+                workloads[name].run(case)
+    metrics = tracer.metrics()
+    assert metrics["bounds.bound_free_zero_set.calls"] + metrics["bounds.bound_torus.calls"] > 0
+    assert metrics["bounds.applicable_frac"] > 0

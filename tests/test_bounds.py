@@ -32,27 +32,27 @@ A, B, AB = (1, 0), (0, 1), (1, 1)
 
 def test_free_zero_set_classical():
     rep = bound_free_zero_set(RepE(1, {(1,): 5}), RepE(1, {(1,): 2}))
-    assert rep.applicable and rep.bound == 3
+    assert rep.applicable and rep["bound"] == 3
 
 
 def test_free_zero_set_worked_example():
     rep = bound_free_zero_set(RepE(2, {A: 3, B: 1, AB: 1}), RepE(2, {A: 1}))
-    assert rep.bound == 4
-    assert rep.witness["subgroup_basis"] == []
-    assert rep.witness["module_block_dims"] == [3, 2]
+    assert rep["bound"] == 4
+    assert rep["witness"]["subgroup_basis"] == []
+    assert rep["witness"]["module_block_dims"] == [3, 2]
 
 
 def test_free_zero_set_not_applicable():
     rep = bound_free_zero_set(RepE(1, {(0,): 2}), RepE(1, {(1,): 1}))
-    assert not rep.applicable and rep.bound is None
-    assert any(h.status == "fail" for h in rep.hypotheses)
+    assert not rep.applicable and rep["bound"] is None
+    assert any(h["status"] == "fail" for h in rep["hypotheses"])
 
 
 def test_free_zero_set_uses_subgroup_reduction():
     rep = bound_free_zero_set(RepE(2, {A: 2}), RepE(2, {}))
-    assert rep.bound == 2
-    assert rep.witness["subgroup_basis"] == [[0, 1]]
-    assert rep.witness["quotient_rank"] == 1
+    assert rep["bound"] == 2
+    assert rep["witness"]["subgroup_basis"] == [[0, 1]]
+    assert rep["witness"]["quotient_rank"] == 1
 
 
 def test_free_zero_set_report_serializes():
@@ -68,16 +68,16 @@ def test_free_zero_set_witness_recomputes():
     U = RepE(2, {A: 3, B: 1, AB: 1})
     V = RepE(2, {A: 1})
     rep = bound_free_zero_set(U, V)
-    F = Subgroup(2, rep.witness["subgroup_basis"])
+    F = Subgroup(2, rep["witness"]["subgroup_basis"])
     U1, V1 = fixed_subrep(U, F), fixed_subrep(V, F)
-    flag = flag_from_doc(rep.witness["flag"], "elem_abelian_2", rep.witness["quotient_rank"])
-    assert list(decompose(U1, flag).dims) == rep.witness["module_block_dims"]
-    assert list(decompose(V1, flag).dims) == rep.witness["target_block_dims"]
+    flag = flag_from_doc(rep["witness"]["flag"], "elem_abelian_2", rep["witness"]["quotient_rank"])
+    assert list(decompose(U1, flag).dims) == rep["witness"]["module_block_dims"]
+    assert list(decompose(V1, flag).dims) == rep["witness"]["target_block_dims"]
     pres = presentation(U1, flag)
-    assert pres.relation_texts() == rep.witness["relations"]
+    assert pres.relation_texts() == rep["witness"]["relations"]
     from eulerlab.reps import euler_poly
 
-    assert format_poly(reduce(euler_poly(V1, flag), pres)) == rep.witness["certificate"]
+    assert format_poly(reduce(euler_poly(V1, flag), pres)) == rep["witness"]["certificate"]
 
 
 @pytest.mark.filterwarnings("ignore:fixed part of dimension")
@@ -112,7 +112,7 @@ def test_free_zero_set_invariant_under_relabeling():
         base = bound_free_zero_set(U, V)
         moved = bound_free_zero_set(relabel(U), relabel(V))
         assert base.applicable == moved.applicable
-        assert base.bound == moved.bound
+        assert base["bound"] == moved["bound"]
 
 
 def test_free_zero_set_trivial_summand_shifts_bound():
@@ -122,7 +122,7 @@ def test_free_zero_set_trivial_summand_shifts_bound():
     with pytest.warns(UserWarning, match="fixed part of dimension"):
         bigger = bound_free_zero_set(U.direct_sum(RepE(2, {(0, 0): 1})), V)
     assert bigger.applicable == base.applicable
-    assert bigger.bound == base.bound + 1
+    assert bigger["bound"] == base["bound"] + 1
 
 
 # -- stiefel ---------------------------------------------------------------------
@@ -137,11 +137,11 @@ def test_stiefel_real_sphere_case():
     Q = RepE(1, {(1,): n - 1})
     rep = bound_stiefel(P, Q, n, kind="real")
     assert rep.applicable
-    assert rep.witness["bound_dimension_consistent"] == 0
-    assert rep.witness["bound_printed"] == 1
-    assert rep.bound == 0
-    assert any("discrepancy" in note for note in rep.notes)
-    assert any("non-empty" in note for note in rep.notes)
+    assert rep["witness"]["bound_dimension_consistent"] == 0
+    assert rep["witness"]["bound_printed"] == 1
+    assert rep["bound"] == 0
+    assert any("discrepancy" in note for note in rep["notes"])
+    assert any("non-empty" in note for note in rep["notes"])
 
 
 def test_stiefel_real_tautological_target():
@@ -155,8 +155,8 @@ def test_stiefel_real_tautological_target():
         Q = RepE(l, qtable)
         rep = bound_stiefel(P, Q, n, kind="real")
         assert rep.applicable
-        assert rep.witness["bound_printed"] == l
-        assert rep.witness["bound_dimension_consistent"] == 0
+        assert rep["witness"]["bound_printed"] == l
+        assert rep["witness"]["bound_dimension_consistent"] == 0
 
 
 def test_stiefel_real_hypothesis_failures():
@@ -176,8 +176,8 @@ def test_stiefel_complex_circle_case():
         P = RepT(1, {(1,): 1})
         Q = RepT(1, {(1,): n - 1})
         rep = bound_stiefel(P, Q, n, kind="complex")
-        assert rep.applicable and rep.bound == 1
-        assert "bound_printed" not in rep.witness
+        assert rep.applicable and rep["bound"] == 1
+        assert "bound_printed" not in rep["witness"]
 
 
 def test_stiefel_complex_rank_two():
@@ -186,21 +186,21 @@ def test_stiefel_complex_rank_two():
     n = 3
     rep = bound_stiefel(P, Q, n, kind="complex")
     assert rep.applicable
-    assert rep.bound == 2 * 2 * n - 4 - 2 * Q.dim
+    assert rep["bound"] == 2 * 2 * n - 4 - 2 * Q.dim
 
 
 # -- torus ------------------------------------------------------------------------
 
 def test_torus_interior_rank_one():
     rep = bound_torus(RepT(1, {(1,): 2}), RepT(1, {(5,): 1}), variant="interior")
-    assert rep.applicable and rep.bound == 2
-    assert rep.witness["certificate"]
+    assert rep.applicable and rep["bound"] == 2
+    assert rep["witness"]["certificate"]
 
 
 def test_torus_annulus_rank_one():
     rep = bound_torus(RepT(1, {(1,): 2}), RepT(1, {(1,): 1}), variant="annulus")
-    assert rep.applicable and rep.bound == 1
-    assert any(h.status == "assumed" for h in rep.hypotheses)
+    assert rep.applicable and rep["bound"] == 1
+    assert any(h["status"] == "assumed" for h in rep["hypotheses"])
 
 
 def test_torus_annulus_equal_dims_not_applicable():
@@ -220,10 +220,10 @@ def test_torus_interior_witness_recomputes():
     U = RepT(2, {(1, 0): 2, (0, 1): 2})
     V = RepT(2, {(1, 1): 1})
     rep = bound_torus(U, V, variant="interior")
-    assert rep.applicable and rep.bound == 2 * (4 - 1)
-    flag = flag_from_doc(rep.witness["flag"], "torus", 2)
-    assert list(decompose(U, flag).dims) == rep.witness["module_block_dims"]
-    assert list(decompose(V, flag).dims) == rep.witness["target_block_dims"]
+    assert rep.applicable and rep["bound"] == 2 * (4 - 1)
+    flag = flag_from_doc(rep["witness"]["flag"], "torus", 2)
+    assert list(decompose(U, flag).dims) == rep["witness"]["module_block_dims"]
+    assert list(decompose(V, flag).dims) == rep["witness"]["target_block_dims"]
 
 
 def test_torus_interior_needs_backtracking():
@@ -231,9 +231,9 @@ def test_torus_interior_needs_backtracking():
     U = RepT(2, {(1, 0): 3, (0, 1): 3})
     V = RepT(2, {(3, 0): 2, (1, 3): 2})
     rep = bound_torus(U, V, variant="interior")
-    assert rep.applicable and rep.bound == 4
-    assert rep.witness["flag"] == {"dual_basis": [[1, 0], [0, 1]]}
-    assert rep.witness["certificate"] == "81*T1^2*T2^2"
+    assert rep.applicable and rep["bound"] == 4
+    assert rep["witness"]["flag"] == {"dual_basis": [[1, 0], [0, 1]]}
+    assert rep["witness"]["certificate"] == "81*T1^2*T2^2"
 
 
 # -- the certificate's failure branches ----------------------------------------------
@@ -294,12 +294,12 @@ _THEOREMS = {
 ])
 def test_certificate_failure_refuses_the_bound(monkeypatch, theorem, fault):
     U, V = _FAULT_PAIRS[theorem]
-    assert _THEOREMS[theorem](U, V).bound is not None
+    assert _THEOREMS[theorem](U, V)["bound"] is not None
     item = fault(monkeypatch)
 
     rep = _THEOREMS[theorem](U, V)
-    assert rep.bound is None and not rep.applicable
-    failed = [h.description for h in rep.hypotheses if h.status == "fail"]
+    assert rep["bound"] is None and not rep.applicable
+    failed = [h["description"] for h in rep["hypotheses"] if h["status"] == "fail"]
     assert len(failed) == 1 and item in failed[0]
     assert rep.failure == f"hypothesis failure: {failed[0]}"
 

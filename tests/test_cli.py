@@ -104,12 +104,15 @@ def test_help_goes_to_the_given_stdout(capsys):
 
 
 def test_failed_flag_ring_verification_exit_one(monkeypatch):
-    failed = cohomology.VerificationReport(items=[("top-class-nonzero", True), ("quotient-dimension", False)])
-    monkeypatch.setattr(cohomology, "verify_flag_ring", lambda *args, **kwargs: failed)
+    # n!/(n-l)! is never 0, so the quotient-dimension item fails and no other
+    monkeypatch.setattr(cohomology, "perm", lambda n, l: 0)
     code, out, err = invoke(["flag-ring", "-n", "3", "-l", "2", "--verify", "--machine"])
     assert code == 1
     assert err == "hypothesis failure: quotient-dimension\n"
-    assert json.loads(out)["verification"] == failed.to_doc()
+    names = ["symmetrized-relations-identity", "top-class-nonzero", "quotient-dimension",
+             "random-tables-euler-nonzero (25 samples)"]
+    items = [{"name": name, "status": "fail" if name == "quotient-dimension" else "pass"} for name in names]
+    assert json.loads(out)["verification"] == {"items": items, "passed": False}
 
 
 def test_malformed_json_exit_two(tmp_path):
@@ -282,6 +285,24 @@ def test_flag_ring_verify_refuses_the_symmetrized_class_exit_two():
         "error: the symmetrized flag-ring class would have 135751 terms, "
         f"above the limit of {cohomology.MAX_RELATION_TERMS}\n"
     )
+
+
+def test_flag_ring_verify_builds_the_presentation_once(monkeypatch):
+    calls = []
+    build = cohomology.flag_ring
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "flag_ring", counted)
+    code, out, err = invoke(["flag-ring", "-n", "4", "-l", "2", "--verify", "--samples", "3"])
+    assert (code, err) == (0, "")
+    assert "quotient-dimension: pass" in out
+    assert len(calls) == 1
+    code, out, err = invoke(["flag-ring", "-n", "40", "-l", "5", "--verify", "--samples", "0"])
+    assert code == 2 and "symmetrized flag-ring class" in err
+    assert len(calls) == 1
 
 
 def test_flag_ring_verify_large_n_at_one_step():

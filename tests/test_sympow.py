@@ -200,14 +200,14 @@ def test_min_k_rank_one_formula():
             report = min_embedding_k(
                 RepE(1, {(1,): 1}), RepE(1, {(1,): m}), d, FlagE.standard(1)
             )
-            assert report.k == max(m + 1, m + d)
+            assert report["k"] == max(m + 1, m + d)
 
 
 def test_min_k_degree_zero():
     report = min_embedding_k(RepE(1, {(1,): 1}), RepE(1, {(1,): 1}), 0, FlagE.standard(1))
-    assert report.k == 2
-    assert report.claims["per_degree_at_least_base"]
-    assert report.claims["accumulated_at_least_k_times_base"]
+    assert report["k"] == 2
+    assert report["claims"]["per_degree_at_least_base"]
+    assert report["claims"]["accumulated_at_least_k_times_base"]
 
 
 def test_min_k_spanning_failure():
@@ -231,15 +231,15 @@ def test_min_k_report_consistency():
     U = RepE(2, {A: 1, B: 1, AB: 1})
     V = RepE(2, {A: 2, B: 1})
     report = min_embedding_k(U, V, 3, FlagE.standard(2))
-    assert odd_sum(U, report.k).dim == report.total_dim
-    assert all(a > t for a, t in zip(report.block_dims, report.target_block_dims))
-    assert report.total_dim - V.dim >= 3
-    if report.k > 1:
+    assert odd_sum(U, report["k"]).dim == report["total_dim"]
+    assert all(a > t for a, t in zip(report["block_dims"], report["target_block_dims"]))
+    assert report["total_dim"] - V.dim >= 3
+    if report["k"] > 1:
         # k is minimal: k-1 fails one of the two conditions
-        smaller = odd_sum(U, report.k - 1)
+        smaller = odd_sum(U, report["k"] - 1)
         dims = decompose(smaller, FlagE.standard(2)).dims
         assert (
-            any(a <= t for a, t in zip(dims, report.target_block_dims))
+            any(a <= t for a, t in zip(dims, report["target_block_dims"]))
             or smaller.dim - V.dim < 3
         )
 
@@ -254,11 +254,11 @@ def test_min_k_sums_match_the_direct_sum():
         V = RepE(rank, {c: rng.randint(1, 4) for c in rng.sample(units, rng.randint(1, rank))})
         flag = FlagE.standard(rank)
         report = min_embedding_k(U, V, rng.randint(0, 30), flag)
-        acc = odd_sum(U, report.k)
+        acc = odd_sum(U, report["k"])
         blocks = decompose(acc, flag)
-        assert report.block_dims == blocks.dims
-        assert report.fixed_dim == blocks.fixed_dim > 0
-        assert report.total_dim == acc.dim
+        assert tuple(report["block_dims"]) == blocks.dims
+        assert report["fixed_dim"] == blocks.fixed_dim > 0
+        assert report["total_dim"] == acc.dim
 
 
 # -- the degree and span caps ----------------------------------------------------------
@@ -276,7 +276,7 @@ def test_min_k_stops_at_the_degree_cap():
     # the closed form k = max(m + 1, m + d) puts S^(2k-1) just past the cap
     m = (MAX_SYM_DEGREE + 1) // 2
     sign = RepE(1, {(1,): 1})
-    assert min_embedding_k(sign, RepE(1, {(1,): m - 1}), 1, FlagE.standard(1)).k == m
+    assert min_embedding_k(sign, RepE(1, {(1,): m - 1}), 1, FlagE.standard(1))["k"] == m
     with pytest.raises(ResourceLimitError) as exc:
         min_embedding_k(sign, RepE(1, {(1,): m}), 1, FlagE.standard(1))
     assert str(exc.value) == "symmetric power degree 101 is above the limit of 100"
