@@ -192,14 +192,15 @@ def _cmd_flag_ring(args):
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
     seed = _resolve_seed(args)
-    if args.verify and bounds is None:
-        # a check too large to run is refused before any relation is built
+    if args.verify:
+        # every refusal comes before any relation is built, a bad bound first
+        if bounds is not None:
+            cohomology._relation_degrees(args.n, args.l, bounds)
+            raise InputError("--verify applies to the unbounded flag ring only")
         cohomology.require_verifiable(args.n, args.l)
     pres = cohomology.flag_ring(args.n, args.l, bounds=bounds)
     verification = None
     if args.verify:
-        if bounds is not None:
-            raise InputError("--verify applies to the unbounded flag ring only")
         verification = cohomology.verify_flag_ring(args.n, args.l, args.samples, seed, presentation=pres)
     return Report([
         ("n", None, args.n),

@@ -33,6 +33,16 @@ top power for every j.  The system is the quotient ring itself:
 `reduce(p, system)` is the normal form of p's class (zero exactly when p lies
 in the ideal), `quotient_basis(system)` the monomial basis, and the system
 carries its dimension and Hilbert series.
+
+A relation that is a single term c*T_k^{d_k} kills every multiple of
+T_k^{d_k}: such a monomial lies in the ideal.  The first block of a flag
+always gives one (e(U_1) is a power of T_1 up to a constant, and so is
+relation 1 of a flag ring).  `reduce` drops every term it meets or forms
+whose T_k-degree reaches d_k for such a k, instead of rewriting it down to
+T_1.  The system is a Groebner basis, so every element of the ideal has
+normal form 0 and the normal form is unique: dropping a term of the ideal
+cannot change it.  The test is one addition and one AND on the packed key,
+like the guard bits.
 """
 
 from __future__ import annotations
@@ -293,8 +303,12 @@ class Poly:
     def linear_form(cls, field, coeffs):
         """sum_j coeffs[j] * T_{j+1}; only the coefficients need checking."""
         field = as_field(field)
-        terms = {1 << s: field.coerce(c) for s, c in zip(_shifts(len(coeffs)), coeffs)}
-        return cls._trusted(field, len(coeffs), terms)
+        return cls._linear(field, [field.coerce(c) for c in coeffs])
+
+    @classmethod
+    def _linear(cls, field, coeffs):
+        """`linear_form` of coefficients that are canonical field elements already."""
+        return cls._trusted(field, len(coeffs), {1 << s: c for s, c in zip(_shifts(len(coeffs)), coeffs)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -412,14 +426,23 @@ class TriangularSystem:
     the quotient packed like a `Poly` key (negative in the T_j field), so
     T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
     `powers` memoises the normal forms of high powers T_j^e by (j, e).
+
+    A generator with an empty tail is the single term c*T_k^{d_k}, and every
+    multiple of T_k^{d_k} lies in the ideal.  `pure_lift` adds 2^31 - d_k to
+    the T_k field of a key and `pure_bits` holds that field's top bit, for
+    every such k: `(key + pure_lift) & pure_bits` is nonzero exactly when
+    the key, with no guard bit set, reaches d_k in some such T_k.  Both are 0
+    when no generator is a single term.
     """
 
-    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails", "powers")
+    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails", "powers", "pure_lift", "pure_bits")
 
     def __init__(self, gens):
         gens = tuple(gens)
         if not gens:
             raise InputError("a triangular system needs at least one generator")
+        if not all(isinstance(g, Poly) for g in gens):
+            raise InputError("generators must be Poly values")
         field = gens[0].field
         nvars = gens[0].nvars
         if len(gens) != nvars:
@@ -428,9 +451,8 @@ class TriangularSystem:
             )
         degrees = []
         tails = []
+        pure_lift = pure_bits = 0
         for j, g in enumerate(gens, start=1):
-            if not isinstance(g, Poly):
-                raise InputError("generators must be Poly values")
             if g.field != field or g.nvars != nvars:
                 raise InputError("mismatched field or variable count among generators")
             if g.is_zero():
@@ -451,12 +473,17 @@ class TriangularSystem:
                 for m, c in g._terms.items()
                 if m != top
             ))
+            if not tails[-1]:
+                pure_lift += ((1 << (BITS - 1)) - d) << s
+                pure_bits |= 1 << (s + BITS - 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
         object.__setattr__(self, "tails", tuple(tails))
         object.__setattr__(self, "powers", {})
+        object.__setattr__(self, "pure_lift", pure_lift)
+        object.__setattr__(self, "pure_bits", pure_bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
@@ -500,6 +527,12 @@ def _reduce_level(p, j, system):
     and is returned itself.  Rewriting can raise the degrees of T_1..T_{j-1},
     so each level's keys are checked for a set guard bit before they are
     rewritten, and the result's keys at the end.
+
+    Every term of p, and every term formed here, that is a multiple of
+    T_k^{d_k} for a single-term generator g_k is dropped (the system's
+    `pure_lift`/`pure_bits` test): it lies in the ideal, and since the
+    system is a Groebner basis the normal form of the rest is the same.  A
+    key with a guard bit set is never dropped, so the checks still see it.
     """
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
@@ -508,9 +541,13 @@ def _reduce_level(p, j, system):
     far = FAR_FACTOR * d
     clean = p.field.clean
     tail = system.tails[j - 1]
+    lift, pure = system.pure_lift, system.pure_bits
+    guard = _guard(p.nvars)
     levels = {}
     distant = []
     for m, c in p._terms.items():
+        if (m + lift) & pure and not m & guard:
+            continue
         e = (m >> s) & MASK
         if e < far:
             levels.setdefault(e, {})[m] = c
@@ -518,8 +555,11 @@ def _reduce_level(p, j, system):
             distant.append((m - (e << s), e, c))
     for x, e, c in distant:
         for mt, ct in _power_normal_form(system, j, e)._terms.items():
+            mm = x + mt
+            if (mm + lift) & pure and not mm & guard:
+                continue
             level = levels.setdefault((mt >> s) & MASK, {})
-            level[x + mt] = level.get(x + mt, 0) + c * ct
+            level[mm] = level.get(mm, 0) + c * ct
     while levels and (top := max(levels)) >= d:
         heads = levels.pop(top)
         _check_exponents(heads, p.nvars)
@@ -527,6 +567,8 @@ def _reduce_level(p, j, system):
         for m, c in clean(heads).items():
             for mt, level, ct in targets:
                 mm = m + mt
+                if (mm + lift) & pure and not mm & guard:
+                    continue
                 level[mm] = level.get(mm, 0) + c * ct
     terms = {}
     for level in levels.values():
@@ -542,6 +584,8 @@ def reduce(p, system):
     introduce variables below T_j, so one sweep suffices.  A T_j-exponent e of
     at least FAR_FACTOR * d_j is cleared by squaring, in about log e products.
     """
+    if not isinstance(p, Poly) or not isinstance(system, TriangularSystem):
+        raise InputError("reduce takes a Poly and a TriangularSystem")
     if p.field != system.field or p.nvars != system.nvars:
         raise InputError("polynomial and system have mismatched field or variable count")
     return _normal_form(p, system, system.nvars)

@@ -373,7 +373,7 @@ def euler_poly(rep, flag, system=None):
         # reducing 1 checks that the system matches the flag's field and rank
         result = step(Poly.one(flag.field, rep.rank))
     for char, m in rep.items():
-        form = Poly.linear_form(flag.field, flag._coordinates(char))
+        form = Poly._linear(flag.field, flag._coordinates(char))
         result = step(result * power(form, m, step))
     return result
 

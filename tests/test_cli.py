@@ -305,6 +305,21 @@ def test_flag_ring_verify_builds_the_presentation_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ("40,40,40,40", "--verify applies to the unbounded flag ring only"),
+    # a bad bound is reported before the --verify refusal
+    ("40,40,41,41", "bound n_3 = 41 violates 3 <= n_3 <= 40"),
+    ("40,40,40", "need 4 bounds, got 3"),
+])
+def test_flag_ring_verify_with_bounds_refused_before_building(monkeypatch, bounds, message):
+    calls = []
+    monkeypatch.setattr(cohomology, "flag_ring", lambda *args, **kwargs: calls.append(args))
+    argv = ["flag-ring", "-n", "40", "-l", "4", "--bounds", bounds, "--verify", "--samples", "0"]
+    code, out, err = invoke(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert calls == []
+
+
 def test_flag_ring_verify_large_n_at_one_step():
     # no relation-size limit applies at l = 1; the dimension check must not cost n!
     start = time.monotonic()

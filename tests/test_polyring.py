@@ -159,6 +159,18 @@ def test_triangular_validation():
         TriangularSystem([parse_poly("T1", F2, 2), parse_poly("T1*T2^2+T2", F2, 2)])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TriangularSystem([5]),
+    lambda: TriangularSystem(["T1"]),
+    lambda: TriangularSystem([parse_poly("T1", F2, 2), "T2"]),
+    lambda: reduce(5, TriangularSystem([P("T1^2")])),
+    lambda: reduce(P("T1"), "x"),
+])
+def test_values_that_are_not_polys_or_systems_are_input_errors(make):
+    with pytest.raises(InputError):
+        make()
+
+
 # -- reduction properties -----------------------------------------------------
 
 def test_reduce_is_linear_and_idempotent():
