@@ -3,9 +3,9 @@
 The chain search, shared by the F2 and Q flags, certifies step by step that
 each new flag block carries a strictly larger share of U than of V, and
 backtracks so that "no flag" means no admissible flag exists; its node count
-is capped by MAX_CHAIN_NODES.  The subgroup scan runs over the subspaces of the
-span of U's support in that span's own coordinates, so it is exhaustive where
-it matters and stays desk-scale while that span has dimension at most
+is capped by MAX_CHAIN_NODES.  The subgroup scan ANDs the 2^k - 1 hyperplane
+masks of the k-dimensional span of U's support into every distinct fixed set,
+so it is exhaustive where it matters and stays desk-scale while k is at most
 MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
 """
 
@@ -149,12 +149,13 @@ def best_fixed_subgroup(U, V):
     K = S^perp.  With s_1..s_k the canonical basis of S, f -> (s_i . f)_i
     identifies E/K with F2^k, and a character sum_i x_i s_i of S is fixed by
     f exactly when x . y = 0 for y = (s_i . f)_i; a character of V outside S
-    is fixed by no F containing K.  So the scan runs over the subspaces of
-    F2^k, and the fixed set of one is the AND of its basis rows' bitmasks of
-    orthogonal characters.  Parity is additive, odd(x . (y ^ y')) =
-    odd(x . y) ^ odd(x . y'), so the 2^k masks take one XOR each past the
-    unit vectors.  Each distinct set's gap sum is taken once, by adding up
-    per-byte tables of the gaps.
+    is fixed by no F containing K.  So the scan runs over the subspaces W of
+    F2^k.  The fixed set of W is the AND of the masks of characters orthogonal
+    to each nonzero y in W, and any AND of such masks is the fixed set of the
+    span of their y, so the fixed sets are {everything} closed under AND with
+    each of the 2^k - 1 masks; no basis of any W is listed.  The masks take one
+    XOR each past the unit vectors.  Each distinct set's gap sum is taken once,
+    by adding up per-byte tables of the gaps.
 
     Maximality: let M be the set of U-characters fixed by a qualifying F.  A
     U-character in span(M) lies in F^perp, so it is already in M.  Hence
@@ -163,8 +164,8 @@ def best_fixed_subgroup(U, V):
     therefore the nullspaces of the minimal sets M, found by subset tests on
     the masks.
 
-    Limit: every subspace of F2^k is visited, so k = dim S, not the rank of
-    the group, is limited to MAX_SUBGROUP_RANK.
+    Limit: 2^k - 1 masks, and never more sets than F2^k has subspaces, so
+    k = dim S, not the rank of the group, is limited to MAX_SUBGROUP_RANK.
     """
     _check_pair_e(U, V)
     rank = U.rank
@@ -195,17 +196,12 @@ def best_fixed_subgroup(U, V):
     odd = [0] * (1 << k)
     for i in range(k):
         odd[1 << i] = sum(1 << j for j, x in enumerate(coords) if x >> i & 1)
+    fixed_sets = {everything}
     for y in range(1, 1 << k):
         low = y & -y
         odd[y] = odd[y ^ low] ^ odd[low]
-    mask_of = {tuple(y >> i & 1 for i in range(k)): everything ^ odd[y] for y in range(1 << k)}
-
-    fixed_sets = set()
-    for basis in linalg.enumerate_subspace_bases2(k):
-        m = everything
-        for y in basis:
-            m &= mask_of[y]
-        fixed_sets.add(m)
+        g = everything ^ odd[y]
+        fixed_sets |= {m & g for m in fixed_sets}
     # gap sums by byte: the table of the characters lo..lo+7 maps each byte
     # b to the sum of the gaps of the characters lo + j over the bits j of b
     sets = list(fixed_sets)

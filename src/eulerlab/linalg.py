@@ -19,7 +19,9 @@ not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
 `_in_span2`, `_nullspace2`) take field elements as they are (0/1 over F2;
 over Q in the canonical form that `Q.coerce` gives) and serve `Subgroup`,
 `flagsearch`, `sympow` and `spanning_flag_from_support`, which pass labels
-and bases they have already validated.
+and bases they have already validated.  `enumerate_subspace_bases2` has no
+library caller; it stays for the tests and for `eulerbench/tracing.py`'s
+`COUNTED_GENERATORS`, whose names `tests/test_benchmark_contract.py` resolves.
 """
 
 from itertools import combinations, product

@@ -136,21 +136,15 @@ def _unit(rank, i):
 
 
 @pytest.mark.parametrize("k, count", enumerate([1, 2, 5, 16, 67, 374, 2825]))
-def test_best_fixed_subgroup_draws_every_subspace_once(monkeypatch, k, count):
-    # one basis per subspace of F2^k, all of them drawn from the generator
-    drawn = []
-    enumerate_bases = linalg.enumerate_subspace_bases2
-
-    def counted(n):
-        for basis in enumerate_bases(n):
-            drawn.append(basis)
-            yield basis
-
-    monkeypatch.setattr(linalg, "enumerate_subspace_bases2", counted)
+def test_best_fixed_subgroup_draws_every_subspace_once(k, count):
+    # U on the unit characters of F2^k: the answer is the oracle's, which
+    # draws each of the `count` subspaces of F2^k once
     rank = max(k, 1)
     U = RepE(rank, {_unit(rank, i): 1 for i in range(k)} or {(0,) * rank: 1})
-    F = best_fixed_subgroup(U, RepE(rank, {}))
-    assert len(drawn) == len(set(drawn)) == count
+    V = RepE(rank, {})
+    F = best_fixed_subgroup(U, V)
+    assert sum(1 for _ in reference_subspace_bases2(k)) == count
+    assert F == _exhaustive_best_fixed_subgroup(U, V)
     assert F.dim == (1 if k == 0 else 0)
 
 
@@ -215,6 +209,36 @@ def test_best_fixed_subgroup_matches_exhaustive_scan():
             span = span2(U.support(), rank)
             v_outside += any(c not in span for c in V.support())
     assert trivial_u > 200 and v_outside > 200
+
+
+def _dense_scan_pair(rng, with_trivial):
+    """A rank-6 pair shaped like the benchmark's subgroup scan: 6 to 14
+    nonzero U characters spanning F2^6 with multiplicity 1 to 3, and 1 to 6
+    V characters drawn from every nonzero character."""
+    nonzero = linalg.all_vectors2(6)[1:]
+    while True:
+        chars = rng.sample(nonzero, rng.randint(6, 14))
+        if linalg.rank2(chars, 6) == 6:
+            break
+    U = {c: rng.randint(1, 3) for c in chars}
+    if with_trivial:
+        U[(0,) * 6] = rng.randint(1, 2)
+    V = {c: rng.randint(1, 3) for c in rng.sample(nonzero, rng.randint(1, 6))}
+    return RepE(6, U), RepE(6, V)
+
+
+def test_best_fixed_subgroup_dense_rank_six_matches_exhaustive_scan():
+    # the span of supp U is all of F2^6, so the scan meets lattices of
+    # hundreds of distinct fixed sets
+    rng = random.Random(6064)
+    proper = v_outside = 0
+    for i in range(12):
+        U, V = _dense_scan_pair(rng, with_trivial=i % 4 == 0)
+        F = best_fixed_subgroup(U, V)
+        assert F == _exhaustive_best_fixed_subgroup(U, V), (U, V)
+        proper += F.dim > 0
+        v_outside += any(c not in U.support() for c in V.support())
+    assert proper >= 3 and v_outside >= 3
 
 
 def _padded(rep, rank):
