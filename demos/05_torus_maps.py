@@ -5,12 +5,11 @@
 import numpy as np
 
 from eulerlab.bounds import bound_torus
-from eulerlab.reps import RepT
+from eulerlab.reps import RepT, line_blocks
 from eulerlab.torusmaps import (
     circle_example,
     embed_on_line,
     join_assemble,
-    line_decomposition,
     normalize_to_sphere,
     random_unit_vectors,
     verify_equivariance,
@@ -18,9 +17,8 @@ from eulerlab.torusmaps import (
 
 # Weights group by rational line: (1,0) and (2,0) share a line, (0,1) does not.
 U = RepT(2, {(1, 0): 2, (2, 0): 1, (0, 1): 1})
-decomp = line_decomposition(U)
-print("fixed dim:", decomp.fixed_dim)
-for line, block in sorted(decomp.lines.items()):
+print("fixed dim:", U.fixed_dim)
+for line, block in line_blocks(U).items():
     print(f"line {list(line)}: dim {block.dim}, weights {block.support()}")
 print()
 

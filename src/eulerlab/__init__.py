@@ -51,19 +51,15 @@ from .reps import (
     flag_from_doc,
     flag_to_doc,
     rep_from_doc,
-    rep_to_doc,
     spanning_flag_from_support,
 )
 from .report import Report
 from .sympow import min_embedding_k, sym_multiplicities
 from .torusmaps import (
-    LineDecomposition,
     MapDescription,
     circle_example,
     embed_on_line,
-    identity_map,
     join_assemble,
-    line_decomposition,
     normalize_to_sphere,
     verify_equivariance,
 )

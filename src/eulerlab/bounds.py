@@ -1,9 +1,11 @@
 """Certified lower bounds on zero-set dimensions of equivariant maps.
 
-Each calculator pairs a hypothesis checklist with a bound formula.  A bound is
-reported only when every checklist item passes, and every reported bound ships
-a witness (subgroup, flag, nonvanishing certificate) from which the verdicts
-can be recomputed.
+Each calculator pairs a hypothesis checklist with a bound formula; a bound is
+reported only when every checklist item passes.  Its witness depends on the
+theorem: free-zero-set ships a subgroup, a flag, block dims, relations and a
+nonvanishing certificate; torus-interior a flag, block dims and a certificate;
+stiefel-* a flag and Q's block dims (stiefel-real also its two bound values)
+but no certificate; torus-annulus `{}`, as its boundary condition is assumed.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ is optional); flag-find group, module, target; euler-check these and flag;
 bound these and n (-n and n only with a stiefel theorem); sympow these, flag
 and degree (flag only with a target); torus-decompose group, module.
 flag-ring and torus-example read no document and are the only ones that
-sample, seeded by --seed, else EULERLAB_SEED, else 0; only torus-example
-needs numpy, which is not loaded before it runs.  Exit codes: 0 success, 1
-hypothesis failure, 2 input error.
+sample, seeded by --seed, else EULERLAB_SEED, else 0; flag-ring samples, and
+reads the seed, only with --verify.  Only torus-example needs numpy, which is
+not loaded before it runs.  Exit codes: 0 success, 1 hypothesis failure, 2
+input error.
 
 Every subcommand handler returns one `report.Report`, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -45,6 +46,7 @@ from .reps import (
     decompose,
     flag_from_doc,
     flag_to_doc,
+    line_blocks,
     rep_entries_doc,
     rep_from_doc,
     spanning_flag_from_support,
@@ -191,7 +193,7 @@ def _cmd_flag_ring(args):
         except ValueError as exc:
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args) if args.verify else None
     if args.verify:
         # every refusal comes before any relation is built, a bad bound first
         if bounds is not None:
@@ -234,11 +236,15 @@ def _cmd_sympow(args):
 
 def _cmd_torus_decompose(args):
     doc = _load_document(args)
-    decomp = torusmaps.line_decomposition(rep_from_doc(doc, key="module")).to_doc()
+    U = rep_from_doc(doc, key="module")
+    lines = [
+        {"line": list(lam), "dim": block.dim, "entries": rep_entries_doc(block)}
+        for lam, block in line_blocks(U).items()
+    ]
     return Report([
-        ("fixed_dim", "fixed dim", decomp["fixed_dim"]),
-        ("lines", None, decomp["lines"]),
-        *((None, f"line {e['line']}", f"dim {e['dim']}") for e in decomp["lines"]),
+        ("fixed_dim", "fixed dim", U.fixed_dim),
+        ("lines", None, lines),
+        *((None, f"line {e['line']}", f"dim {e['dim']}") for e in lines),
     ])
 
 

@@ -16,12 +16,13 @@ quotient coordinates off the free columns instead of solving.
 `unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
 dimension n and raise `InputError` unless it is a nonnegative int (a bool is
 not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
-`_in_span2`, `_nullspace2`) take field elements as they are (0/1 over F2;
-over Q in the canonical form that `Q.coerce` gives) and serve `Subgroup`,
-`flagsearch`, `sympow` and `spanning_flag_from_support`, which pass labels
-and bases they have already validated.  `enumerate_subspace_bases2` has no
-library caller; it stays for the tests and for `eulerbench/tracing.py`'s
-`COUNTED_GENERATORS`, whose names `tests/test_benchmark_contract.py` resolves.
+`_nullspace2`) take field elements as they are (0/1 over F2; over Q in the
+canonical form that `Q.coerce` gives), for callers that pass validated labels
+and bases: `_rank` serves `sympow` and `spanning_flag_from_support`,
+`_rref_canonical2` and `_nullspace2` serve `Subgroup` and `flagsearch`.
+`enumerate_subspace_bases2` has no library caller; it stays for the tests and
+for `eulerbench/tracing.py`'s `COUNTED_GENERATORS`, whose names
+`tests/test_benchmark_contract.py` resolves.
 """
 
 from itertools import combinations, product
@@ -114,10 +115,6 @@ def _rref_canonical2(rows, n):
     """Canonical basis of the row space: nonzero RREF rows as a tuple."""
     reduced, pivots = _rref(F2, rows, n)
     return tuple(reduced[i] for i in range(len(pivots)))
-
-
-def _in_span2(rows, v, n):
-    return _rank(F2, list(rows) + [v], n) == _rank(F2, rows, n)
 
 
 def solve2(rows, target):

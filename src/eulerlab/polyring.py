@@ -282,10 +282,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars)
-
-    @classmethod
     def one(cls, field, nvars):
         return cls(field, nvars, {(0,) * require_int(nvars, "variable count"): 1})
 
@@ -300,14 +296,8 @@ class Poly:
         return cls(field, nvars, {tuple(m): 1})
 
     @classmethod
-    def linear_form(cls, field, coeffs):
-        """sum_j coeffs[j] * T_{j+1}; only the coefficients need checking."""
-        field = as_field(field)
-        return cls._linear(field, [field.coerce(c) for c in coeffs])
-
-    @classmethod
     def _linear(cls, field, coeffs):
-        """`linear_form` of coefficients that are canonical field elements already."""
+        """sum_j coeffs[j] * T_{j+1}, for coefficients that are canonical elements of `field`."""
         return cls._trusted(field, len(coeffs), {1 << s: c for s, c in zip(_shifts(len(coeffs)), coeffs)})
 
     # -- inspection ---------------------------------------------------------
@@ -361,10 +351,6 @@ class Poly:
         if not exponent:
             return Poly.one(self.field, self.nvars)
         return power(self, exponent, lambda p: p)
-
-    def scaled(self, c):
-        c = self.field.coerce(c)
-        return Poly._trusted(self.field, self.nvars, {m: v * c for m, v in self._terms.items()})
 
     # -- equality -----------------------------------------------------------
 

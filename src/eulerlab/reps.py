@@ -388,7 +388,8 @@ def _check_term_count(p):
 
 
 def line_blocks(rep):
-    """Group a torus table by rational lines (primitive, sign-normalized reps)."""
+    """Group a torus table by rational lines (primitive, sign-normalized reps);
+    the trivial weight lies on no line, so it is left out (`rep.fixed_dim`)."""
     require_tables(RepT, rep)
     zero = (0,) * rep.rank
     lines = {}
@@ -409,7 +410,8 @@ def spanning_flag_from_support(rep):
     require_tables(RepE, rep)
     chosen = []
     for char in sorted(rep.nonzero_support()):
-        if not linalg._in_span2(chosen, char, rep.rank):
+        # chosen is independent: char is outside its span iff the rank grows
+        if linalg._rank(F2, chosen + [char], rep.rank) > len(chosen):
             chosen.append(char)
     if len(chosen) != rep.rank:
         raise HypothesisError(
@@ -485,13 +487,6 @@ def rep_from_doc(doc, key="module"):
 
 def rep_entries_doc(rep):
     return [{"char": list(c), "mult": m} for c, m in rep.items()]
-
-
-def rep_to_doc(rep):
-    return {
-        "group": {"kind": rep.kind, "rank": rep.rank},
-        "module": {"entries": rep_entries_doc(rep)},
-    }
 
 
 def flag_from_doc(doc, kind, rank):

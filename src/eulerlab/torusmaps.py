@@ -1,4 +1,4 @@
-"""Torus-equivariant sphere maps: line decompositions, joins, the circle example.
+"""Torus-equivariant sphere maps: the circle example, joins, equivariance checks.
 
 Map evaluators operate on complex coordinate vectors laid out weight by
 weight (ascending weight order, multiplicity slots adjacent) and accept
@@ -7,19 +7,20 @@ batches along the leading axis.  Verification is numeric for equivariance
 
 numpy is imported on the first call that builds or samples an array (an
 evaluator, `random_unit_vectors`, `join_assemble`, `verify_equivariance`),
-not at import; line decompositions and map descriptions are pure Python.
+not at import; map descriptions are pure Python.  The rational-line blocks
+of a torus table are `reps.line_blocks`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, isfinite
 from numbers import Real
 
 from . import linalg
 from .errors import InputError, require_count, require_int
 from .report import Report
-from .reps import RepT, line_blocks, rep_entries_doc, require_tables
+from .reps import RepT, rep_entries_doc, require_tables
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
 # Largest sample count verify_equivariance draws; each sample costs a few
@@ -27,34 +28,6 @@ DEFAULT_EQUIVARIANCE_TOL = 1e-9
 MAX_EQUIVARIANCE_SAMPLES = 200_000
 # Samples join_assemble draws per part to check that it is a sphere map.
 JOIN_CHECK_SAMPLES = 32
-
-
-@dataclass(frozen=True)
-class LineDecomposition:
-    """Torus table split along rational lines, with the fixed part kept aside."""
-
-    rank: int
-    lines: dict
-    fixed_dim: int
-
-    @property
-    def total_dim(self):
-        return sum(block.dim for block in self.lines.values()) + self.fixed_dim
-
-    def to_doc(self):
-        return {
-            "fixed_dim": self.fixed_dim,
-            "lines": [
-                {"line": list(lam), "dim": block.dim, "entries": rep_entries_doc(block)}
-                for lam, block in sorted(self.lines.items())
-            ],
-        }
-
-
-def line_decomposition(U):
-    """Group the weights of U by primitive line representative."""
-    require_tables(RepT, U)
-    return LineDecomposition(rank=U.rank, lines=line_blocks(U), fixed_dim=U.fixed_dim)
 
 
 def coordinate_weights(rep):
@@ -87,17 +60,6 @@ class MapDescription:
             "source": {"rank": self.source.rank, "entries": rep_entries_doc(self.source)},
             "target": {"rank": self.target.rank, "entries": rep_entries_doc(self.target)},
         }
-
-
-def identity_map(U):
-    require_tables(RepT, U)
-
-    def evaluator(z):
-        import numpy as np
-
-        return np.array(z, dtype=complex, copy=True)
-
-    return MapDescription(source=U, target=U, evaluator=evaluator, tag="user", params={"identity": True})
 
 
 def _minimal_cofactors(a, b):
@@ -179,13 +141,7 @@ def embed_on_line(m, line):
             table[tuple(k * x for x in line)] = mult
         return RepT(len(line), table)
 
-    return MapDescription(
-        source=lift(m.source),
-        target=lift(m.target),
-        evaluator=m.evaluator,
-        tag=m.tag,
-        params={**m.params, "line": list(line)},
-    )
+    return replace(m, source=lift(m.source), target=lift(m.target), params={**m.params, "line": list(line)})
 
 
 def normalize_to_sphere(m):
@@ -199,13 +155,7 @@ def normalize_to_sphere(m):
         norms = np.linalg.norm(out, axis=-1, keepdims=True)
         return out / norms
 
-    return MapDescription(
-        source=m.source,
-        target=m.target,
-        evaluator=evaluator,
-        tag=m.tag,
-        params={**m.params, "normalized": True},
-    )
+    return replace(m, evaluator=evaluator, params={**m.params, "normalized": True})
 
 
 def random_unit_vectors(rng, count, dim):

@@ -28,13 +28,12 @@ from eulerlab.torusmaps import (
     circle_example,
     coordinate_weights,
     embed_on_line,
-    identity_map,
     join_assemble,
     normalize_to_sphere,
     random_unit_vectors,
     verify_equivariance,
 )
-from tests_support_random import complete_flags, random_triangular
+from tests_support_random import complete_flags, identity_map, random_triangular
 
 
 def _flag_block_maps(rank):

@@ -22,7 +22,6 @@ from eulerlab.reps import (
     fixed_subrep,
     flag_from_doc,
     rep_entries_doc,
-    rep_to_doc,
 )
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
@@ -259,7 +258,7 @@ def _zero_normal_form(monkeypatch):
 
     def vanishing(U, V, flag):
         _, cls = real(U, V, flag)
-        return False, QuotientClass(cls.presentation, Poly.zero(cls.poly.field, cls.poly.nvars))
+        return False, QuotientClass(cls.presentation, Poly(cls.poly.field, cls.poly.nvars))
 
     monkeypatch.setattr(bounds, "euler_nonvanishing", vanishing)
     return "survives in the quotient presentation"
@@ -303,7 +302,11 @@ def test_certificate_failure_refuses_the_bound(monkeypatch, theorem, fault):
     assert len(failed) == 1 and item in failed[0]
     assert rep.failure == f"hypothesis failure: {failed[0]}"
 
-    doc = {**rep_to_doc(U), "target": {"entries": rep_entries_doc(V)}}
+    doc = {
+        "group": {"kind": U.kind, "rank": U.rank},
+        "module": {"entries": rep_entries_doc(U)},
+        "target": {"entries": rep_entries_doc(V)},
+    }
     out, err = io.StringIO(), io.StringIO()
     code = run(["bound", "--theorem", theorem, "--inline", json.dumps(doc), "--machine"], out, err)
     assert code == 1

@@ -19,11 +19,11 @@ from eulerlab.reps import (
     fixed_subrep,
     flag_from_doc,
     flag_to_doc,
+    rep_entries_doc,
     rep_from_doc,
-    rep_to_doc,
     spanning_flag_from_support,
 )
-from tests_support_random import complete_flags, reference_subspace_bases2, subgroup_contains
+from tests_support_random import complete_flags, identity_map, reference_subspace_bases2, span2, subgroup_contains
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -357,14 +357,38 @@ def test_spanning_flag_from_support():
         spanning_flag_from_support(RepE(2, {A: 1}))
 
 
+def _greedy_spanning_basis(rep):
+    """Lex-least greedy choice of nonzero labels, each taken when it lies
+    outside the XOR closure of those taken before; None unless they span."""
+    chosen = []
+    for char in sorted(c for c in rep.support() if any(c)):
+        if char not in span2(chosen, rep.rank):
+            chosen.append(char)
+    return tuple(chosen) if len(chosen) == rep.rank else None
+
+
+def test_spanning_flag_from_support_is_the_greedy_lex_least_basis():
+    rng = random.Random(412)
+    outcomes = set()
+    for rank in range(1, 5):
+        for _ in range(60):
+            U = random_rep(rng, rank, max_chars=2 * rank)
+            expected = _greedy_spanning_basis(U)
+            outcomes.add((rank, expected is None))
+            if expected is None:
+                with pytest.raises(HypothesisError, match="do not span the dual space"):
+                    spanning_flag_from_support(U)
+            else:
+                assert spanning_flag_from_support(U).dual_basis == expected
+    assert len(outcomes) == 8  # both outcomes at every rank
+
+
 # -- documents ---------------------------------------------------------------------
 
 def test_rep_doc_round_trip():
-    U = RepE(2, {A: 3, AB: 1})
-    doc = rep_to_doc(U)
-    assert rep_from_doc(doc) == U
-    T = RepT(2, {(1, -2): 1, (0, 3): 2})
-    assert rep_from_doc(rep_to_doc(T)) == T
+    for rep in (RepE(2, {A: 3, AB: 1}), RepT(2, {(1, -2): 1, (0, 3): 2})):
+        doc = {"group": {"kind": rep.kind, "rank": rep.rank}, "module": {"entries": rep_entries_doc(rep)}}
+        assert rep_from_doc(doc) == rep
 
 
 def test_rep_doc_validation():
@@ -451,7 +475,7 @@ def _circle():
     lambda: torusmaps.verify_equivariance(_circle(), samples=10.7),
     lambda: torusmaps.verify_equivariance(_circle(), seed=1.9),
     lambda: torusmaps.embed_on_line(_circle(), (1.5, 2)),
-    lambda: torusmaps.join_assemble({(1.0,): torusmaps.identity_map(RepT(1, {(1,): 1}))}),
+    lambda: torusmaps.join_assemble({(1.0,): identity_map(RepT(1, {(1,): 1}))}),
 ])
 def test_library_entry_points_reject_non_integers(call):
     with pytest.raises(InputError, match="must be an integer"):
@@ -502,13 +526,8 @@ KIND_ENTRIES = {
     "sym_multiplicities": (RepE, lambda U, V: sympow.sym_multiplicities(U, 2)),
     "spanning_flag_from_support": (RepE, lambda U, V: spanning_flag_from_support(U)),
     "line_blocks": (RepT, lambda U, V: reps.line_blocks(U)),
-    "line_decomposition": (RepT, lambda U, V: torusmaps.line_decomposition(U)),
-    "identity_map": (RepT, lambda U, V: torusmaps.identity_map(U)),
 }
-SINGLE_TABLE = {
-    "fixed_subrep", "sym_multiplicities", "spanning_flag_from_support",
-    "line_blocks", "line_decomposition", "identity_map",
-}
+SINGLE_TABLE = {"fixed_subrep", "sym_multiplicities", "spanning_flag_from_support", "line_blocks"}
 FLAG_PAIRED = {"decompose", "euler_poly", "decompose-torus", "euler_poly-torus"}
 
 

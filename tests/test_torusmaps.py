@@ -1,4 +1,4 @@
-"""Tests for line decompositions, the circle example, and join assembly."""
+"""Tests for rational-line blocks of torus tables, the circle example, and join assembly."""
 
 import random
 from math import gcd
@@ -7,40 +7,39 @@ import numpy as np
 import pytest
 
 from eulerlab.errors import InputError, ResourceLimitError
-from eulerlab.reps import RepT
+from eulerlab.reps import RepT, line_blocks
 from eulerlab.torusmaps import (
     MAX_EQUIVARIANCE_SAMPLES,
     MapDescription,
     circle_example,
     coordinate_weights,
     embed_on_line,
-    identity_map,
     join_assemble,
-    line_decomposition,
     normalize_to_sphere,
     random_unit_vectors,
     verify_equivariance,
 )
+from tests_support_random import identity_map
 
 
-# -- line decomposition -----------------------------------------------------------
+# -- line blocks -------------------------------------------------------------------
 
 def test_line_decomposition_rank_one():
-    d = line_decomposition(RepT(1, {(2,): 1, (3,): 1}))
-    assert list(d.lines) == [(1,)]
-    assert d.lines[(1,)].dim == 2 and d.fixed_dim == 0
+    U = RepT(1, {(2,): 1, (3,): 1})
+    lines = line_blocks(U)
+    assert list(lines) == [(1,)]
+    assert lines[(1,)].dim == 2 and U.fixed_dim == 0
 
 
 def test_line_decomposition_groups_by_primitive():
-    d = line_decomposition(RepT(2, {(1, 0): 2, (2, 0): 1, (0, 1): 1}))
-    assert set(d.lines) == {(1, 0), (0, 1)}
-    assert d.lines[(1, 0)].dim == 3
-    assert d.lines[(0, 1)].dim == 1
+    lines = line_blocks(RepT(2, {(1, 0): 2, (2, 0): 1, (0, 1): 1}))
+    assert set(lines) == {(1, 0), (0, 1)}
+    assert lines[(1, 0)].dim == 3
+    assert lines[(0, 1)].dim == 1
 
 
 def test_line_decomposition_empty():
-    d = line_decomposition(RepT(2, {}))
-    assert d.lines == {} and d.total_dim == 0
+    assert line_blocks(RepT(2, {})) == {}
 
 
 def test_line_decomposition_partitions_dims():
@@ -52,9 +51,9 @@ def test_line_decomposition_partitions_dims():
             w = tuple(rng.randint(-3, 3) for _ in range(rank))
             table[w] = table.get(w, 0) + 1
         U = RepT(rank, table)
-        d = line_decomposition(U)
-        assert d.total_dim == U.dim
-        for lam, block in d.lines.items():
+        lines = line_blocks(U)
+        assert sum(block.dim for block in lines.values()) + U.fixed_dim == U.dim
+        for lam, block in lines.items():
             from eulerlab.linalg import primitive
 
             assert all(primitive(w) == lam for w in block.support())
@@ -83,10 +82,8 @@ def test_line_decomposition_unimodular_equivariance():
 
             from eulerlab.linalg import primitive
 
-            lhs = line_decomposition(relabel(U))
-            rhs = line_decomposition(U)
-            relabeled_lines = {primitive(apply(lam)): relabel(block) for lam, block in rhs.lines.items() if True}
-            assert lhs.lines == relabeled_lines
+            relabeled_lines = {primitive(apply(lam)): relabel(block) for lam, block in line_blocks(U).items()}
+            assert line_blocks(relabel(U)) == relabeled_lines
 
 
 # -- circle example ----------------------------------------------------------------

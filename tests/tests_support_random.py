@@ -1,7 +1,7 @@
 """Shared random generators, small F2 helpers, the subspace enumeration
 oracle, the chain search that reduces by the whole span at every node, the
-level-by-level reduction oracle and the Fraction-only reference field over Q
-for the test suite."""
+level-by-level reduction oracle, the Fraction-only reference field over Q
+and the identity torus map for the test suite."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +11,7 @@ from eulerlab import flagsearch, linalg
 from eulerlab.errors import HypothesisError, ResourceLimitError
 from eulerlab.polyring import F2, Poly, TriangularSystem, _Q
 from eulerlab.reps import FlagE
+from eulerlab.torusmaps import MapDescription
 
 
 class FractionQ(_Q):
@@ -38,6 +39,18 @@ def is_canonical_q(c):
     """Whether c is a Q element in canonical form: an int when it is
     integral, a Fraction otherwise."""
     return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def identity_map(U):
+    """The identity of the torus table U as a map description, a sphere map
+    that every equivariance check must pass with residual 0."""
+
+    def evaluator(z):
+        import numpy as np
+
+        return np.array(z, dtype=complex, copy=True)
+
+    return MapDescription(source=U, target=U, evaluator=evaluator, tag="user", params={"identity": True})
 
 
 def span2(rows, n):
