@@ -43,6 +43,16 @@ T_1.  The system is a Groebner basis, so every element of the ideal has
 normal form 0 and the normal form is unique: dropping a term of the ideal
 cannot change it.  The test is one addition and one AND on the packed key,
 like the guard bits.
+
+A system is graded when no term of any g_j has lower total degree than
+T_j^{d_j}, as every Euler-class presentation and flag ring is.  Then a
+monomial whose degree in T_1..T_i exceeds S_i = sum_{k <= i} (d_k - 1) has
+normal form 0, and `reduce` drops it like a killed term:
+  - rewriting by g_k with k > i never lowers the degree in T_1..T_i;
+  - rewriting by g_k with k <= i never lowers it either, the system being graded;
+  - no standard monomial has degree above S_i in T_1..T_i.
+The test is one product, one addition and one AND on the packed key: the
+product puts every prefix sum of the exponents in a field of its own.
 """
 
 from __future__ import annotations
@@ -93,6 +103,23 @@ def _guard(nvars):
     """The guard bits of every field: set on a key exactly when one of its
     exponents exceeds MAX_EXPONENT."""
     return sum(1 << (s + BITS - 1) for s in _shifts(nvars))
+
+
+@cache
+def _prefix_mult(nvars):
+    """1 + sum_i 2^(32(l + i - 1)) for l = nvars: a key times this keeps the
+    key in fields 1..l and puts the prefix sum P_i = e_1 + ... + e_i of its
+    exponents in field l + i."""
+    return 1 + (sum(1 << s for s in _shifts(nvars)) << (BITS * nvars))
+
+
+@cache
+def _exact(nvars):
+    """The bits of every field from 2^t up, for the largest t with
+    nvars * 2^t <= 2^31: a key with none of them set has every prefix sum
+    below 2^31, so the prefix sums of `_prefix_mult` do not carry."""
+    t = BITS - 1 - (nvars - 1).bit_length()
+    return sum(((1 << BITS) - (1 << t)) << s for s in _shifts(nvars))
 
 
 def _check_exponents(keys, nvars):
@@ -412,6 +439,9 @@ class TriangularSystem:
     the quotient packed like a `Poly` key (negative in the T_j field), so
     T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
     `powers` memoises the normal forms of high powers T_j^e by (j, e).
+    `reach_lift` adds 2^31 - d_j to every T_j field, so that the top bit of
+    field j of `key + reach_lift` is set exactly when the key, with no guard
+    bit set, reaches d_j in T_j.
 
     A generator with an empty tail is the single term c*T_k^{d_k}, and every
     multiple of T_k^{d_k} lies in the ideal.  `pure_lift` adds 2^31 - d_k to
@@ -419,9 +449,23 @@ class TriangularSystem:
     every such k: `(key + pure_lift) & pure_bits` is nonzero exactly when
     the key, with no guard bit set, reaches d_k in some such T_k.  Both are 0
     when no generator is a single term.
+
+    The system is graded when no term of any g_j has lower total degree than
+    T_j^{d_j}; then a key whose degree P_i in T_1..T_i exceeds
+    S_i = sum_{k <= i} (d_k - 1) for some i lies in the ideal.  Multiplying
+    a key by `_prefix_mult(l)` puts P_i in field l + i, `degree_lift` adds
+    2^31 - 1 - S_i there and `degree_bits` holds its top bit, for every i
+    with S_i < 2^31: the top bits mark P_i > S_i when the key's exponents are
+    below `_exact(l)`'s bits.  Both are 0 when the system is not graded.  The
+    degrees of the generators' terms are read from the same prefix sums, so
+    a term of degree 2^32 - l or more may read low and make the system count
+    as not graded, which only turns the rule off.
     """
 
-    __slots__ = ("field", "nvars", "gens", "lead_degrees", "tails", "powers", "pure_lift", "pure_bits")
+    __slots__ = (
+        "field", "nvars", "gens", "lead_degrees", "tails", "powers", "reach_lift",
+        "pure_lift", "pure_bits", "degree_lift", "degree_bits",
+    )
 
     def __init__(self, gens):
         gens = tuple(gens)
@@ -435,41 +479,59 @@ class TriangularSystem:
             raise InputError(
                 f"need exactly one generator per variable, got {len(gens)} for {nvars} variables"
             )
+        half = 1 << (BITS - 1)
+        high = BITS * nvars
+        ones = _prefix_mult(nvars) >> high
         degrees = []
         tails = []
-        pure_lift = pure_bits = 0
+        reach_lift = pure_lift = pure_bits = degree_lift = degree_bits = 0
+        graded = True
+        excess = 0
         for j, g in enumerate(gens, start=1):
             if g.field != field or g.nvars != nvars:
                 raise InputError("mismatched field or variable count among generators")
             if g.is_zero():
                 raise InputError(f"generator {j} is zero")
             s = BITS * (j - 1)
-            if any(m >> (s + BITS) for m in g._terms):
+            # the largest key has the largest T_j-degree, and any variable
+            # beyond T_j or any other term of that T_j-degree makes it larger
+            last = max(g._terms)
+            if last >> (s + BITS):
                 raise InputError(f"generator {j} involves a variable beyond T{j}")
-            d = max((m >> s) & MASK for m in g._terms)
+            d = last >> s
             if d < 1:
                 raise InputError(f"generator {j} has no T{j} term")
             top = d << s
-            if any(m != top and (m >> s) & MASK == d for m in g._terms):
+            if last != top:
                 raise InputError(f"leading T{j}-coefficient of generator {j} is not constant")
             degrees.append(d)
             scale = -field.inverse(g._terms[top])
-            tails.append(tuple(
-                (m - top, ((m >> s) & MASK) - d, field.norm(c * scale))
-                for m, c in g._terms.items()
-                if m != top
-            ))
-            if not tails[-1]:
-                pure_lift += ((1 << (BITS - 1)) - d) << s
+            tail = []
+            for m, c in g._terms.items():
+                if m != top:
+                    tail.append((m - top, (m >> s) - d, field.norm(c * scale)))
+                    # the total degree of m is its prefix sum in field j
+                    graded = graded and (m * ones >> s) & MASK >= d
+            tails.append(tuple(tail))
+            reach_lift += (half - d) << s
+            if not tail:
+                pure_lift += (half - d) << s
                 pure_bits |= 1 << (s + BITS - 1)
+            excess += d - 1
+            if excess < half:
+                degree_lift += (half - 1 - excess) << (high + s)
+                degree_bits |= 1 << (high + s + BITS - 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
         object.__setattr__(self, "tails", tuple(tails))
         object.__setattr__(self, "powers", {})
+        object.__setattr__(self, "reach_lift", reach_lift)
         object.__setattr__(self, "pure_lift", pure_lift)
         object.__setattr__(self, "pure_bits", pure_bits)
+        object.__setattr__(self, "degree_lift", degree_lift if graded else 0)
+        object.__setattr__(self, "degree_bits", degree_bits if graded else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
@@ -503,36 +565,42 @@ class TriangularSystem:
 
 
 def _reduce_level(p, j, system):
-    """Eliminate every T_j-power >= d_j from p by division against g_j.
+    """Eliminate every T_j-power >= d_j from p by division against g_j, for a
+    p in which some term reaches d_j.
 
     Each x * T_j^e with e >= FAR_FACTOR * d_j is first replaced by x times
     the normal form of T_j^e.  The rest is rewritten with the system's
     precomputed tail of g_j, one T_j-degree at a time from the top down:
     rewriting only adds lower degrees, so a coefficient is final when its
-    degree is reached.  A p with no T_j-power reaching d_j is already reduced
-    and is returned itself.  Rewriting can raise the degrees of T_1..T_{j-1},
+    degree is reached.  Rewriting can raise the degrees of T_1..T_{j-1},
     so each level's keys are checked for a set guard bit before they are
     rewritten, and the result's keys at the end.
 
-    Every term of p, and every term formed here, that is a multiple of
-    T_k^{d_k} for a single-term generator g_k is dropped (the system's
-    `pure_lift`/`pure_bits` test): it lies in the ideal, and since the
-    system is a Groebner basis the normal form of the rest is the same.  A
-    key with a guard bit set is never dropped, so the checks still see it.
+    Every term of p, every far-power product and every rewritten term that
+    lies in the ideal by the system's single-term test (`pure_lift`,
+    `pure_bits`) or degree test (`degree_lift`, `degree_bits`) is dropped:
+    since the system is a Groebner basis the normal form of the rest is the
+    same.  One product and one addition make both tests: the key sits in
+    the low fields and its prefix sums in the high ones.  A key with a guard
+    bit set is never dropped, so the checks still see it, and the degree
+    test drops no key with an exponent in `_exact`'s bits.
     """
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
-    if all((m >> s) & MASK < d for m in p._terms):
-        return p
     far = FAR_FACTOR * d
     clean = p.field.clean
     tail = system.tails[j - 1]
-    lift, pure = system.pure_lift, system.pure_bits
+    mult = _prefix_mult(p.nvars)
+    lift = system.pure_lift + system.degree_lift
+    bits = system.pure_bits | system.degree_bits
+    pure = system.pure_bits
     guard = _guard(p.nvars)
+    exact = _exact(p.nvars)
     levels = {}
     distant = []
     for m, c in p._terms.items():
-        if (m + lift) & pure and not m & guard:
+        t = m * mult + lift
+        if t & bits and (not m & exact or t & pure and not m & guard):
             continue
         e = (m >> s) & MASK
         if e < far:
@@ -542,7 +610,8 @@ def _reduce_level(p, j, system):
     for x, e, c in distant:
         for mt, ct in _power_normal_form(system, j, e)._terms.items():
             mm = x + mt
-            if (mm + lift) & pure and not mm & guard:
+            t = mm * mult + lift
+            if t & bits and (not mm & exact or t & pure and not mm & guard):
                 continue
             level = levels.setdefault((mt >> s) & MASK, {})
             level[mm] = level.get(mm, 0) + c * ct
@@ -553,7 +622,8 @@ def _reduce_level(p, j, system):
         for m, c in clean(heads).items():
             for mt, level, ct in targets:
                 mm = m + mt
-                if (mm + lift) & pure and not mm & guard:
+                t = mm * mult + lift
+                if t & bits and (not mm & exact or t & pure and not mm & guard):
                     continue
                 level[mm] = level.get(mm, 0) + c * ct
     terms = {}
@@ -581,13 +651,23 @@ def _normal_form(p, system, top):
     """Normal form of p modulo g_1..g_top, for p free of T_{top+1}..T_l.
 
     This is `reduce`'s sweep, with every T_j-exponent of at least
-    FAR_FACTOR * d_j cleared through `_power_normal_form`.  It calls no name
-    that the benchmark traces (`reduce`, `*`, the `Poly` constructor), so
-    squaring moves none of its counters.
+    FAR_FACTOR * d_j cleared through `_power_normal_form`.  One pass over the
+    keys finds the highest level at or below `top` that some term reaches
+    (`reach_lift`, with a key that has a guard bit set counting as reaching,
+    so that the limit checks run on it), and only that level is reduced
+    before the next pass looks below it.  It calls no name that the
+    benchmark traces (`reduce`, `*`, the `Poly` constructor), so squaring
+    moves none of its counters.
     """
-    for j in range(top, 0, -1):
-        p = _reduce_level(p, j, system)
-    return p
+    lift = system.reach_lift
+    while True:
+        keys = p._terms
+        reach = fold(or_, map(lift.__add__, keys), fold(or_, keys, 0)) & _guard(top)
+        if not reach:
+            return p
+        top = reach.bit_length() // BITS
+        p = _reduce_level(p, top, system)
+        top -= 1
 
 
 def _power_normal_form(system, j, e):

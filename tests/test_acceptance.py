@@ -18,10 +18,9 @@ from eulerlab import linalg
 from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from eulerlab.cli import run as cli_run
 from eulerlab.cohomology import euler_nonvanishing, flag_ring, verify_flag_ring
-from eulerlab.errors import HypothesisError
 from eulerlab.flagsearch import reduced_flag_search
 from eulerlab.polyring import quotient_basis
-from eulerlab.reps import FlagE, RepE, RepT, decompose
+from eulerlab.reps import RepE, RepT
 from eulerlab.sympow import sym_multiplicities
 from eulerlab.torusmaps import (
     MapDescription,

@@ -12,9 +12,8 @@ from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from eulerlab.cli import run
 from eulerlab.cohomology import QuotientClass, presentation
 from eulerlab.errors import HypothesisError
-from eulerlab.polyring import F2, Poly, format_poly, parse_poly, reduce
+from eulerlab.polyring import Poly, format_poly, reduce
 from eulerlab.reps import (
-    FlagE,
     RepE,
     RepT,
     Subgroup,

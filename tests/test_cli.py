@@ -14,7 +14,7 @@ import pytest
 from eulerlab import cohomology, sympow, torusmaps
 from eulerlab.bounds import bound_free_zero_set
 from eulerlab.cli import build_parser, run
-from eulerlab.reps import RepE, rep_from_doc
+from eulerlab.reps import rep_from_doc
 
 
 def invoke(argv):
