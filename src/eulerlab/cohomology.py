@@ -40,6 +40,16 @@ def presentation(U, flag):
     The relations are the unreduced block products, since they are printed
     as they are.  Every block must be nonzero; a nonzero fixed part does not
     obstruct the construction and is ignored with a warning.
+
+    What a reduction needs before it reads g_j is read off the blocks: g_j is
+    a product of dim U_j linear forms, each with a nonzero T_j-coefficient, so
+    its lead degree is d_j = dim U_j and it is homogeneous, and by unique
+    factorisation it is a single term exactly when every label of block j has
+    zero flag coordinates below j.  g_j itself is built by `euler_poly`, with
+    its MAX_EULER_TERMS check, the first time something reads it
+    (`polyring.TriangularSystem`); a relation nobody reads is never built.
+    Normal forms are those of the system with every relation built: they
+    depend only on the ideal and its leading terms T_j^{d_j}.
     """
     decomp = decompose(U, flag)
     if decomp.fixed_dim:
@@ -47,10 +57,17 @@ def presentation(U, flag):
             f"fixed part of dimension {decomp.fixed_dim} is ignored by the presentation",
             stacklevel=2,
         )
-    for i, block in enumerate(decomp.blocks, start=1):
+    blocks = decomp.blocks
+    for i, block in enumerate(blocks, start=1):
         if block.dim == 0:
             raise HypothesisError(f"flag block {i} is empty (dim U_{i} = 0)")
-    return TriangularSystem(euler_poly(block, flag) for block in decomp.blocks)
+    single_terms = [
+        not any(any(flag._coordinates(char)[:j]) for char in block.support())
+        for j, block in enumerate(blocks)
+    ]
+    return TriangularSystem._deferred(
+        flag.field, [block.dim for block in blocks], single_terms, lambda j: euler_poly(blocks[j - 1], flag)
+    )
 
 
 def euler_nonvanishing(U, V, flag):
@@ -58,7 +75,11 @@ def euler_nonvanishing(U, V, flag):
 
     Returns (nonzero, certificate); the certificate's normal form is the
     nonzero residue on success and zero otherwise.  e(V) is never built
-    whole: `euler_poly` reduces after every linear factor.
+    whole: `euler_poly` reduces after every linear factor.  The reduction
+    builds a relation g_j only when a term reaches d_j in T_j.  On an
+    admissible flag (dim V_i < dim U_i for every i) e(V) has T_l-degree
+    dim V_l < d_l, and reducing by g_1..g_{l-1} never raises it, so the top
+    relation g_l is not built unless the certificate's presentation is read.
     """
     if V.fixed_dim:
         raise HypothesisError(f"V must have zero fixed part (dim = {V.fixed_dim})")

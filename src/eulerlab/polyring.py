@@ -32,7 +32,14 @@ division terminates with a unique remainder whose T_j-degree is below that
 top power for every j.  The system is the quotient ring itself:
 `reduce(p, system)` is the normal form of p's class (zero exactly when p lies
 in the ideal), `quotient_basis(system)` the monomial basis, and the system
-carries its dimension and Hilbert series.
+carries its dimension and Hilbert series.  Those, and the packed constants
+of the rules below, need only each d_j, which relations are single terms and
+whether the system is graded; a system can be given these facts and build
+each relation the first time something reads it (an Euler-class
+presentation does: its top relation is often never read).  The normal form
+cannot depend on which relations were built: it is fixed by the ideal and
+the leading terms, and a reduction reads g_j only to rewrite a term that
+reaches d_j in T_j.
 
 A relation that is a single term c*T_k^{d_k} kills every multiple of
 T_k^{d_k}: such a monomial lies in the ideal.  The first block of a flag
@@ -413,12 +420,15 @@ def _product(p, q):
 
 
 def power(p, exponent, step, mul=mul):
-    """p ** exponent for exponent >= 1, by repeated squaring.
+    """p ** exponent for an int exponent >= 1, by repeated squaring; any
+    other exponent is an InputError.
 
     Every product `mul(a, b)` is passed through `step`, which may reduce it
     or check its size.  Squaring keeps a power of a linear form short over
     F2, where the square of a sum is the sum of the squares.
     """
+    if require_int(exponent, "exponent") < 1:
+        raise InputError(f"power needs an exponent of at least 1, got {exponent}")
     result = None
     while True:
         if exponent & 1:
@@ -432,16 +442,16 @@ def power(p, exponent, step, mul=mul):
 class TriangularSystem:
     """Relations g_1..g_l with g_j monic (up to an invertible constant) in T_j.
 
-    Validates that g_j involves only T_1..T_j, has T_j-degree d_j >= 1, and
-    that the coefficient of T_j^{d_j} is a nonzero constant (1 over F2).
-    The division tails are precomputed once: `tails[j - 1]` lists, for every
-    other term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead) with
-    the quotient packed like a `Poly` key (negative in the T_j field), so
-    T_j^{d_j} * x rewrites to the sum of shifted x times these terms.
-    `powers` memoises the normal forms of high powers T_j^e by (j, e).
-    `reach_lift` adds 2^31 - d_j to every T_j field, so that the top bit of
-    field j of `key + reach_lift` is set exactly when the key, with no guard
-    bit set, reaches d_j in T_j.
+    `TriangularSystem(gens)` validates that g_j involves only T_1..T_j, has
+    T_j-degree d_j >= 1, and that the coefficient of T_j^{d_j} is a nonzero
+    constant (1 over F2).  The division tail of g_j lists, for every other
+    term c*m of g_j, the triple (m / T_j^{d_j}, T_j-shift, -c/lead) with the
+    quotient packed like a `Poly` key (negative in the T_j field), so
+    T_j^{d_j} * x rewrites to the sum of shifted x times these terms; `tails`
+    holds them in order.  `powers` memoises the normal forms of high powers
+    T_j^e by (j, e).  `reach_lift` adds 2^31 - d_j to every T_j field, so
+    that the top bit of field j of `key + reach_lift` is set exactly when the
+    key, with no guard bit set, reaches d_j in T_j.
 
     A generator with an empty tail is the single term c*T_k^{d_k}, and every
     multiple of T_k^{d_k} lies in the ideal.  `pure_lift` adds 2^31 - d_k to
@@ -460,11 +470,22 @@ class TriangularSystem:
     degrees of the generators' terms are read from the same prefix sums, so
     a term of degree 2^32 - l or more may read low and make the system count
     as not graded, which only turns the rule off.
+
+    Everything above except the tails follows from three facts per relation:
+    d_j, whether g_j is a single term, and whether the system is graded.  A
+    system made by `_deferred` is given those facts and a function that
+    builds g_j; g_j and its tail are built the first time something reads
+    them (`gens`, `tails`, `relation_texts`, `==`, `hash`, `repr`, or a
+    reduction that reaches level j), and a built relation that contradicts
+    its facts raises RuntimeError.  A relation that is never read is never
+    built.  The normal form cannot depend on when a relation is built: it is
+    fixed by the ideal and the leading terms T_j^{d_j}, and a reduction reads
+    g_j only to rewrite a term that reaches d_j in T_j.
     """
 
     __slots__ = (
-        "field", "nvars", "gens", "lead_degrees", "tails", "powers", "reach_lift",
-        "pure_lift", "pure_bits", "degree_lift", "degree_bits",
+        "field", "nvars", "lead_degrees", "powers", "reach_lift",
+        "pure_lift", "pure_bits", "degree_lift", "degree_bits", "_build", "_gens", "_tails",
     )
 
     def __init__(self, gens):
@@ -479,42 +500,34 @@ class TriangularSystem:
             raise InputError(
                 f"need exactly one generator per variable, got {len(gens)} for {nvars} variables"
             )
-        half = 1 << (BITS - 1)
-        high = BITS * nvars
-        ones = _prefix_mult(nvars) >> high
-        degrees = []
-        tails = []
-        reach_lift = pure_lift = pure_bits = degree_lift = degree_bits = 0
-        graded = True
-        excess = 0
+        divided = []
         for j, g in enumerate(gens, start=1):
             if g.field != field or g.nvars != nvars:
                 raise InputError("mismatched field or variable count among generators")
-            if g.is_zero():
-                raise InputError(f"generator {j} is zero")
-            s = BITS * (j - 1)
-            # the largest key has the largest T_j-degree, and any variable
-            # beyond T_j or any other term of that T_j-degree makes it larger
-            last = max(g._terms)
-            if last >> (s + BITS):
-                raise InputError(f"generator {j} involves a variable beyond T{j}")
-            d = last >> s
-            if d < 1:
-                raise InputError(f"generator {j} has no T{j} term")
-            top = d << s
-            if last != top:
-                raise InputError(f"leading T{j}-coefficient of generator {j} is not constant")
-            degrees.append(d)
-            scale = -field.inverse(g._terms[top])
-            tail = []
-            for m, c in g._terms.items():
-                if m != top:
-                    tail.append((m - top, (m >> s) - d, field.norm(c * scale)))
-                    # the total degree of m is its prefix sum in field j
-                    graded = graded and (m * ones >> s) & MASK >= d
-            tails.append(tuple(tail))
+            divided.append(_divide(g, j))
+        degrees, tails, graded = zip(*divided)
+        self._set(field, degrees, [not tail for tail in tails], all(graded), None)
+        self._gens[:] = gens
+        self._tails[:] = tails
+
+    @classmethod
+    def _deferred(cls, field, lead_degrees, single_terms, build):
+        """The graded system whose relation g_j is `build(j)`, with T_j-degree
+        `lead_degrees[j - 1]` and a single term exactly when
+        `single_terms[j - 1]`; `build(j)` runs when g_j is first read."""
+        system = object.__new__(cls)
+        system._set(field, lead_degrees, single_terms, True, build)
+        return system
+
+    def _set(self, field, degrees, single_terms, graded, build):
+        nvars = len(degrees)
+        half = 1 << (BITS - 1)
+        high = BITS * nvars
+        reach_lift = pure_lift = pure_bits = degree_lift = degree_bits = 0
+        excess = 0
+        for s, d, single in zip(_shifts(nvars), degrees, single_terms):
             reach_lift += (half - d) << s
-            if not tail:
+            if single:
                 pure_lift += (half - d) << s
                 pure_bits |= 1 << (s + BITS - 1)
             excess += d - 1
@@ -523,18 +536,46 @@ class TriangularSystem:
                 degree_bits |= 1 << (high + s + BITS - 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
-        object.__setattr__(self, "tails", tuple(tails))
         object.__setattr__(self, "powers", {})
         object.__setattr__(self, "reach_lift", reach_lift)
         object.__setattr__(self, "pure_lift", pure_lift)
         object.__setattr__(self, "pure_bits", pure_bits)
         object.__setattr__(self, "degree_lift", degree_lift if graded else 0)
         object.__setattr__(self, "degree_bits", degree_bits if graded else 0)
+        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_gens", [None] * nvars)
+        object.__setattr__(self, "_tails", [None] * nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
+
+    def _tail(self, j):
+        """The division tail of g_j, building g_j first if nothing has read it."""
+        tail = self._tails[j - 1]
+        if tail is None:
+            g = self._build(j)
+            d, tail, graded = _divide(g, j)
+            stated = (self.field, self.nvars, self.lead_degrees[j - 1], self.pure_bits >> (BITS * j - 1) & 1)
+            if (g.field, g.nvars, d, int(not tail)) != stated or not graded:
+                raise RuntimeError(f"relation {j} contradicts the degree, shape or grading stated for it")
+            self._gens[j - 1] = g
+            self._tails[j - 1] = tail
+        return tail
+
+    def _complete(self):
+        for j in range(1, self.nvars + 1):
+            self._tail(j)
+
+    @property
+    def gens(self):
+        self._complete()
+        return tuple(self._gens)
+
+    @property
+    def tails(self):
+        self._complete()
+        return tuple(self._tails)
 
     @property
     def quotient_dimension(self):
@@ -564,6 +605,37 @@ class TriangularSystem:
         return f"TriangularSystem({list(self.gens)!r})"
 
 
+def _divide(g, j):
+    """(d_j, tail, graded) for g as the j-th generator of a triangular system:
+    its T_j-degree, its division tail, and whether no term of g has lower
+    total degree than T_j^{d_j}; an InputError if g cannot be g_j."""
+    if g.is_zero():
+        raise InputError(f"generator {j} is zero")
+    s = BITS * (j - 1)
+    # the largest key has the largest T_j-degree, and any variable beyond
+    # T_j or any other term of that T_j-degree makes it larger
+    last = max(g._terms)
+    if last >> (s + BITS):
+        raise InputError(f"generator {j} involves a variable beyond T{j}")
+    d = last >> s
+    if d < 1:
+        raise InputError(f"generator {j} has no T{j} term")
+    top = d << s
+    if last != top:
+        raise InputError(f"leading T{j}-coefficient of generator {j} is not constant")
+    field = g.field
+    scale = -field.inverse(g._terms[top])
+    ones = _prefix_mult(g.nvars) >> (BITS * g.nvars)
+    tail = []
+    graded = True
+    for m, c in g._terms.items():
+        if m != top:
+            tail.append((m - top, (m >> s) - d, field.norm(c * scale)))
+            # the total degree of m is its prefix sum in field j
+            graded = graded and (m * ones >> s) & MASK >= d
+    return d, tuple(tail), graded
+
+
 def _reduce_level(p, j, system):
     """Eliminate every T_j-power >= d_j from p by division against g_j, for a
     p in which some term reaches d_j.
@@ -589,7 +661,7 @@ def _reduce_level(p, j, system):
     d = system.lead_degrees[j - 1]
     far = FAR_FACTOR * d
     clean = p.field.clean
-    tail = system.tails[j - 1]
+    tail = system._tail(j)
     mult = _prefix_mult(p.nvars)
     lift = system.pure_lift + system.degree_lift
     bits = system.pure_bits | system.degree_bits

@@ -16,7 +16,9 @@ from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .polyring import F2, Q, Poly, power, reduce
 
 # Largest term count of an unreduced euler class or of any partial product
-# on the way to it; reduced classes are bounded by the quotient instead.
+# on the way to it; reduced classes are bounded by the quotient instead.  A
+# presentation's relation is an unreduced class, checked when it is built,
+# the first time something reads it (`cohomology.presentation`).
 MAX_EULER_TERMS = 100_000
 
 
