@@ -11,8 +11,9 @@ and degree (flag only with a target); torus-decompose group, module.
 flag-ring and torus-example read no document and are the only ones that
 sample, seeded by --seed, else EULERLAB_SEED, else 0; flag-ring samples, and
 reads the seed, only with --verify.  Only torus-example needs numpy, which is
-not loaded before it runs.  Exit codes: 0 success, 1 hypothesis failure, 2
-input error.
+not loaded before it runs.  An integer option, a --bounds item and
+EULERLAB_SEED are an optional sign then ASCII digits.  Exit codes: 0 success,
+1 hypothesis failure, 2 input error.
 
 Every subcommand handler returns one `report.Report`, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -32,6 +33,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +55,15 @@ from .reps import (
 )
 
 _PAIR_FIELDS = frozenset({"group", "module", "target"})
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text):
+    """`text` as an int if it is an optional sign then ASCII digits; bare
+    `int` would also read other scripts' digits, `_` separators and spaces."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _load_document(args, required=True):
@@ -100,8 +111,8 @@ def _resolve_seed(args):
         return args.seed
     env = os.environ.get("EULERLAB_SEED", "0")
     try:
-        return int(env)
-    except ValueError as exc:
+        return _int(env)
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"EULERLAB_SEED must be an integer, got {env!r}") from exc
 
 
@@ -189,8 +200,8 @@ def _cmd_flag_ring(args):
     bounds = None
     if args.bounds:
         try:
-            bounds = [int(x) for x in args.bounds.split(",")]
-        except ValueError as exc:
+            bounds = [_int(x) for x in args.bounds.split(",")]
+        except argparse.ArgumentTypeError as exc:
             raise InputError(f"--bounds expects comma-separated integers: {exc}") from exc
     require_count(args.samples, "sample count", cohomology.MAX_FLAG_RING_SAMPLES)
     seed = _resolve_seed(args) if args.verify else None
@@ -271,7 +282,7 @@ def build_parser():
     source.add_argument("-i", "--input", help="path to a JSON input document")
     source.add_argument("--inline", help="inline JSON input document")
     seeded = argparse.ArgumentParser(add_help=False, parents=[machine])
-    seeded.add_argument("--seed", type=int, help="sampling seed (default: EULERLAB_SEED, else 0)")
+    seeded.add_argument("--seed", type=_int, help="sampling seed (default: EULERLAB_SEED, else 0)")
 
     parser = argparse.ArgumentParser(
         prog="eulerlab",
@@ -282,7 +293,7 @@ def build_parser():
     p = sub.add_parser("reduce", parents=[document], help="normal form against a triangular system")
     p.set_defaults(handler=_cmd_reduce, fields=frozenset({"field", "nvars", "poly", "system"}))
     p.add_argument("--field", choices=[F2, Q])
-    p.add_argument("--nvars", type=int)
+    p.add_argument("--nvars", type=_int)
     p.add_argument("--poly")
     p.add_argument("--gen", action="append", help="system generator (repeatable)")
 
@@ -299,29 +310,29 @@ def build_parser():
         required=True,
         choices=["free-zero-set", "stiefel-real", "stiefel-complex", "torus-interior", "torus-annulus"],
     )
-    p.add_argument("-n", type=int, help="embedding dimension for the stiefel bounds")
+    p.add_argument("-n", type=_int, help="embedding dimension for the stiefel bounds")
 
     p = sub.add_parser("flag-ring", parents=[seeded], help="flag-manifold cohomology presentation")
     p.set_defaults(handler=_cmd_flag_ring)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
+    p.add_argument("-l", type=_int, required=True)
     p.add_argument("--bounds", help="comma-separated nested dimension bounds n_1..n_l")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_int, default=25)
 
     p = sub.add_parser("sympow", parents=[document], help="symmetric-power tables / minimal embedding k")
     p.set_defaults(handler=_cmd_sympow, fields=_PAIR_FIELDS | {"flag", "degree"})
-    p.add_argument("-d", "--degree", type=int)
+    p.add_argument("-d", "--degree", type=_int)
 
     p = sub.add_parser("torus-decompose", parents=[document], help="rational-line decomposition")
     p.set_defaults(handler=_cmd_torus_decompose, fields=frozenset({"group", "module"}))
 
     p = sub.add_parser("torus-example", parents=[seeded], help="explicit circle map with verification")
     p.set_defaults(handler=_cmd_torus_example)
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("-a", type=_int, required=True)
+    p.add_argument("-b", type=_int, required=True)
+    p.add_argument("-c", type=_int, required=True)
+    p.add_argument("--samples", type=_int, default=10000)
     p.add_argument("--tol", type=float, default=torusmaps.DEFAULT_EQUIVARIANCE_TOL)
 
     return parser

@@ -10,16 +10,19 @@ set to zero, and enumeration orders are fixed.
 
 Public names validate their input: `rank2`, `solve2`, `rrefq`, `rankq` and
 `solveq` coerce every entry, so floats, strings and bools are input errors
-and an F2 entry is read mod 2.  They are what flags call, a few times per
-flag, and what the benchmark's `linalg` spans count; `fixed_subrep` reads its
-quotient coordinates off the free columns instead of solving.
+and an F2 entry is read mod 2.  No library code calls them: a flag calls
+`_rref` once, on [B | I] for its validated basis B, and `fixed_subrep` reads
+its quotient coordinates off the free columns instead of solving.  `rank2`
+and `rankq` serve only tests; `solve2`, `solveq` and `rrefq` serve tests and
+the names that the benchmark's `linalg` spans trace.
 `unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
 dimension n and raise `InputError` unless it is a nonnegative int (a bool is
 not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
 `_nullspace2`) take field elements as they are (0/1 over F2; over Q in the
 canonical form that `Q.coerce` gives), for callers that pass validated labels
-and bases: `_rank` serves `sympow` and `spanning_flag_from_support`,
-`_rref_canonical2` and `_nullspace2` serve `Subgroup` and `flagsearch`.
+and bases: `_rref` serves flags, `_rank` serves `sympow` and
+`spanning_flag_from_support`, and `_rref_canonical2` and `_nullspace2` serve
+`Subgroup` and `flagsearch`.
 `enumerate_subspace_bases2` has no library caller; it stays for the tests and
 for `eulerbench/tracing.py`'s `COUNTED_GENERATORS`, whose names
 `tests/test_benchmark_contract.py` resolves.

@@ -772,8 +772,9 @@ def quotient_basis(system):
 # Text format: terms `c*T1^a*T2^b` joined by `+`
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
-_VAR_RE = re.compile(r"T(\d+)(?:\^(\d+))?\Z")
+# ASCII digits only: on a str, \d would also match other scripts' digits
+_NUM_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)
+_VAR_RE = re.compile(r"T(\d+)(?:\^(\d+))?\Z", re.ASCII)
 
 
 def format_poly(p):

@@ -9,7 +9,6 @@ with the character inside span(T_1..T_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_int
@@ -115,8 +114,9 @@ def _binary_char(char, rank):
 
 class _Flag:
     """Complete flag of the dual space over `field`, carried as an adapted
-    dual basis.  Subclasses set the field, validate covectors and reach
-    `linalg` through its per-field names."""
+    dual basis.  Subclasses set the field and validate covectors; the
+    validated basis B goes to `linalg._rref` once, on [B | I], which both
+    checks that B is invertible and leaves B^-1 in the right half."""
 
     def __init__(self, rank, dual_basis):
         rank = require_int(rank, "rank")
@@ -125,27 +125,26 @@ class _Flag:
         basis = tuple(self._covector(v, rank) for v in dual_basis)
         if len(basis) != rank:
             raise InputError(f"need {rank} covectors, got {len(basis)}")
-        if self._rank(basis, rank) != rank:
+        augmented = [b + e for b, e in zip(basis, linalg.unit_vectors(rank))]
+        reduced, pivots = linalg._rref(self.field, augmented, rank)
+        if len(pivots) != rank:
             raise InputError("dual basis covectors are linearly dependent")
         self.rank = rank
         self.dual_basis = basis
+        # row k holds the flag coordinates of the k-th unit vector
+        self._inverse = tuple(row[rank:] for row in reduced)
         self._known = {}  # label -> coordinates, filled by _coordinates
 
     @classmethod
     def standard(cls, rank):
         return cls(rank, linalg.unit_vectors(rank))
 
-    @cached_property
-    def _inverse(self):
-        """Row k holds the flag coordinates of the k-th unit vector, solved
-        once per flag, on the first coordinates asked for."""
-        return tuple(self._solve(self.dual_basis, e) for e in linalg.unit_vectors(self.rank))
-
     def _coordinates(self, char):
         """The coefficients c with sum_i c_i * T_i == char, for a label of
         length `rank` whose entries are field elements, such as a table's
         label.  Each label is computed once per flag, as the field-normalised
-        combination sum_k char[k] * row k of the basis inverse."""
+        combination sum_k char[k] * row k of the basis inverse, which the
+        constructor's elimination left in `_inverse`."""
         coords = self._known.get(char)
         if coords is None:
             field = self.field
@@ -172,14 +171,6 @@ class FlagE(_Flag):
     field = F2
     _covector = staticmethod(_binary_char)
 
-    @staticmethod
-    def _rank(rows, n):
-        return linalg.rank2(rows, n)
-
-    @staticmethod
-    def _solve(rows, target):
-        return linalg.solve2(rows, target)
-
 
 class RationalFlag(_Flag):
     """Complete flag of Q^rank; covectors normalized to primitive integer form."""
@@ -192,14 +183,6 @@ class RationalFlag(_Flag):
         if len(v) != rank:
             raise InputError(f"covector {v} does not have length {rank}")
         return linalg.primitive(v)
-
-    @staticmethod
-    def _rank(rows, n):
-        return linalg.rankq(rows, n)
-
-    @staticmethod
-    def _solve(rows, target):
-        return linalg.solveq(rows, target)
 
 
 class RepE(_RepBase):

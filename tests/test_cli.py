@@ -339,6 +339,55 @@ def test_reduce_rejects_non_text_polynomials(doc, message):
     assert message in err
 
 
+# a digit of another script is not a digit of the text format: T1^3 written
+# with an Arabic-Indic three, a coefficient in it, and T1 with an Arabic-Indic one
+@pytest.mark.parametrize("text, factor", [
+    ("T1^\u0663", "T1^\u0663"), ("\u0663*T1", "\u0663"), ("T\u0661", "T\u0661"),
+])
+@pytest.mark.parametrize("where", ["poly", "system"])
+def test_reduce_refuses_non_ascii_digits(text, factor, where):
+    poly, gen = (text, "T1^5") if where == "poly" else ("T1", text)
+    flags = ["reduce", "--field", "Q", "--nvars", "1", f"--poly={poly}", f"--gen={gen}"]
+    doc = {"field": "Q", "nvars": 1, "poly": poly, "system": [gen]}
+    for argv in (flags, ["reduce", "--inline", json.dumps(doc)]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert f"unrecognized factor {factor!r}" in err
+
+
+# int options and --bounds items are an optional sign and ASCII digits only
+@pytest.mark.parametrize("argv, message", [
+    (["flag-ring", "-n", "1_0", "-l", "2"], "argument -n: invalid int value: '1_0'"),
+    (["flag-ring", "-n", "\u0664", "-l", "2"], "argument -n: invalid int value: '\u0664'"),
+    (["flag-ring", "-n", " 4", "-l", "2"], "argument -n: invalid int value: ' 4'"),
+    (["flag-ring", "-n", "4", "-l", "2", "--bounds", "\u0662,\u0664"],
+     "--bounds expects comma-separated integers: invalid int value: '\u0662'"),
+    (["flag-ring", "-n", "4", "-l", "2", "--bounds", "2,4_0"],
+     "--bounds expects comma-separated integers: invalid int value: '4_0'"),
+    (["torus-example", "-a", "2", "-b", "3", "-c", "1", "--samples", "1_0"],
+     "argument --samples: invalid int value: '1_0'"),
+    (["torus-example", "-a", "2", "-b", "3", "-c", "1", "--seed", "\u0667"],
+     "argument --seed: invalid int value: '\u0667'"),
+])
+def test_cli_integers_are_ascii(argv, message):
+    code, out, err = invoke(argv + ["--machine"])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_cli_integers_take_a_sign():
+    doc, _ = machine_doc(["flag-ring", "-n", "+4", "-l", "2", "--bounds", "+2,4"])
+    assert (doc["n"], doc["bounds"]) == (4, [2, 4])
+
+
+@pytest.mark.parametrize("seed", ["1_0", "\u0667", " 7"])
+def test_seed_environment_is_ascii(monkeypatch, seed):
+    monkeypatch.setenv("EULERLAB_SEED", seed)
+    code, out, err = invoke(["torus-example", "-a", "2", "-b", "3", "-c", "1", "--samples", "10"])
+    assert (code, out) == (2, "")
+    assert f"EULERLAB_SEED must be an integer, got {seed!r}" in err
+
+
 # -- machine mode round trips ------------------------------------------------------
 
 def machine_doc(argv):

@@ -1,5 +1,6 @@
 """Tests for representation tables, flags, subgroups, and Euler polynomials."""
 
+import itertools
 import random
 import re
 
@@ -61,8 +62,11 @@ def test_rep_validation():
 
 
 def test_flag_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="dual basis covectors are linearly dependent"):
         FlagE(2, [A, A])
+    # the count is checked before dependence; this short basis is dependent as well
+    with pytest.raises(InputError, match="need 2 covectors, got 1"):
+        FlagE(2, [(0, 0)])
     with pytest.raises(InputError):
         FlagE(0, [])
     f = FlagE.standard(3)
@@ -72,10 +76,44 @@ def test_flag_validation():
 def test_rational_flag_normalization():
     f = RationalFlag(2, [(-2, 0), (3, 6)])
     assert f.dual_basis == ((1, 0), (1, 2))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="dual basis covectors are linearly dependent"):
         RationalFlag(2, [(1, 0), (2, 0)])
+    with pytest.raises(InputError, match="need 2 covectors, got 1"):
+        RationalFlag(2, [(1, 0)])
     with pytest.raises(InputError, match="zero vector spans no line"):
         RationalFlag(2, [(0, 0), (0, 1)])
+
+
+def _triangular_basis(rank, rng, entries):
+    """An invertible basis: unit upper triangular rows, then shuffled."""
+    rows = [tuple(1 if j == i else rng.choice(entries) if j > i else 0 for j in range(rank))
+            for i in range(rank)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("flag_type, entries, labels", [
+    (FlagE, (0, 1), linalg.all_vectors2),
+    (RationalFlag, (-3, -1, 0, 2, 5), lambda rank: list(itertools.product((-1, 0, 2), repeat=rank))),
+], ids=["F2", "Q"])
+def test_flag_runs_one_elimination(monkeypatch, rank, flag_type, entries, labels):
+    calls = []
+    rref = linalg._rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    rng = random.Random(rank)
+    for basis in (linalg.unit_vectors(rank), _triangular_basis(rank, rng, entries)):
+        calls.clear()
+        flag = flag_type(rank, basis)
+        assert len(calls) == 1
+        for char in labels(rank):
+            flag._coordinates(char)
+        assert len(calls) == 1
 
 
 def test_subgroup_canonical_basis():
