@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb, perm
 
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
@@ -20,12 +18,18 @@ from .report import FAIL, PASS, Report, checklist
 from .reps import FlagE, RepE, decompose, euler_poly
 
 
-@dataclass(frozen=True)
 class QuotientClass:
-    """A residue class carried by its unique normal form modulo `presentation`."""
+    """A residue class carried by `poly`, its unique normal form modulo
+    `presentation`.  Immutable, like `Poly`: assigning an attribute raises."""
 
-    presentation: TriangularSystem
-    poly: Poly
+    __slots__ = ("presentation", "poly")
+
+    def __init__(self, presentation, poly):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "poly", poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuotientClass is immutable")
 
     def is_zero(self):
         return self.poly.is_zero()
@@ -108,15 +112,28 @@ def _check_relation_size(degree, k, what="a flag-ring relation"):
         )
 
 
+def _exponent_vectors(k, degree):
+    """Every k-tuple (k >= 1) of nonnegative ints summing to `degree`, the
+    first entry descending: the order of `combinations_with_replacement`."""
+    if k == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _exponent_vectors(k - 1, degree - first):
+            yield (first, *rest)
+
+
 def _homogeneous_sum(nvars, degree, indices):
     """Complete homogeneous sum of the given degree in the chosen variables (F2);
-    nothing is built when `_check_relation_size` refuses it."""
+    nothing is built when `_check_relation_size` refuses it.  Each exponent
+    vector is built directly, so a term costs nvars entries whatever the
+    degree."""
     _check_relation_size(degree, len(indices))
     terms = {}
-    for choice in combinations_with_replacement(indices, degree):
+    for choice in _exponent_vectors(len(indices), degree):
         exponents = [0] * nvars
-        for i in choice:
-            exponents[i] += 1
+        for i, e in zip(indices, choice):
+            exponents[i] = e
         terms[tuple(exponents)] = 1
     return Poly(F2, nvars, terms)
 
@@ -139,9 +156,10 @@ def _relation_degrees(n, l, bounds):
                 raise InputError(f"bound n_{i} = {b} violates {i} <= n_{i} <= {n}")
         if any(bounds[i] > bounds[i + 1] for i in range(l - 1)):
             raise InputError("bounds must be nondecreasing")
-    tops = [(bounds[i - 1] if bounds is not None else n) - i + 1 for i in range(1, l + 1)]
-    for i, top in enumerate(tops, start=1):
-        _check_relation_size(top, i)
+    tops = []
+    for i in range(1, l + 1):
+        tops.append((bounds[i - 1] if bounds is not None else n) - i + 1)
+        _check_relation_size(tops[-1], i)
     return tops
 
 

@@ -11,15 +11,18 @@ MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from . import linalg
 from .errors import HypothesisError, ResourceLimitError
 from .polyring import F2, Q
-from .reps import FlagE, RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
+from .reps import RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
 
 MAX_SUBGROUP_RANK = 6
+# Largest group rank of an input document, and largest `reduce` variable
+# count, that the CLI accepts; larger ones are refused before anything of
+# that length is built.
+MAX_GROUP_RANK = 64
 MAX_CHAIN_NODES = 20000
 
 
@@ -223,14 +226,21 @@ def best_fixed_subgroup(U, V):
     return min(candidates, key=lambda F: F.basis)
 
 
-@dataclass(frozen=True)
 class ReducedFlagSearch:
-    """Outcome of the subgroup-then-flag pipeline."""
+    """Outcome of the subgroup-then-flag pipeline: the `subgroup` F, the
+    `quotient_module` U^F and `quotient_target` V^F over the quotient group,
+    and their `flag`.  Immutable, like `Poly`: assigning an attribute raises."""
 
-    subgroup: Subgroup
-    quotient_module: RepE
-    quotient_target: RepE
-    flag: FlagE
+    __slots__ = ("subgroup", "quotient_module", "quotient_target", "flag")
+
+    def __init__(self, subgroup, quotient_module, quotient_target, flag):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "quotient_module", quotient_module)
+        object.__setattr__(self, "quotient_target", quotient_target)
+        object.__setattr__(self, "flag", flag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ReducedFlagSearch is immutable")
 
 
 def reduced_flag_search(U, V):

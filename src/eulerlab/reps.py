@@ -8,8 +8,6 @@ with the character inside span(T_1..T_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .polyring import F2, Q, Poly, power, reduce
@@ -264,12 +262,18 @@ class Subgroup:
 # Flag decomposition and Euler classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FlagDecomposition:
-    """Blocks U_1..U_l plus the fixed part, all over the original labels."""
+    """Blocks U_1..U_l (a tuple of tables) plus the `fixed` part, all over the
+    original labels.  Immutable, like `Poly`: assigning an attribute raises."""
 
-    blocks: tuple
-    fixed: object
+    __slots__ = ("blocks", "fixed")
+
+    def __init__(self, blocks, fixed):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "fixed", fixed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlagDecomposition is immutable")
 
     @property
     def dims(self):

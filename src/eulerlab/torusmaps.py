@@ -13,7 +13,6 @@ of a torus table are `reps.line_blocks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import gcd, isfinite
 from numbers import Real
 
@@ -23,6 +22,12 @@ from .report import Report
 from .reps import RepT, rep_entries_doc, require_tables
 
 DEFAULT_EQUIVARIANCE_TOL = 1e-9
+# float64 rounds a sampled phase 2*pi*theta.w by up to about this much per unit
+# of |w|_1, and an equivariant map's residual grows with it: circle maps read
+# at most 6.4 * 2^-52 per unit of their largest weight, and this is ten times
+# that.  A weight above 2^53 is not a float64 integer.
+PHASE_ROUNDING = 2.0 ** -46
+MAX_SAMPLED_WEIGHT = 2 ** 53
 # Largest sample count verify_equivariance draws; each sample costs a few
 # complex vectors of the source and target dimension.
 MAX_EQUIVARIANCE_SAMPLES = 200_000
@@ -38,20 +43,22 @@ def coordinate_weights(rep):
     return out
 
 
-@dataclass
 class MapDescription:
     """A concrete equivariant map carried by its weight tables and evaluator.
 
-    The evaluator takes arrays of shape (..., dim source) to (..., dim target)
-    and must be total on the unit sphere.  Equivariance is never assumed; it
-    is checked by verify_equivariance.
+    `source` and `target` are `RepT` tables, `tag` names the construction and
+    `params` its parameters (a new dict when none is given).  The evaluator
+    takes arrays of shape (..., dim source) to (..., dim target) and must be
+    total on the unit sphere.  Equivariance is never assumed; it is checked
+    by verify_equivariance.
     """
 
-    source: RepT
-    target: RepT
-    evaluator: object
-    tag: str
-    params: dict = field(default_factory=dict)
+    def __init__(self, source, target, evaluator, tag, params=None):
+        self.source = source
+        self.target = target
+        self.evaluator = evaluator
+        self.tag = tag
+        self.params = {} if params is None else params
 
     def to_doc(self):
         return {
@@ -141,7 +148,7 @@ def embed_on_line(m, line):
             table[tuple(k * x for x in line)] = mult
         return RepT(len(line), table)
 
-    return replace(m, source=lift(m.source), target=lift(m.target), params={**m.params, "line": list(line)})
+    return MapDescription(lift(m.source), lift(m.target), m.evaluator, m.tag, {**m.params, "line": list(line)})
 
 
 def normalize_to_sphere(m):
@@ -155,7 +162,7 @@ def normalize_to_sphere(m):
         norms = np.linalg.norm(out, axis=-1, keepdims=True)
         return out / norms
 
-    return replace(m, evaluator=evaluator, params={**m.params, "normalized": True})
+    return MapDescription(m.source, m.target, evaluator, m.tag, {**m.params, "normalized": True})
 
 
 def random_unit_vectors(rng, count, dim):
@@ -267,7 +274,10 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     The group elements and sample points come from a seeded generator, so
     reports are reproducible.  circle-example maps additionally report the
     minimum output norm over the sphere samples and the exact exponent-level
-    check that the zero set is the origin alone.
+    check that the zero set is the origin alone.  Weights so large that
+    float64 rounding of the phases alone can reach `tol` (PHASE_ROUNDING per
+    unit of weight), or above MAX_SAMPLED_WEIGHT, are an input error raised
+    before anything is sampled.
     """
     # a bool is a Real, but no tolerance
     if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol <= 0:
@@ -278,6 +288,15 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     dim_s = m.source.dim
     if dim_s == 0:
         raise InputError("the source representation is zero")
+    # refuse weights whose phase rounding alone can reach tol; a tol that
+    # rounding reaches already at weight 1 cannot be met at any weight, and
+    # the check runs and fails
+    widest = max(sum(map(abs, w)) for w in m.source.support() + m.target.support())
+    if widest > MAX_SAMPLED_WEIGHT or 1 < tol / PHASE_ROUNDING <= widest:
+        raise InputError(
+            f"weights up to {widest} (1-norm) are too large to sample at tolerance {float(tol)}: "
+            f"float64 phase rounding, about {PHASE_ROUNDING:.1e} per unit of weight, can reach it"
+        )
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from eulerlab import cohomology, sympow, torusmaps
+from eulerlab import cli, cohomology, sympow, torusmaps
 from eulerlab.bounds import bound_free_zero_set
 from eulerlab.cli import build_parser, run
+from eulerlab.flagsearch import MAX_GROUP_RANK
+from eulerlab.polyring import MAX_EXPONENT
 from eulerlab.reps import rep_from_doc
 
 
@@ -693,6 +695,80 @@ def test_sympow_degree_cap_exit_two():
     code, out, err = invoke(["sympow", "-d", str(sympow.MAX_SYM_DEGREE + 1), "--inline", json.dumps(module)])
     assert code == 2 and out == ""
     assert f"above the limit of {sympow.MAX_SYM_DEGREE}" in err
+
+
+def _ranked_doc(kind, rank, *keys):
+    return {"group": {"kind": kind, "rank": rank}, **{key: {"entries": []} for key in keys}}
+
+
+_RANKED = [
+    (["euler-check"], "elem_abelian_2", ("module", "target")),
+    (["flag-find"], "elem_abelian_2", ("module", "target")),
+    (["bound", "--theorem", "free-zero-set"], "elem_abelian_2", ("module", "target")),
+    (["bound", "--theorem", "stiefel-real", "-n", "5"], "elem_abelian_2", ("module", "target")),
+    (["bound", "--theorem", "stiefel-complex", "-n", "5"], "torus", ("module", "target")),
+    (["bound", "--theorem", "torus-interior"], "torus", ("module", "target")),
+    (["bound", "--theorem", "torus-annulus"], "torus", ("module", "target")),
+    (["sympow", "-d", "2"], "elem_abelian_2", ("module",)),
+    (["sympow", "-d", "1"], "elem_abelian_2", ("module", "target")),
+    (["torus-decompose"], "torus", ("module",)),
+]
+
+@pytest.mark.parametrize("argv, kind, keys", _RANKED)
+@pytest.mark.parametrize("rank", [MAX_GROUP_RANK + 1, 10**9, 10**20])
+def test_group_rank_above_the_limit_exit_two(monkeypatch, argv, kind, keys, rank):
+    monkeypatch.setattr(cli, "rep_from_doc", lambda *args, **kwargs: pytest.fail("built a table"))
+    code, out, err = invoke(argv + ["--inline", json.dumps(_ranked_doc(kind, rank, *keys))])
+    assert (code, out, err) == (2, "", f"error: group rank {rank} is above the limit of {MAX_GROUP_RANK}\n")
+
+
+def test_group_rank_at_the_limit_is_read():
+    doc = _ranked_doc("torus", MAX_GROUP_RANK, "module")
+    doc["module"]["entries"] = [{"char": [2] + [0] * (MAX_GROUP_RANK - 1), "mult": 1}]
+    out, _ = machine_doc(["torus-decompose", "--inline", json.dumps(doc)])
+    assert out["fixed_dim"] == 0 and [line["line"][0] for line in out["lines"]] == [1]
+
+
+@pytest.mark.parametrize("nvars", [MAX_GROUP_RANK + 1, 10**9, 10**20])
+@pytest.mark.parametrize("where", ["flag", "document"])
+def test_reduce_variable_count_above_the_limit_exit_two(monkeypatch, nvars, where):
+    monkeypatch.setattr(cli, "parse_poly", lambda *args: pytest.fail("parsed a polynomial"))
+    argv = ["reduce", "--field", "F2", "--poly", "T1", "--gen", "T1^2"]
+    argv += ["--nvars", str(nvars)] if where == "flag" else ["--inline", json.dumps({"nvars": nvars})]
+    code, out, err = invoke(argv)
+    assert (code, out, err) == (2, "", f"error: variable count {nvars} is above the limit of {MAX_GROUP_RANK}\n")
+
+
+def test_reduce_variable_count_at_the_limit_is_read():
+    gens = [arg for j in range(1, MAX_GROUP_RANK + 1) for arg in ("--gen", f"T{j}^2")]
+    out, _ = machine_doc(["reduce", "--field", "F2", "--nvars", str(MAX_GROUP_RANK), "--poly", f"T{MAX_GROUP_RANK}^3+T{MAX_GROUP_RANK}+1"] + gens)
+    assert out["normal_form"] == f"1+T{MAX_GROUP_RANK}"
+
+
+@pytest.mark.parametrize("n", [MAX_EXPONENT + 1, 10**20])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_flag_ring_degree_above_the_exponent_limit_exit_two(n, verify):
+    code, out, err = invoke(["flag-ring", "-n", str(n), "-l", "1"] + verify)
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent in monomial ({n},) is above the limit of {MAX_EXPONENT}\n"
+
+
+def test_flag_ring_refuses_a_long_flag_without_listing_its_steps():
+    # relation 2 of the 10^12-step flags in R^(10^12) already has 10^12 terms
+    start = time.monotonic()
+    code, out, err = invoke(["flag-ring", "-n", str(10**12), "-l", str(10**12)])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a flag-ring relation would have {10**12} terms, above the limit of {cohomology.MAX_RELATION_TERMS}\n"
+
+
+@pytest.mark.parametrize("abc, tol", [((2, 3, 10**6), "1e-9"), ((10**20, 3, 1), "1e-9"), ((2, 3, 2**53), "1e-30")])
+def test_torus_example_weights_beyond_float_rounding_exit_two(monkeypatch, abc, tol):
+    monkeypatch.setattr(torusmaps, "random_unit_vectors", lambda *args: pytest.fail("sampled the map"))
+    a, b, c = abc
+    code, out, err = invoke(["torus-example", "-a", str(a), "-b", str(b), "-c", str(c), "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: weights up to {a * b * c} (1-norm) are too large to sample at tolerance {float(tol)}")
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -244,6 +245,20 @@ def test_homogeneous_sum_refuses_before_building(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", lambda *args: pytest.fail("built a relation"))
     with pytest.raises(ResourceLimitError, match="above the limit"):
         _homogeneous_sum(2, MAX_RELATION_TERMS, [0, 1])
+
+
+def test_flag_ring_memory_does_not_grow_with_the_degree():
+    # each exponent vector is built directly, never as a length-n choice:
+    # flag_ring(10^6, 1) and its verification peak at kilobytes, not 24 MB
+    for build in (lambda: flag_ring(10**6, 1), lambda: verify_flag_ring(10**6, 1, samples=2)):
+        tracemalloc.start()
+        try:
+            result = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+    assert flag_ring(10**6, 1).relation_texts() == ["T1^1000000"] and result.failure is None
 
 
 def test_flag_ring_refuses_before_building_any_relation(monkeypatch):

@@ -165,6 +165,27 @@ def test_decompose_is_a_partition():
             assert seen[c] == U.multiplicity(c)
 
 
+def test_result_records_keep_their_fields_and_refuse_assignment():
+    # FlagDecomposition, QuotientClass and ReducedFlagSearch are immutable
+    # plain classes, built positionally or by keyword
+    flag = FlagE.standard(2)
+    d = decompose(RepE(2, {A: 3, B: 1, AB: 1, (0, 0): 2}), flag)
+    assert (d.dims, d.fixed_dim) == ((3, 2), 2)
+    again = reps.FlagDecomposition(blocks=d.blocks, fixed=d.fixed)
+    assert (again.dims, again.fixed_dim) == ((3, 2), 2)
+    U, V = RepE(2, {A: 3, B: 1, AB: 1}), RepE(2, {A: 1})
+    nonzero, cls = cohomology.euler_nonvanishing(U, V, flag)
+    again = cohomology.QuotientClass(presentation=cls.presentation, poly=cls.poly)
+    assert nonzero and (again.is_zero(), again.text()) == (False, cls.text())
+    search = flagsearch.reduced_flag_search(U, V)
+    fields = ("subgroup", "quotient_module", "quotient_target", "flag")
+    again = flagsearch.ReducedFlagSearch(*(getattr(search, name) for name in fields))
+    assert all(getattr(again, name) is getattr(search, name) for name in fields)
+    for record, name in [(d, "blocks"), (d, "fixed"), (cls, "poly"), (search, "flag"), (again, "extra")]:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, name, None)
+
+
 # -- fixed_subrep ----------------------------------------------------------------
 
 def test_fixed_subrep_trivial_subgroup_is_identity():

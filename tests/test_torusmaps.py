@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from eulerlab import torusmaps
 from eulerlab.errors import InputError, ResourceLimitError
 from eulerlab.reps import RepT, line_blocks
 from eulerlab.torusmaps import (
@@ -162,6 +163,27 @@ def test_corrupted_weight_fails_loudly():
     assert report["max_residual"] > 1e-3
 
 
+def test_map_descriptions_do_not_share_params():
+    U = RepT(1, {(1,): 1})
+    first = MapDescription(U, U, None, "user")
+    second = MapDescription(source=U, target=U, evaluator=None, tag="user")
+    first.params["seen"] = True
+    assert first.params == {"seen": True} and second.params == {}
+
+
+def test_copies_leave_the_original_untouched():
+    m = circle_example(2, 3, 1)
+    doc, params, evaluator = m.to_doc(), dict(m.params), m.evaluator
+    lifted = embed_on_line(m, (1, 2))
+    normalized = normalize_to_sphere(m)
+    lifted.params["seen"] = normalized.params["seen"] = True
+    assert m.to_doc() == doc and m.params == params and m.evaluator is evaluator
+    assert lifted.params == {**params, "line": [1, 2], "seen": True}
+    assert lifted.source == RepT(2, {(2, 4): 1, (3, 6): 1}) and lifted.evaluator is evaluator
+    assert normalized.params == {**params, "normalized": True, "seen": True}
+    assert normalized.source is m.source and normalized.tag == m.tag and normalized.evaluator is not evaluator
+
+
 # -- join assembly -----------------------------------------------------------------
 
 def test_single_part_join_is_the_part():
@@ -259,6 +281,21 @@ def test_tolerance_accepts_any_finite_positive_real():
     m = circle_example(2, 3, 1)
     for tol in (1, Fraction(1, 10**6), np.float64(1e-9)):
         assert verify_equivariance(m, samples=10, tol=tol)["equivariant"]
+
+
+@pytest.mark.parametrize("abc, tol", [((2, 3, 10**6), 1e-9), ((1, 5, 10**5), 1e-9), ((2, 3, 1), 5e-14), ((2, 3, 2**53), 1e-30)])
+def test_weights_whose_rounding_reaches_the_tolerance_are_refused(monkeypatch, abc, tol):
+    monkeypatch.setattr(torusmaps, "random_unit_vectors", lambda *args: pytest.fail("sampled the map"))
+    with pytest.raises(InputError, match="too large to sample at tolerance"):
+        verify_equivariance(circle_example(*abc), samples=10, tol=tol)
+
+
+def test_rounding_below_the_tolerance_is_sampled():
+    # c = 1000: weights up to 6000 round to about 6e-12, under the default tol
+    assert verify_equivariance(circle_example(2, 3, 1000), samples=200)["passed"]
+    # a tol rounding reaches at weight 1 fails at every weight, and is checked
+    report = verify_equivariance(circle_example(3, 2, 2), samples=200, tol=1e-30)
+    assert not report["equivariant"] and report.failure == "hypothesis failure: equivariance verification failed"
 
 
 def test_verify_equivariance_sample_cap():
