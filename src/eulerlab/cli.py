@@ -11,9 +11,10 @@ and degree (flag only with a target); torus-decompose group, module.
 flag-ring and torus-example read no document and are the only ones that
 sample, seeded by --seed, else EULERLAB_SEED, else 0; flag-ring samples, and
 reads the seed, only with --verify.  A document's group rank and the reduce
-variable count are at most `flagsearch.MAX_GROUP_RANK`.  An integer option, a
---bounds item and EULERLAB_SEED are an optional sign then ASCII digits.  Exit
-codes: 0 success, 1 hypothesis failure, 2 input error.
+variable count are at most `errors.MAX_GROUP_RANK`, which the library's
+constructors enforce.  An integer option, a --bounds item and EULERLAB_SEED
+are an optional sign then ASCII digits.  Exit codes: 0 success, 1 hypothesis
+failure, 2 input error or resource limit.
 
 Every call is a fresh process, so start-up is part of every answer.
 Importing this module and building the parser loads eulerlab's modules and
@@ -46,7 +47,7 @@ from pathlib import Path
 from . import cohomology, polyring, sympow, torusmaps
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
-from .flagsearch import MAX_GROUP_RANK, find_flag, find_rational_flag, reduced_flag_search
+from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
 from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
 from .report import Report
 from .reps import (
@@ -54,7 +55,6 @@ from .reps import (
     decompose,
     flag_from_doc,
     flag_to_doc,
-    group_from_doc,
     line_blocks,
     rep_entries_doc,
     rep_from_doc,
@@ -95,16 +95,7 @@ def _load_document(args, required=True):
     unknown = set(doc) - args.fields
     if unknown:
         raise InputError(f"unknown fields {sorted(unknown)} in the {args.command} input document")
-    if "group" in doc:
-        _require_rank(group_from_doc(doc["group"])[1], "group rank")
     return doc
-
-
-def _require_rank(rank, what):
-    """`rank` itself unless it is above MAX_GROUP_RANK, a resource limit."""
-    if rank > MAX_GROUP_RANK:
-        raise ResourceLimitError(f"{what} {rank} is above the limit of {MAX_GROUP_RANK}")
-    return rank
 
 
 def _flag_or_field(flag, doc, key, missing):
@@ -157,7 +148,6 @@ def _cmd_reduce(args):
     gen_texts = _flag_or_field(args.gen, doc, "system", "a triangular system is required (--gen or document system)")
     if not isinstance(gen_texts, list):
         raise InputError(f"document field system must be a list of polynomials, got {gen_texts!r}")
-    nvars = _require_rank(require_int(nvars, "variable count"), "variable count")
     p = parse_poly(poly_text, field, nvars)
     system = TriangularSystem([parse_poly(g, field, nvars) for g in gen_texts])
     normal = polyring.reduce(p, system)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the integer checks behind them."""
+"""Exception types shared across the package, the integer checks behind them,
+and the group-rank limit."""
+
+# Largest group rank, and largest polynomial variable count, that any
+# constructor accepts: `reps`' tables, flags, subgroups and group documents,
+# and `polyring.Poly`, `Poly.one`, `Poly.variable` and `parse_poly` each apply
+# it through `require_count`, before anything of that length is built.
+MAX_GROUP_RANK = 64
 
 
 class EulerlabError(Exception):

@@ -3,7 +3,8 @@
 The chain search, shared by the F2 and Q flags, certifies step by step that
 each new flag block carries a strictly larger share of U than of V, and
 backtracks so that "no flag" means no admissible flag exists; its node count
-is capped by MAX_CHAIN_NODES.  The subgroup scan ANDs the 2^k - 1 hyperplane
+is capped by MAX_CHAIN_NODES, and the F2 search's group rank by
+MAX_FLAG_SEARCH_RANK.  The subgroup scan ANDs the 2^k - 1 hyperplane
 masks of the k-dimensional span of U's support into every distinct fixed set,
 so it is exhaustive where it matters and stays desk-scale while k is at most
 MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
@@ -19,10 +20,12 @@ from .polyring import F2, Q
 from .reps import RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
 
 MAX_SUBGROUP_RANK = 6
-# Largest group rank of an input document, and largest `reduce` variable
-# count, that the CLI accepts; larger ones are refused before anything of
-# that length is built.
-MAX_GROUP_RANK = 64
+# Largest group rank find_flag searches.  Its candidates are all 2^rank
+# covectors, so time doubles per rank: on the units twice against the units
+# once it takes 0.15 s at rank 14, 0.66 s (31 MB peak) at rank 16 and 1.4 s
+# at rank 17 (CPython 3.11 on a 2-CPU Xeon host).  reduced_flag_search calls
+# it on quotients of rank at most MAX_SUBGROUP_RANK.
+MAX_FLAG_SEARCH_RANK = 16
 MAX_CHAIN_NODES = 20000
 
 
@@ -131,9 +134,14 @@ def find_flag(U, V):
     Among admissible flags it returns the first in gap-maximizing order: at
     each step the extension with the largest summed gap over its new
     characters, ties going to the lexicographically least new covector, which
-    also becomes T_i.
+    also becomes T_i.  A rank above MAX_FLAG_SEARCH_RANK is refused before
+    any covector is listed.
     """
     _check_pair_e(U, V, gap=True)
+    if U.rank > MAX_FLAG_SEARCH_RANK:
+        raise ResourceLimitError(
+            f"flag search is limited to group rank <= {MAX_FLAG_SEARCH_RANK}, got {U.rank}"
+        )
     gaps = {c: g for c, g in gap_table(U, V).items() if any(c)}
     vectors = linalg.all_vectors2(U.rank)
     failure = "no flag extension with positive dimension gap"

@@ -8,21 +8,21 @@ type, and every entry computed is put back in that form).  One elimination,
 deterministic: pivoting always picks the first usable row, free variables are
 set to zero, and enumeration orders are fixed.
 
-Public names validate their input: `rank2`, `solve2`, `rrefq`, `rankq` and
-`solveq` coerce every entry, so floats, strings and bools are input errors
-and an F2 entry is read mod 2.  No library code calls them: a flag calls
-`_rref` once, on [B | I] for its validated basis B, and `fixed_subrep` reads
-its quotient coordinates off the free columns instead of solving.  `rank2`
-and `rankq` serve only tests; `solve2`, `solveq` and `rrefq` serve tests and
+Public names validate their input: `solve2`, `rrefq` and `solveq` coerce
+every entry, so floats, strings and bools are input errors and an F2 entry
+is read mod 2.  No library code calls them: a flag calls `_rref` once, on
+[B | I] for its validated basis B, and `fixed_subrep` reads its quotient
+coordinates off the free columns instead of solving.  They serve tests and
 the names that the benchmark's `linalg` spans trace.
 `unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
 dimension n and raise `InputError` unless it is a nonnegative int (a bool is
-not).  Underscored kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`,
-`_nullspace2`) take field elements as they are (0/1 over F2; over Q in the
-canonical form that `Q.coerce` gives), for callers that pass validated labels
-and bases: `_rref` serves flags, `_rank` serves `sympow` and
-`spanning_flag_from_support`, and `_rref_canonical2` and `_nullspace2` serve
-`Subgroup` and `flagsearch`.
+not), and `ResourceLimitError` if it is above `MAX_GROUP_RANK`.  Underscored
+kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`, `_nullspace2`) take
+field elements as they are (0/1 over F2; over Q in the canonical form that
+`Q.coerce` gives), for callers that pass validated labels and bases: `_rref`
+serves flags, `_rank` serves `sympow`, `spanning_flag_from_support` and the
+tests, and `_rref_canonical2` and `_nullspace2` serve `Subgroup` and
+`flagsearch`.
 `enumerate_subspace_bases2` has no library caller; it stays for the tests and
 for `eulerbench/tracing.py`'s `COUNTED_GENERATORS`, whose names
 `tests/test_benchmark_contract.py` resolves.
@@ -30,7 +30,7 @@ for `eulerbench/tracing.py`'s `COUNTED_GENERATORS`, whose names
 
 from itertools import combinations, product
 
-from .errors import InputError, require_int
+from .errors import MAX_GROUP_RANK, InputError, require_count
 from .polyring import F2, Q
 
 
@@ -85,16 +85,9 @@ def _rank(field, rows, n):
     return len(_rref(field, rows, n)[1])
 
 
-def _dimension(n):
-    """`n` itself if it is a nonnegative int."""
-    if require_int(n, "dimension") < 0:
-        raise InputError(f"the dimension must be nonnegative, got {n}")
-    return n
-
-
 def unit_vectors(n):
     """The standard basis of F2^n or Q^n, as int tuples."""
-    n = _dimension(n)
+    n = require_count(n, "dimension", MAX_GROUP_RANK)
     return [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
 
@@ -108,10 +101,6 @@ def xor(u, v):
 
 def dot2(u, v):
     return sum(a * b for a, b in zip(u, v)) % 2
-
-
-def rank2(rows, n):
-    return _rank(F2, _coerced(F2, rows), n)
 
 
 def _rref_canonical2(rows, n):
@@ -141,7 +130,8 @@ def _nullspace2(rows, n):
 
 def all_vectors2(n):
     """All vectors of F2^n in ascending lexicographic order."""
-    return [tuple(bits) for bits in product((0, 1), repeat=_dimension(n))]
+    n = require_count(n, "dimension", MAX_GROUP_RANK)
+    return [tuple(bits) for bits in product((0, 1), repeat=n)]
 
 
 def enumerate_subspace_bases2(n):
@@ -151,9 +141,9 @@ def enumerate_subspace_bases2(n):
     the free entries as `product` bits with the last row varying fastest (and,
     within a row, its last free column).  Each row's possible values are built
     once per pivot set, so consecutive bases share their row tuples.  A bad
-    `n` raises `InputError` when iteration starts.
+    `n` raises when iteration starts.
     """
-    n = _dimension(n)
+    n = require_count(n, "dimension", MAX_GROUP_RANK)
     for k in range(n + 1):
         for pivots in combinations(range(n), k):
             choices = []
@@ -176,10 +166,6 @@ def enumerate_subspace_bases2(n):
 
 def rrefq(rows, n):
     return _rref(Q, _coerced(Q, rows), n)
-
-
-def rankq(rows, n):
-    return len(rrefq(rows, n)[1])
 
 
 def solveq(rows, target):

@@ -73,7 +73,7 @@ from itertools import product
 from math import gcd, prod
 from operator import mul, or_
 
-from .errors import InputError, ResourceLimitError, require_int
+from .errors import MAX_GROUP_RANK, InputError, ResourceLimitError, require_count, require_int
 
 __all__ = [
     "F2",
@@ -288,9 +288,7 @@ class Poly:
 
     def __init__(self, field, nvars, terms=None):
         field = as_field(field)
-        nvars = require_int(nvars, "variable count")
-        if nvars < 0:
-            raise InputError("variable count must be nonnegative")
+        nvars = require_count(nvars, "variable count", MAX_GROUP_RANK)
         raw = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for m, c in items:
@@ -317,12 +315,12 @@ class Poly:
 
     @classmethod
     def one(cls, field, nvars):
-        return cls(field, nvars, {(0,) * require_int(nvars, "variable count"): 1})
+        return cls(field, nvars, {(0,) * require_count(nvars, "variable count", MAX_GROUP_RANK): 1})
 
     @classmethod
     def variable(cls, field, nvars, index):
         """The variable T_index (1-based)."""
-        nvars = require_int(nvars, "variable count")
+        nvars = require_count(nvars, "variable count", MAX_GROUP_RANK)
         if not 1 <= require_int(index, "variable index") <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
         m = [0] * nvars
@@ -451,7 +449,10 @@ class TriangularSystem:
     holds them in order.  `powers` memoises the normal forms of high powers
     T_j^e by (j, e).  `reach_lift` adds 2^31 - d_j to every T_j field, so
     that the top bit of field j of `key + reach_lift` is set exactly when the
-    key, with no guard bit set, reaches d_j in T_j.
+    key, with no guard bit set, reaches d_j in T_j.  So d_j is at most
+    MAX_EXPONENT, as in any relation that is a `Poly`; a larger lead degree,
+    which only `_deferred` can be given, raises ResourceLimitError, since
+    2^31 - d_j would borrow from the next field.
 
     A generator with an empty tail is the single term c*T_k^{d_k}, and every
     multiple of T_k^{d_k} lies in the ideal.  `pure_lift` adds 2^31 - d_k to
@@ -526,6 +527,8 @@ class TriangularSystem:
         reach_lift = pure_lift = pure_bits = degree_lift = degree_bits = 0
         excess = 0
         for s, d, single in zip(_shifts(nvars), degrees, single_terms):
+            if d > MAX_EXPONENT:
+                raise ResourceLimitError(f"lead degree {d} is above the limit of {MAX_EXPONENT}")
             reach_lift += (half - d) << s
             if single:
                 pure_lift += (half - d) << s
@@ -796,7 +799,7 @@ def format_poly(p):
 def parse_poly(text, field, nvars):
     """Parse the polynomial text format; whitespace and term order are free."""
     field = as_field(field)
-    nvars = require_int(nvars, "variable count")
+    nvars = require_count(nvars, "variable count", MAX_GROUP_RANK)
     if not isinstance(text, str):
         raise InputError(f"polynomial text must be a string, got {text!r}")
     s = "".join(text.split())

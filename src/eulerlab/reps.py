@@ -9,7 +9,7 @@ with the character inside span(T_1..T_i).
 from __future__ import annotations
 
 from . import linalg
-from .errors import HypothesisError, InputError, ResourceLimitError, require_int
+from .errors import MAX_GROUP_RANK, HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2, Q, Poly, power, reduce
 
 # Largest term count of an unreduced euler class or of any partial product
@@ -27,9 +27,7 @@ class _RepBase:
     """
 
     def __init__(self, rank, multiplicities=None):
-        rank = require_int(rank, "rank")
-        if rank < 0:
-            raise InputError("rank must be nonnegative")
+        rank = require_count(rank, "rank", MAX_GROUP_RANK)
         table = {}
         items = multiplicities.items() if isinstance(multiplicities, dict) else (multiplicities or ())
         for char, m in items:
@@ -117,9 +115,7 @@ class _Flag:
     checks that B is invertible and leaves B^-1 in the right half."""
 
     def __init__(self, rank, dual_basis):
-        rank = require_int(rank, "rank")
-        if rank < 1:
-            raise InputError("flags require rank >= 1")
+        rank = require_count(rank, "rank", MAX_GROUP_RANK, positive=True)
         basis = tuple(self._covector(v, rank) for v in dual_basis)
         if len(basis) != rank:
             raise InputError(f"need {rank} covectors, got {len(basis)}")
@@ -229,9 +225,7 @@ class Subgroup:
     """Subgroup F <= (Z/2)^rank, stored as a canonical RREF basis."""
 
     def __init__(self, rank, basis=()):
-        rank = require_int(rank, "rank")
-        if rank < 1:
-            raise InputError("subgroups live in groups of rank >= 1")
+        rank = require_count(rank, "rank", MAX_GROUP_RANK, positive=True)
         rows = [_binary_char(v, rank) for v in basis]
         self.rank = rank
         self.basis = linalg._rref_canonical2(rows, rank)
@@ -443,14 +437,10 @@ def group_from_doc(doc):
     """(table class, rank) of a `{"kind": ..., "rank": ...}` document."""
     _require_keys(doc, {"kind", "rank"}, "group")
     try:
-        kind = doc["kind"]
-        rank = require_int(doc["rank"], "group rank")
+        kind, rank = doc["kind"], doc["rank"]
     except KeyError as exc:
         raise InputError(f"bad group document: {exc}") from exc
-    cls = _table_type(kind)
-    if rank < 1:
-        raise InputError("group rank must be >= 1")
-    return cls, rank
+    return _table_type(kind), require_count(rank, "group rank", MAX_GROUP_RANK, positive=True)
 
 
 def rep_from_doc(doc, key="module"):

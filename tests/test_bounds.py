@@ -12,7 +12,7 @@ from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from eulerlab.cli import run
 from eulerlab.cohomology import QuotientClass, presentation
 from eulerlab.errors import HypothesisError
-from eulerlab.polyring import Poly, format_poly, reduce
+from eulerlab.polyring import F2, Poly, format_poly, reduce
 from eulerlab.reps import (
     RepE,
     RepT,
@@ -97,7 +97,7 @@ def test_free_zero_set_invariant_under_relabeling():
         # random invertible matrix over F2
         while True:
             M = [tuple(rng.randint(0, 1) for _ in range(rank)) for _ in range(rank)]
-            if linalg.rank2(M, rank) == rank:
+            if linalg._rank(F2, M, rank) == rank:
                 break
 
         def relabel(rep):

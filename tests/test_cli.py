@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from eulerlab import cli, cohomology, sympow, torusmaps
+from eulerlab import cohomology, polyring, reps, sympow, torusmaps
 from eulerlab.bounds import bound_free_zero_set
 from eulerlab.cli import build_parser, run
-from eulerlab.flagsearch import MAX_GROUP_RANK
+from eulerlab.errors import MAX_GROUP_RANK
+from eulerlab.flagsearch import MAX_FLAG_SEARCH_RANK
 from eulerlab.polyring import MAX_EXPONENT
 from eulerlab.reps import rep_from_doc
 
@@ -717,7 +718,7 @@ _RANKED = [
 @pytest.mark.parametrize("argv, kind, keys", _RANKED)
 @pytest.mark.parametrize("rank", [MAX_GROUP_RANK + 1, 10**9, 10**20])
 def test_group_rank_above_the_limit_exit_two(monkeypatch, argv, kind, keys, rank):
-    monkeypatch.setattr(cli, "rep_from_doc", lambda *args, **kwargs: pytest.fail("built a table"))
+    monkeypatch.setattr(reps._RepBase, "__init__", lambda *args, **kwargs: pytest.fail("built a table"))
     code, out, err = invoke(argv + ["--inline", json.dumps(_ranked_doc(kind, rank, *keys))])
     assert (code, out, err) == (2, "", f"error: group rank {rank} is above the limit of {MAX_GROUP_RANK}\n")
 
@@ -729,10 +730,21 @@ def test_group_rank_at_the_limit_is_read():
     assert out["fixed_dim"] == 0 and [line["line"][0] for line in out["lines"]] == [1]
 
 
+def test_euler_check_flag_search_above_its_rank_limit_exit_two():
+    rank = MAX_FLAG_SEARCH_RANK + 1
+    units = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    doc = _ranked_doc("elem_abelian_2", rank, "module", "target")
+    for key, mult in (("module", 2), ("target", 1)):
+        doc[key]["entries"] = [{"char": u, "mult": mult} for u in units]
+    code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
+    assert (code, out) == (2, "")
+    assert err == f"error: flag search is limited to group rank <= {MAX_FLAG_SEARCH_RANK}, got {rank}\n"
+
+
 @pytest.mark.parametrize("nvars", [MAX_GROUP_RANK + 1, 10**9, 10**20])
 @pytest.mark.parametrize("where", ["flag", "document"])
 def test_reduce_variable_count_above_the_limit_exit_two(monkeypatch, nvars, where):
-    monkeypatch.setattr(cli, "parse_poly", lambda *args: pytest.fail("parsed a polynomial"))
+    monkeypatch.setattr(polyring.Poly, "__init__", lambda *args, **kwargs: pytest.fail("built a polynomial"))
     argv = ["reduce", "--field", "F2", "--poly", "T1", "--gen", "T1^2"]
     argv += ["--nvars", str(nvars)] if where == "flag" else ["--inline", json.dumps({"nvars": nvars})]
     code, out, err = invoke(argv)

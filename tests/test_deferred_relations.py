@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from eulerlab import cohomology, reps
 from eulerlab.cli import run
 from eulerlab.cohomology import euler_nonvanishing, presentation
-from eulerlab.errors import InputError
-from eulerlab.polyring import F2, TriangularSystem, parse_poly, reduce
+from eulerlab.errors import InputError, ResourceLimitError
+from eulerlab.polyring import F2, MAX_EXPONENT, TriangularSystem, parse_poly, reduce
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, decompose, euler_poly
 
 SETTINGS = settings(
@@ -217,3 +217,43 @@ def test_euler_check_prints_the_relation_above_the_term_limit_and_exits_two(monk
     assert code == 2
     assert out == ""
     assert "above the limit of 1" in err
+
+
+def _wide_block_doc(mult):
+    """A rank-3 torus pair whose first flag block has dimension `mult`: the
+    rational flag puts (1, 0, 0) alone in block 1, so d_1 = mult."""
+    module = {(1, 0, 0): mult, (-1, -1, 0): 1, (1, 2, -1): 2, (-1, 2, -2): 1, (2, -2, 1): 1}
+    target = {(-2, 0, 2): 2, (-1, 2, 0): 1}
+    return {
+        "group": {"kind": "torus", "rank": 3},
+        **{key: {"entries": [{"char": list(c), "mult": m} for c, m in table.items()]}
+           for key, table in (("module", module), ("target", target))},
+    }
+
+
+def _torus_interior(doc):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["bound", "--theorem", "torus-interior", "--machine", "--inline", json.dumps(doc)], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("mult", [10**6, MAX_EXPONENT])
+def test_a_block_up_to_the_exponent_limit_is_answered(mult):
+    code, out, err = _torus_interior(_wide_block_doc(mult))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["bound"] == 2 * mult + 4
+    assert doc["witness"]["certificate"] == "8*T1^2*T3+-16*T1*T3^2+8*T3^3"
+
+
+@pytest.mark.parametrize("mult", [MAX_EXPONENT + 1, 2**32 + 7, 10**20])
+def test_a_block_above_the_exponent_limit_exit_two(mult):
+    # a lead degree above 2^31 - 1 would borrow from the next variable's field
+    # of the packed reach test, and terms reaching d_2 would go unreduced
+    code, out, err = _torus_interior(_wide_block_doc(mult))
+    assert (code, out, err) == (2, "", f"error: lead degree {mult} is above the limit of {MAX_EXPONENT}\n")
+
+
+def test_a_deferred_lead_degree_above_the_exponent_limit_is_refused():
+    with pytest.raises(ResourceLimitError, match=f"lead degree {MAX_EXPONENT + 1} is above"):
+        TriangularSystem._deferred(F2, [MAX_EXPONENT + 1, 1], [True, True], pytest.fail)

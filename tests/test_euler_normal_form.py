@@ -37,7 +37,7 @@ def _flags2(rank):
 def _q_basis(rank):
     row = st.tuples(*[st.integers(-2, 2)] * rank)
     return st.lists(row, min_size=rank, max_size=rank).filter(
-        lambda rows: linalg.rankq(rows, rank) == rank
+        lambda rows: linalg._rank(Q, rows, rank) == rank
     )
 
 

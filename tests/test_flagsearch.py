@@ -218,7 +218,7 @@ def _dense_scan_pair(rng, with_trivial):
     nonzero = linalg.all_vectors2(6)[1:]
     while True:
         chars = rng.sample(nonzero, rng.randint(6, 14))
-        if linalg.rank2(chars, 6) == 6:
+        if linalg._rank(F2, chars, 6) == 6:
             break
     U = {c: rng.randint(1, 3) for c in chars}
     if with_trivial:
@@ -372,7 +372,7 @@ def _greedy_flag(U, V):
 
 
 def _in_spanq(rows, v, n):
-    return linalg.rankq(list(rows) + [v], n) == linalg.rankq(rows, n)
+    return linalg._rank(Q, list(rows) + [v], n) == linalg._rank(Q, rows, n)
 
 
 def _greedy_rational_flag(U, V):
@@ -524,6 +524,15 @@ def test_chain_search_node_limit(monkeypatch):
         find_flag(RepE(2, {A: 2, B: 1}), RepE(2, {}))
     with pytest.raises(ResourceLimitError, match="chain nodes"):
         find_rational_flag(RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {}))
+
+
+def test_find_flag_refuses_a_rank_above_its_limit_before_listing_covectors(monkeypatch):
+    monkeypatch.setattr(linalg, "all_vectors2", lambda n: pytest.fail("listed the covectors"))
+    rank = flagsearch.MAX_FLAG_SEARCH_RANK + 1
+    units = linalg.unit_vectors(rank)
+    U, V = RepE(rank, {u: 2 for u in units}), RepE(rank, {u: 1 for u in units})
+    with pytest.raises(ResourceLimitError, match=f"group rank <= {flagsearch.MAX_FLAG_SEARCH_RANK}, got {rank}"):
+        find_flag(U, V)
 
 
 # -- carried residuals against reduction by the whole span -------------------------

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 
 from eulerlab import linalg
-from eulerlab.errors import InputError
+from eulerlab.errors import MAX_GROUP_RANK, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Q
 from tests_support_random import reference_subspace_bases2, span2
 
@@ -67,7 +67,7 @@ def test_f2_eliminations_against_brute_force():
         assert len(reduced) == len(rows)
         check_rref_shape(reduced, pivots)
         assert f2_span(reduced, n) == span
-        assert linalg.rank2(rows, n) == linalg._rank(F2, rows, n) == len(pivots) == dim
+        assert linalg._rank(F2, rows, n) == len(pivots) == dim
         seen["dependent"] += dim < len(rows)
 
         null = linalg._nullspace2(rows, n)
@@ -97,7 +97,7 @@ def test_q_eliminations_against_sympy():
             rows = [tuple(Fraction(x, d) for x in row) for row, d in zip(rows, [rng.randint(1, 4) for _ in rows])]
         if not rows:
             assert linalg.rrefq(rows, n) == ([], [])
-            assert linalg.rankq(rows, n) == 0
+            assert linalg._rank(Q, rows, n) == 0
             continue
         M = sp.Matrix([[rational(x) for x in row] for row in rows])
         expected, sp_pivots = M.rref()
@@ -105,7 +105,7 @@ def test_q_eliminations_against_sympy():
         reduced, pivots = linalg.rrefq(rows, n)
         assert pivots == list(sp_pivots)
         assert [[rational(x) for x in row] for row in reduced] == expected.tolist()
-        assert linalg.rankq(rows, n) == M.rank()
+        assert linalg._rank(Q, linalg._coerced(Q, rows), n) == M.rank()
         seen["dependent"] += M.rank() < len(rows)
 
         k = len(rows)
@@ -131,10 +131,10 @@ def test_q_eliminations_against_sympy():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: linalg.rankq([[0.5, 1]], 2),
+        lambda: linalg.rrefq([[0.5, 1]], 2),
         lambda: linalg.rrefq([[1, "1"]], 2),
         lambda: linalg.solveq([[1, 0]], [0.5, 0]),
-        lambda: linalg.rank2([[True, 0]], 1),
+        lambda: linalg.solve2([[True, 0]], [1, 0]),
         lambda: linalg.solve2([[1, 0]], ["1", 0]),
     ],
 )
@@ -166,13 +166,20 @@ def test_dimension_must_be_a_nonnegative_int(call, n):
         call(n)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda n: next(linalg.enumerate_subspace_bases2(n)), linalg.unit_vectors, linalg.all_vectors2]
+)
+def test_dimension_above_the_rank_limit_is_refused(call):
+    with pytest.raises(ResourceLimitError, match=f"^dimension {MAX_GROUP_RANK + 1} is above the limit of {MAX_GROUP_RANK}$"):
+        call(MAX_GROUP_RANK + 1)
+
+
 def test_dimension_zero_is_accepted():
     assert linalg.unit_vectors(0) == []
     assert linalg.all_vectors2(0) == [()]
 
 
 def test_public_f2_routines_read_entries_mod_2():
-    assert linalg.rank2([[2, 1]], 2) == 1
     assert linalg.solve2([[3, 0], [0, 1]], [1, 2]) == (1, 0)
 
 

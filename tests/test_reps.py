@@ -279,13 +279,13 @@ def test_annihilator_basis_is_the_identity_at_free_columns():
         ann = F.annihilator_basis()
         assert [[v[c] for c in free] for v in ann] == [[int(i == j) for j in range(len(free))] for i in range(len(free))]
         assert all(linalg.dot2(v, f) == 0 for v in ann for f in F.basis)
-        assert linalg.rank2(ann, F.rank) == len(ann) == F.rank - F.dim
+        assert linalg._rank(F2, ann, F.rank) == len(ann) == F.rank - F.dim
 
 
 def _random_rational_flag(rng, rank):
     while True:
         rows = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rank)]
-        if linalg.rankq(rows, rank) == rank:
+        if linalg._rank(Q, rows, rank) == rank:
             return RationalFlag(rank, rows)
 
 
