@@ -13,8 +13,9 @@ sample, seeded by --seed, else EULERLAB_SEED, else 0; flag-ring samples, and
 reads the seed, only with --verify.  A document's group rank and the reduce
 variable count are at most `errors.MAX_GROUP_RANK`, which the library's
 constructors enforce.  An integer option, a --bounds item and EULERLAB_SEED
-are an optional sign then ASCII digits.  Exit codes: 0 success, 1 hypothesis
-failure, 2 input error or resource limit.
+are an optional sign then ASCII digits.  Past the interpreter's int/str digit
+limit an input integer is an input error, a coefficient to print a resource
+limit.  Exit codes: 0 success, 1 hypothesis failure, 2 input error or limit.
 
 Every call is a fresh process, so start-up is part of every answer.
 Importing this module and building the parser loads eulerlab's modules and
@@ -46,7 +47,7 @@ from pathlib import Path
 
 from . import cohomology, polyring, sympow, torusmaps
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
-from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
+from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int, too_many_digits
 from .flagsearch import find_flag, find_rational_flag, reduced_flag_search
 from .polyring import F2, Q, TriangularSystem, as_field, format_poly, parse_poly
 from .report import Report
@@ -70,15 +71,18 @@ def _int(text):
     `int` would also read other scripts' digits, `_` separators and spaces."""
     if not _INT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(too_many_digits("an integer")) from None
 
 
 def _load_document(args, required=True):
     """The input document, whose fields must lie in the subcommand's `fields`."""
     if args.input:
         try:
-            text = Path(args.input).read_text()
-        except OSError as exc:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input document: {exc}") from exc
     elif args.inline:
         text = args.inline
@@ -90,6 +94,10 @@ def _load_document(args, required=True):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON input: {exc}") from exc
+    except ValueError:
+        raise InputError(f"invalid JSON input: {too_many_digits('an integer')}") from None
+    except RecursionError:
+        raise InputError("invalid JSON input: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("the input document must be a JSON object")
     unknown = set(doc) - args.fields

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the integer checks behind them,
 and the group-rank limit."""
 
+import sys
+
 # Largest group rank, and largest polynomial variable count, that any
 # constructor accepts: `reps`' tables, flags, subgroups and group documents,
 # and `polyring.Poly`, `Poly.one`, `Poly.variable` and `parse_poly` each apply
@@ -42,3 +44,8 @@ def require_count(value, what, cap, positive=False):
     if value > cap:
         raise ResourceLimitError(f"{what} {value} is above the limit of {cap}")
     return value
+
+
+def too_many_digits(what):
+    """Message for an integer past the interpreter's int/str digit limit, which stays."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"

@@ -3,11 +3,12 @@
 The chain search, shared by the F2 and Q flags, certifies step by step that
 each new flag block carries a strictly larger share of U than of V, and
 backtracks so that "no flag" means no admissible flag exists; its node count
-is capped by MAX_CHAIN_NODES, and the F2 search's group rank by
-MAX_FLAG_SEARCH_RANK.  The subgroup scan ANDs the 2^k - 1 hyperplane
-masks of the k-dimensional span of U's support into every distinct fixed set,
-so it is exhaustive where it matters and stays desk-scale while k is at most
-MAX_SUBGROUP_RANK = 6, whatever the rank of the group.
+is capped by MAX_CHAIN_NODES.  An extension is named by its least candidate,
+else by its residual, the least vector of its coset over F2: so the F2 search
+lists no covectors, and the Q unit vectors only name classes.  The subgroup
+scan ANDs the 2^k - 1 hyperplane masks of the k-dimensional span of U's
+support into every distinct fixed set, so it is exhaustive where it matters
+and stays desk-scale while k is at most MAX_SUBGROUP_RANK, whatever the rank.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ from .polyring import F2, Q
 from .reps import RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
 
 MAX_SUBGROUP_RANK = 6
-# Largest group rank find_flag searches.  Its candidates are all 2^rank
-# covectors, so time doubles per rank: on the units twice against the units
-# once it takes 0.15 s at rank 14, 0.66 s (31 MB peak) at rank 16 and 1.4 s
-# at rank 17 (CPython 3.11 on a 2-CPU Xeon host).  reduced_flag_search calls
-# it on quotients of rank at most MAX_SUBGROUP_RANK.
-MAX_FLAG_SEARCH_RANK = 16
 MAX_CHAIN_NODES = 20000
 
 
@@ -65,7 +60,11 @@ def _chain_search(field, rank, gaps, candidates, failure):
     pivot-free residual is unique (up to the scalar `field.line` removes), so
     this gives what reducing every label and candidate by the whole span
     would.
-    Extensions go best summed gap first, ties to the least candidate, so the
+    An extension is named by its least candidate, else by its residual d,
+    and the name becomes the chain's covector.  Over F2, d is the least
+    vector of its coset d + S: every nonzero s in S has its first nonzero
+    entry at a pivot, where d is 0, so d + s > d.
+    Extensions go best summed gap first, ties to the least name, so the
     gap-maximizing path is returned whenever it never dead-ends.  Dead spans
     are memoized; on failure HypothesisError names one step past the longest
     chain reached.
@@ -104,8 +103,7 @@ def _chain_search(field, rank, gaps, candidates, failure):
         # every remaining step needs a gap of at least 1, and the steps
         # together cover every label not yet in the span
         if remaining >= rank - depth:
-            best = sorted((d for d in rep if score.get(d, 0) > 0), key=lambda d: (-score[d], rep[d]))
-            for d in best:
+            for _, name, d in sorted((-s, rep.get(d, d), d) for d, s in score.items() if s > 0):
                 q = next(i for i, a in enumerate(d) if a)
                 grown = [(p, by(row, q, d)) for p, row in rows]
                 rest = extend(
@@ -115,13 +113,13 @@ def _chain_search(field, rank, gaps, candidates, failure):
                     remaining - score[d],
                 )
                 if rest is not None:
-                    return [rep[d]] + rest
+                    return [name] + rest
         dead.add(key)
         return None
 
     score = {label: gap for label, gap in gaps.items() if any(label)}
     rep = {w: w for w in candidates if any(w)}
-    chain = extend([], score, rep, sum(gaps.values()))
+    chain = extend([], score, rep, sum(score.values()))
     if chain is None:
         raise HypothesisError(f"{failure} at step {deepest + 1}")
     return chain
@@ -134,18 +132,11 @@ def find_flag(U, V):
     Among admissible flags it returns the first in gap-maximizing order: at
     each step the extension with the largest summed gap over its new
     characters, ties going to the lexicographically least new covector, which
-    also becomes T_i.  A rank above MAX_FLAG_SEARCH_RANK is refused before
-    any covector is listed.
+    also becomes T_i.  It is the extension's residual, so no covector is listed.
     """
     _check_pair_e(U, V, gap=True)
-    if U.rank > MAX_FLAG_SEARCH_RANK:
-        raise ResourceLimitError(
-            f"flag search is limited to group rank <= {MAX_FLAG_SEARCH_RANK}, got {U.rank}"
-        )
-    gaps = {c: g for c, g in gap_table(U, V).items() if any(c)}
-    vectors = linalg.all_vectors2(U.rank)
     failure = "no flag extension with positive dimension gap"
-    return RepE.flag_type(U.rank, _chain_search(F2, U.rank, gaps, vectors, failure))
+    return RepE.flag_type(U.rank, _chain_search(F2, U.rank, gap_table(U, V), (), failure))
 
 
 def best_fixed_subgroup(U, V):
@@ -270,9 +261,10 @@ def find_rational_flag(U, V):
     """Rational flag with dim U_i > dim V_i at every step, by the same search.
 
     Candidate covectors are the primitive representatives of the lines in U's
-    support plus the standard basis for completion.  Each step of an
-    admissible chain must cover a new line of U, so the chain is spanned by
-    U lines and this finite candidate set realizes every admissible pattern.
+    support plus the standard basis.  Each step of an admissible chain must
+    cover a new line of U, so every extension the search tries holds a U line
+    candidate and the chain is spanned by U lines; a unit vector in the same
+    class only names it when it is the lesser.
     """
     require_tables(RepT, U, V)
     require_no_fixed_part("U", U)

@@ -14,9 +14,9 @@ is read mod 2.  No library code calls them: a flag calls `_rref` once, on
 [B | I] for its validated basis B, and `fixed_subrep` reads its quotient
 coordinates off the free columns instead of solving.  They serve tests and
 the names that the benchmark's `linalg` spans trace.
-`unit_vectors`, `all_vectors2` and `enumerate_subspace_bases2` take a
-dimension n and raise `InputError` unless it is a nonnegative int (a bool is
-not), and `ResourceLimitError` if it is above `MAX_GROUP_RANK`.  Underscored
+`unit_vectors` and `enumerate_subspace_bases2` take a dimension n and raise
+`InputError` unless it is a nonnegative int (a bool is not), and
+`ResourceLimitError` if it is above `MAX_GROUP_RANK`.  Underscored
 kernels (`_rref`, `_solve`, `_rank`, `_rref_canonical2`, `_nullspace2`) take
 field elements as they are (0/1 over F2; over Q in the canonical form that
 `Q.coerce` gives), for callers that pass validated labels and bases: `_rref`
@@ -126,12 +126,6 @@ def _nullspace2(rows, n):
             v[p] = sum(reduced[i][c] * v[c] for c in range(n) if c != p) % 2
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def all_vectors2(n):
-    """All vectors of F2^n in ascending lexicographic order."""
-    n = require_count(n, "dimension", MAX_GROUP_RANK)
-    return [tuple(bits) for bits in product((0, 1), repeat=n)]
 
 
 def enumerate_subspace_bases2(n):

@@ -73,7 +73,7 @@ from itertools import product
 from math import gcd, prod
 from operator import mul, or_
 
-from .errors import MAX_GROUP_RANK, InputError, ResourceLimitError, require_count, require_int
+from .errors import MAX_GROUP_RANK, InputError, ResourceLimitError, require_count, require_int, too_many_digits
 
 __all__ = [
     "F2",
@@ -782,17 +782,17 @@ _VAR_RE = re.compile(r"T(\d+)(?:\^(\d+))?\Z", re.ASCII)
 
 def format_poly(p):
     """Canonical text form: ascending graded-lex terms, `1` coefficients
-    omitted over F2, rationals as num/den."""
+    omitted over F2, rationals as num/den.  A coefficient with more digits
+    than the interpreter prints is a resource limit."""
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in p.sorted_terms():
-        vars_part = "*".join(
-            f"T{i + 1}" if e == 1 else f"T{i + 1}^{e}"
-            for i, e in enumerate(m)
-            if e
-        )
-        parts.append(p.field.term_text(c, vars_part))
+    try:
+        for m, c in p.sorted_terms():
+            vars_part = "*".join(f"T{i + 1}" if e == 1 else f"T{i + 1}^{e}" for i, e in enumerate(m) if e)
+            parts.append(p.field.term_text(c, vars_part))
+    except ValueError:
+        raise ResourceLimitError(too_many_digits("a coefficient")) from None
     return "+".join(parts)
 
 
@@ -802,16 +802,11 @@ def parse_poly(text, field, nvars):
     nvars = require_count(nvars, "variable count", MAX_GROUP_RANK)
     if not isinstance(text, str):
         raise InputError(f"polynomial text must be a string, got {text!r}")
-    s = "".join(text.split())
-    if not s:
+    terms = [term for term in "".join(text.split()).replace("-", "+-").split("+") if term]
+    if not terms:
         raise InputError("empty polynomial text")
-    s = s.replace("-", "+-")
     acc = {}
-    seen_term = False
-    for term in s.split("+"):
-        if not term:
-            continue
-        seen_term = True
+    for term in terms:
         coeff = 1
         exps = [0] * nvars
         for factor in term.split("*"):
@@ -826,18 +821,21 @@ def parse_poly(text, field, nvars):
                     coeff *= field.coerce(Fraction(factor))
                 except ZeroDivisionError:
                     raise InputError(f"zero denominator in {factor!r}") from None
+                except ValueError:
+                    raise InputError(too_many_digits("a coefficient")) from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:
                 raise InputError(f"unrecognized factor {factor!r}")
-            idx = int(m.group(1))
+            try:
+                idx, e = int(m.group(1)), int(m.group(2) or 1)
+            except ValueError:
+                raise InputError(too_many_digits("a variable index or exponent")) from None
             if not 1 <= idx <= nvars:
                 raise InputError(f"variable T{idx} out of range for {nvars} variables")
-            exps[idx - 1] += int(m.group(2) or 1)
+            exps[idx - 1] += e
             if negate:
                 coeff = -coeff
         mono = tuple(exps)
         acc[mono] = acc.get(mono, 0) + coeff
-    if not seen_term:
-        raise InputError("empty polynomial text")
     return Poly(field, nvars, acc)

@@ -32,7 +32,7 @@ from eulerlab.torusmaps import (
     random_unit_vectors,
     verify_equivariance,
 )
-from tests_support_random import complete_flags, identity_map, random_triangular
+from tests_support_random import complete_flags, identity_map, random_triangular, vectors2
 
 
 def _flag_block_maps(rank):
@@ -46,7 +46,7 @@ def _flag_block_maps(rank):
             span = span | {linalg.xor(t, s) for s in span}
             spans.append(set(span))
         mapping = {}
-        for c in linalg.all_vectors2(rank):
+        for c in vectors2(rank):
             if not any(c):
                 continue
             for i, sp in enumerate(spans, start=1):
@@ -148,7 +148,7 @@ def test_acceptance_4_flag_search_cross_validation():
     maps_by_rank = {r: _flag_block_maps(r) for r in (1, 2, 3)}
     checked = 0
     for rank in (1, 2, 3):
-        all_chars = linalg.all_vectors2(rank)
+        all_chars = vectors2(rank)
         nonzero = [c for c in all_chars if any(c)]
         u_tables = [{}]
         for size in range(1, 5):
@@ -222,7 +222,7 @@ def test_acceptance_6_symmetric_powers():
     start = time.monotonic()
     checked = 0
     for rank in (1, 2, 3):
-        all_chars = linalg.all_vectors2(rank)
+        all_chars = vectors2(rank)
         tables = [{}]
         for size in range(1, 5):
             tables.extend(

@@ -22,6 +22,7 @@ from eulerlab.reps import (
     flag_from_doc,
     rep_entries_doc,
 )
+from tests_support_random import vectors2
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -83,7 +84,7 @@ def test_free_zero_set_invariant_under_relabeling():
     rng = random.Random(13)
     for _ in range(25):
         rank = rng.randint(1, 3)
-        chars = linalg.all_vectors2(rank)
+        chars = vectors2(rank)
         tu, tv = {}, {}
         for c in chars:
             mu = rng.randint(0, 2)

@@ -15,7 +15,6 @@ from eulerlab import cohomology, polyring, reps, sympow, torusmaps
 from eulerlab.bounds import bound_free_zero_set
 from eulerlab.cli import build_parser, run
 from eulerlab.errors import MAX_GROUP_RANK
-from eulerlab.flagsearch import MAX_FLAG_SEARCH_RANK
 from eulerlab.polyring import MAX_EXPONENT
 from eulerlab.reps import rep_from_doc
 
@@ -391,6 +390,51 @@ def test_seed_environment_is_ascii(monkeypatch, seed):
     assert f"EULERLAB_SEED must be an integer, got {seed!r}" in err
 
 
+# CPython converts at most 4300 digits between int and str; the CLI keeps that
+# limit and answers past it with exit 2, not a traceback
+_BIG = "9" * 5000
+_REDUCE = ["reduce", "--field", "Q", "--nvars", "1", "--gen", "T1^2"]
+_BIG_TORUS_PAIR = json.dumps({
+    "group": {"kind": "torus", "rank": 1},
+    "module": {"entries": [{"char": [1], "mult": 10001}]},
+    "target": {"entries": [{"char": [3], "mult": 10000}]},
+})
+
+
+@pytest.mark.parametrize("argv, seed, message", [
+    (_REDUCE + ["--poly", f"{_BIG}*T1"], None, "a coefficient has more than 4300 digits"),
+    (_REDUCE + ["--poly", f"1/{_BIG}"], None, "a coefficient has more than 4300 digits"),
+    (_REDUCE + ["--poly", f"T{_BIG}"], None, "a variable index or exponent has more than 4300 digits"),
+    (_REDUCE + ["--poly", f"T1^{_BIG}"], None, "a variable index or exponent has more than 4300 digits"),
+    (["euler-check", "--inline", f'{{"group": {{"kind": "torus", "rank": {_BIG}}}}}'], None,
+     "invalid JSON input: an integer has more than 4300 digits"),
+    (["flag-ring", "-n", "3", "-l", "1", "--bounds", _BIG], None,
+     "--bounds expects comma-separated integers: an integer has more than 4300 digits"),
+    (["flag-ring", "-n", _BIG, "-l", "1"], None, "argument -n: an integer has more than 4300 digits"),
+    (["torus-example", "-a", "2", "-b", "3", "-c", "1", "--samples", "10"], _BIG, "EULERLAB_SEED must be an integer"),
+    (["reduce", "--field", "Q", "--nvars", "1", "--poly", "T1^100000", "--gen", "T1^2-3"], None,
+     "a coefficient has more than 4300 digits"),
+    (["bound", "--theorem", "torus-interior", "--inline", _BIG_TORUS_PAIR], None,
+     "a coefficient has more than 4300 digits"),
+    (["euler-check", "--inline", "[" * 100000], None, "invalid JSON input: nested too deeply"),
+], ids=["coefficient", "denominator", "index", "exponent", "json", "bounds", "option", "seed",
+        "printed-normal-form", "printed-certificate", "json-depth"])
+def test_input_or_output_past_the_digit_limit_exit_two(monkeypatch, argv, seed, message):
+    if seed is not None:
+        monkeypatch.setenv("EULERLAB_SEED", seed)
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert "error: " in err and message in err and "Traceback" not in err
+
+
+def test_non_utf8_input_document_exit_two(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"group": "\u00e9"}'.encode("latin-1"))
+    code, out, err = invoke(["euler-check", "-i", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read input document: 'utf-8' codec can't decode")
+
+
 # -- machine mode round trips ------------------------------------------------------
 
 def machine_doc(argv):
@@ -730,15 +774,17 @@ def test_group_rank_at_the_limit_is_read():
     assert out["fixed_dim"] == 0 and [line["line"][0] for line in out["lines"]] == [1]
 
 
-def test_euler_check_flag_search_above_its_rank_limit_exit_two():
-    rank = MAX_FLAG_SEARCH_RANK + 1
+@pytest.mark.parametrize("rank", [17, MAX_GROUP_RANK])
+def test_euler_check_flag_search_at_a_high_rank(rank):
+    # the F2 flag search lists no covectors, so its time does not double per rank
     units = [[int(i == j) for j in range(rank)] for i in range(rank)]
     doc = _ranked_doc("elem_abelian_2", rank, "module", "target")
     for key, mult in (("module", 2), ("target", 1)):
         doc[key]["entries"] = [{"char": u, "mult": mult} for u in units]
-    code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
-    assert (code, out) == (2, "")
-    assert err == f"error: flag search is limited to group rank <= {MAX_FLAG_SEARCH_RANK}, got {rank}\n"
+    out, _ = machine_doc(["euler-check", "--inline", json.dumps(doc)])
+    assert out["nonvanishing"] is True
+    assert out["certificate"] == "*".join(f"T{j}" for j in range(1, rank + 1))
+    assert out["quotient_dim"] == 2**rank
 
 
 @pytest.mark.parametrize("nvars", [MAX_GROUP_RANK + 1, 10**9, 10**20])

@@ -18,7 +18,7 @@ from eulerlab.cohomology import euler_nonvanishing, presentation
 from eulerlab.errors import InputError
 from eulerlab.polyring import F2, Q, reduce
 from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, euler_poly
-from tests_support_random import complete_flags
+from tests_support_random import complete_flags, vectors2
 
 SETTINGS = settings(
     max_examples=80,
@@ -132,7 +132,7 @@ def test_leading_monomial_lemma_torus(pair):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_coordinates_match_solve2_for_every_label(rank):
-    labels = linalg.all_vectors2(rank)
+    labels = vectors2(rank)
     for flag in _flags2(rank):
         for char in labels:
             assert flag._coordinates(char) == linalg.solve2(flag.dual_basis, char)

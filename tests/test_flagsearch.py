@@ -35,6 +35,7 @@ from tests_support_random import (
     reference_subspace_bases2,
     span2,
     subgroup_contains,
+    vectors2,
 )
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
@@ -176,7 +177,7 @@ def _exhaustive_best_fixed_subgroup(U, V):
         for basis in reference_subspace_bases2(rank)
         if fixed_dim(U, basis) - fixed_dim(V, basis) >= target
     ]
-    index = {v: i for i, v in enumerate(linalg.all_vectors2(rank))}
+    index = {v: i for i, v in enumerate(vectors2(rank))}
     spans = {basis: sum(1 << index[v] for v in span2(basis, rank)) for basis in qualifying}
     maximal = []
     for basis in sorted(qualifying, key=len, reverse=True):
@@ -188,7 +189,7 @@ def _exhaustive_best_fixed_subgroup(U, V):
 def _random_scan_pair(rng, rank):
     """U supported in the span of a few random characters, sometimes with a
     trivial summand; V drawn from every nontrivial character."""
-    vectors = linalg.all_vectors2(rank)
+    vectors = vectors2(rank)
     nonzero = vectors[1:]
     span = sorted(v for v in span2(rng.sample(nonzero, rng.randint(1, rank)), rank) if any(v))
     U = {c: rng.randint(1, 3) for c in rng.sample(span, rng.randint(1, min(len(span), rank + 2)))}
@@ -215,7 +216,7 @@ def _dense_scan_pair(rng, with_trivial):
     """A rank-6 pair shaped like the benchmark's subgroup scan: 6 to 14
     nonzero U characters spanning F2^6 with multiplicity 1 to 3, and 1 to 6
     V characters drawn from every nonzero character."""
-    nonzero = linalg.all_vectors2(6)[1:]
+    nonzero = vectors2(6)[1:]
     while True:
         chars = rng.sample(nonzero, rng.randint(6, 14))
         if linalg._rank(F2, chars, 6) == 6:
@@ -272,7 +273,7 @@ def test_best_fixed_subgroup_maximality_by_enumeration():
     rng = random.Random(6)
     for _ in range(40):
         rank = rng.randint(1, 3)
-        chars = [c for c in linalg.all_vectors2(rank)]
+        chars = [c for c in vectors2(rank)]
         table_u, table_v = {}, {}
         for c in chars:
             mu = rng.randint(0, 2)
@@ -356,7 +357,7 @@ def _greedy_flag(U, V):
     for _ in range(rank):
         best = None
         seen = set(span)
-        for gamma in linalg.all_vectors2(rank):
+        for gamma in vectors2(rank):
             if gamma in seen:
                 continue
             coset = {linalg.xor(gamma, s) for s in span}
@@ -460,7 +461,7 @@ def test_find_flag_complete_against_all_flags():
     certified = 0
     for _ in range(800):
         rank = rng.randint(1, 3)
-        chars = linalg.all_vectors2(rank)
+        chars = vectors2(rank)
         U = RepE(rank, _random_table(rng, chars, min(4, len(chars)), 3))
         V = RepE(rank, _random_table(rng, chars[1:], min(3, len(chars) - 1), 2))
         exists = any(_admissible(f, U, V) for f in flags[rank])
@@ -526,15 +527,6 @@ def test_chain_search_node_limit(monkeypatch):
         find_rational_flag(RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {}))
 
 
-def test_find_flag_refuses_a_rank_above_its_limit_before_listing_covectors(monkeypatch):
-    monkeypatch.setattr(linalg, "all_vectors2", lambda n: pytest.fail("listed the covectors"))
-    rank = flagsearch.MAX_FLAG_SEARCH_RANK + 1
-    units = linalg.unit_vectors(rank)
-    U, V = RepE(rank, {u: 2 for u in units}), RepE(rank, {u: 1 for u in units})
-    with pytest.raises(ResourceLimitError, match=f"group rank <= {flagsearch.MAX_FLAG_SEARCH_RANK}, got {rank}"):
-        find_flag(U, V)
-
-
 # -- carried residuals against reduction by the whole span -------------------------
 
 CHAIN_SETTINGS = settings(
@@ -565,7 +557,7 @@ def _check_chain_search(field, table, limit):
 @st.composite
 def f2_gap_tables(draw):
     rank = draw(st.integers(1, 4))
-    vectors = linalg.all_vectors2(rank)
+    vectors = vectors2(rank)
     gaps = draw(st.dictionaries(st.sampled_from(vectors[1:]), st.integers(-2, 4)))
     return rank, gaps, vectors
 
@@ -585,6 +577,12 @@ def q_gap_tables(draw):
 @given(f2_gap_tables(), NODE_LIMITS)
 def test_chain_search_matches_whole_span_reduction_f2(table, limit):
     _check_chain_search(F2, table, limit)
+    # over F2 every class is named by its residual, the least vector of its
+    # coset, so no candidates give what all 2^rank covectors give
+    rank, gaps, vectors = table
+    assert _search_outcome(flagsearch._chain_search, F2, rank, gaps, (), limit) == _search_outcome(
+        reference_chain_search, F2, rank, gaps, vectors, limit
+    )
 
 
 @CHAIN_SETTINGS

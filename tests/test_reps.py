@@ -24,19 +24,26 @@ from eulerlab.reps import (
     rep_from_doc,
     spanning_flag_from_support,
 )
-from tests_support_random import complete_flags, identity_map, reference_subspace_bases2, span2, subgroup_contains
+from tests_support_random import (
+    complete_flags,
+    identity_map,
+    reference_subspace_bases2,
+    span2,
+    subgroup_contains,
+    vectors2,
+)
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
 
 def regular_minus_trivial(rank, copies=1):
     """(R[E]/R)^copies: every nontrivial character with multiplicity `copies`."""
-    chars = [v for v in linalg.all_vectors2(rank) if any(v)]
+    chars = [v for v in vectors2(rank) if any(v)]
     return RepE(rank, {c: copies for c in chars})
 
 
 def random_rep(rng, rank, max_chars=4, max_mult=3, allow_trivial=True):
-    chars = linalg.all_vectors2(rank)
+    chars = vectors2(rank)
     if not allow_trivial:
         chars = [c for c in chars if any(c)]
     table = {}
@@ -94,7 +101,7 @@ def _triangular_basis(rank, rng, entries):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("flag_type, entries, labels", [
-    (FlagE, (0, 1), linalg.all_vectors2),
+    (FlagE, (0, 1), vectors2),
     (RationalFlag, (-3, -1, 0, 2, 5), lambda rank: list(itertools.product((-1, 0, 2), repeat=rank))),
 ], ids=["F2", "Q"])
 def test_flag_runs_one_elimination(monkeypatch, rank, flag_type, entries, labels):

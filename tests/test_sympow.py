@@ -19,7 +19,7 @@ from eulerlab.sympow import (
     min_embedding_k,
     sym_multiplicities,
 )
-from tests_support_random import complete_flags
+from tests_support_random import complete_flags, vectors2
 
 A, B, AB = (1, 0), (0, 1), (1, 1)
 
@@ -91,7 +91,7 @@ def test_matches_brute_force_small():
     rng = random.Random(1)
     for _ in range(40):
         rank = rng.randint(1, 3)
-        chars = linalg.all_vectors2(rank)
+        chars = vectors2(rank)
         table = {}
         total = 0
         while total < 4 and rng.random() < 0.8:
@@ -106,7 +106,7 @@ def test_matches_brute_force_small():
 def test_matches_the_former_dynamic_program():
     rng = random.Random(6)
     for rank in range(1, 6):
-        labels = linalg.all_vectors2(rank)
+        labels = vectors2(rank)
         for _ in range(8):
             # at most eight labels keep the oracle's (degree, label) states few
             support = rng.sample(labels, rng.randint(1, min(len(labels), 8)))
@@ -137,7 +137,7 @@ def test_total_dimension_binomial():
     for _ in range(40):
         rank = rng.randint(1, 3)
         table = {}
-        for c in linalg.all_vectors2(rank):
+        for c in vectors2(rank):
             m = rng.randint(0, 2)
             if m:
                 table[c] = m
@@ -152,7 +152,7 @@ def test_relabeling_equivariance():
     for _ in range(20):
         rank = rng.randint(1, 3)
         table = {}
-        for c in linalg.all_vectors2(rank):
+        for c in vectors2(rank):
             m = rng.randint(0, 2)
             if m:
                 table[c] = m
@@ -178,7 +178,7 @@ def test_odd_powers_dominate_base_blockwise():
     for _ in range(15):
         rank = rng.randint(1, 3)
         table = {}
-        for c in linalg.all_vectors2(rank):
+        for c in vectors2(rank):
             if any(c) and rng.random() < 0.6:
                 table[c] = rng.randint(1, 2)
         U = RepE(rank, table)

@@ -1,7 +1,7 @@
-"""Shared random generators, small F2 helpers, the subspace enumeration
-oracle, the chain search that reduces by the whole span at every node, the
-level-by-level reduction oracle, the Fraction-only reference field over Q
-and the identity torus map for the test suite."""
+"""Shared random generators, small F2 helpers (every vector of F2^n, spans),
+the subspace enumeration oracle, the chain search that reduces by the whole
+span at every node, the level-by-level reduction oracle, the Fraction-only
+reference field over Q and the identity torus map for the test suite."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -53,6 +53,11 @@ def identity_map(U):
     return MapDescription(source=U, target=U, evaluator=evaluator, tag="user", params={"identity": True})
 
 
+def vectors2(n):
+    """All vectors of F2^n in ascending lexicographic order."""
+    return [tuple(bits) for bits in product((0, 1), repeat=n)]
+
+
 def span2(rows, n):
     """The full set of F2 linear combinations of `rows` (always contains 0)."""
     vecs = {(0,) * n}
@@ -68,7 +73,7 @@ def subgroup_contains(G, F):
 
 def complete_flags(rank):
     """Every complete flag of (F2^rank)^*, each with its canonical adapted basis."""
-    vectors = linalg.all_vectors2(rank)
+    vectors = vectors2(rank)
     flags = []
 
     def extend(chosen, span):
@@ -111,7 +116,8 @@ def reference_subspace_bases2(n):
 def reference_chain_search(field, rank, gaps, candidates, failure):
     """`flagsearch._chain_search` as it was before residuals were carried
     down the search: every node reduces every label and every candidate by
-    its whole span.  Reads `flagsearch.MAX_CHAIN_NODES` when it runs."""
+    its whole span.  A class with no candidate is named by its residual.
+    Reads `flagsearch.MAX_CHAIN_NODES` when it runs."""
     dead = set()
     nodes = 0
     deepest = 0
@@ -145,6 +151,9 @@ def reference_chain_search(field, rank, gaps, candidates, failure):
                 d = residual(w, rows)
                 if score.get(d, 0) > 0:
                     rep.setdefault(d, w)
+            for d, s in score.items():
+                if s > 0:
+                    rep.setdefault(d, d)
             for d in sorted(rep, key=lambda d: (-score[d], rep[d])):
                 q = next(i for i, a in enumerate(d) if a)
                 grown = [(p, residual(row, [(q, d)])) for p, row in rows] + [(q, d)]
