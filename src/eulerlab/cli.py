@@ -19,9 +19,10 @@ limit.  Exit codes: 0 success, 1 hypothesis failure, 2 input error or limit.
 
 Every call is a fresh process, so start-up is part of every answer.
 Importing this module and building the parser loads eulerlab's modules and
-the standard library's argparse, json, fractions and decimal, and nothing
-heavier: no numpy, which only torus-example needs and loads when it samples,
-and no `dataclasses` or `inspect` (the result records are plain classes).
+the standard library's argparse, json, fractions, decimal, random and
+warnings (the last two through `cohomology`), and nothing heavier: no numpy,
+which only torus-example needs and loads when it samples, and no
+`dataclasses` or `inspect` (the result records are plain classes).
 
 Every subcommand handler returns one `report.Report`, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -43,7 +44,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from . import cohomology, polyring, sympow, torusmaps
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus
@@ -81,7 +81,8 @@ def _load_document(args, required=True):
     """The input document, whose fields must lie in the subcommand's `fields`."""
     if args.input:
         try:
-            text = Path(args.input).read_text(encoding="utf-8")
+            with open(args.input, encoding="utf-8") as f:
+                text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input document: {exc}") from exc
     elif args.inline:

@@ -47,11 +47,10 @@ def presentation(U, flag):
 
     What a reduction needs before it reads g_j is read off the blocks: g_j is
     a product of dim U_j linear forms, each with a nonzero T_j-coefficient, so
-    its lead degree is d_j = dim U_j and it is homogeneous, and by unique
-    factorisation it is a single term exactly when every label of block j has
-    zero flag coordinates below j.  g_j itself is built by `euler_poly`, with
-    its MAX_EULER_TERMS check, the first time something reads it
-    (`polyring.TriangularSystem`); a relation nobody reads is never built.
+    its lead degree is d_j = dim U_j and it is homogeneous, so the system is
+    graded.  g_j itself is built by `euler_poly`, with its MAX_EULER_TERMS
+    check, the first time something reads it (`polyring.TriangularSystem`);
+    a relation nobody reads is never built.
     Normal forms are those of the system with every relation built: they
     depend only on the ideal and its leading terms T_j^{d_j}.
     """
@@ -65,12 +64,8 @@ def presentation(U, flag):
     for i, block in enumerate(blocks, start=1):
         if block.dim == 0:
             raise HypothesisError(f"flag block {i} is empty (dim U_{i} = 0)")
-    single_terms = [
-        not any(any(flag._coordinates(char)[:j]) for char in block.support())
-        for j, block in enumerate(blocks)
-    ]
     return TriangularSystem._deferred(
-        flag.field, [block.dim for block in blocks], single_terms, lambda j: euler_poly(blocks[j - 1], flag)
+        flag.field, [block.dim for block in blocks], lambda j: euler_poly(blocks[j - 1], flag)
     )
 
 

@@ -33,33 +33,33 @@ top power for every j.  The system is the quotient ring itself:
 `reduce(p, system)` is the normal form of p's class (zero exactly when p lies
 in the ideal), `quotient_basis(system)` the monomial basis, and the system
 carries its dimension and Hilbert series.  Those, and the packed constants
-of the rules below, need only each d_j, which relations are single terms and
-whether the system is graded; a system can be given these facts and build
-each relation the first time something reads it (an Euler-class
-presentation does: its top relation is often never read).  The normal form
-cannot depend on which relations were built: it is fixed by the ideal and
-the leading terms, and a reduction reads g_j only to rewrite a term that
-reaches d_j in T_j.
+of the drop rule below, need only each d_j, whether the system is graded
+and, when it is not, which relations are single terms.  So a graded system
+can be given its lead degrees alone and build each relation the first time
+something reads it (an Euler-class presentation does: its top relation is
+often never read).  The normal form cannot depend on which relations were
+built: it is fixed by the ideal and the leading terms, and a reduction reads
+g_j only to rewrite a term that reaches d_j in T_j.
 
-A relation that is a single term c*T_k^{d_k} kills every multiple of
-T_k^{d_k}: such a monomial lies in the ideal.  The first block of a flag
-always gives one (e(U_1) is a power of T_1 up to a constant, and so is
-relation 1 of a flag ring).  `reduce` drops every term it meets or forms
-whose T_k-degree reaches d_k for such a k, instead of rewriting it down to
+`reduce` drops every term it meets or forms that one rule, chosen when the
+system is built, shows to lie in the ideal, instead of rewriting it down to
 T_1.  The system is a Groebner basis, so every element of the ideal has
-normal form 0 and the normal form is unique: dropping a term of the ideal
-cannot change it.  The test is one addition and one AND on the packed key,
-like the guard bits.
-
-A system is graded when no term of any g_j has lower total degree than
-T_j^{d_j}, as every Euler-class presentation and flag ring is.  Then a
-monomial whose degree in T_1..T_i exceeds S_i = sum_{k <= i} (d_k - 1) has
-normal form 0, and `reduce` drops it like a killed term:
+normal form 0 and the normal form is unique: dropping such a term cannot
+change it.  A system is graded when no term of any g_j has lower total
+degree than T_j^{d_j}, as every Euler-class presentation and flag ring is.
+Then a monomial whose degree in T_1..T_i exceeds S_i = sum_{k <= i} (d_k - 1)
+has normal form 0:
   - rewriting by g_k with k > i never lowers the degree in T_1..T_i;
   - rewriting by g_k with k <= i never lowers it either, the system being graded;
   - no standard monomial has degree above S_i in T_1..T_i.
-The test is one product, one addition and one AND on the packed key: the
-product puts every prefix sum of the exponents in a field of its own.
+A graded system uses this prefix-degree rule alone.  It drops whatever a
+single-term g_1 = c*T_1^{d_1} kills, and a term that a later single-term g_k
+kills vanishes when level k rewrites it by g_k's empty tail, so a second
+rule for single terms would only drop some terms sooner.  Any other system
+uses the single-term rule: a relation c*T_k^{d_k} kills every multiple of
+T_k^{d_k}.  Either test is one product, one addition and one AND on the
+packed key: the product puts every prefix sum of the exponents in a field of
+its own.
 """
 
 from __future__ import annotations
@@ -454,40 +454,34 @@ class TriangularSystem:
     which only `_deferred` can be given, raises ResourceLimitError, since
     2^31 - d_j would borrow from the next field.
 
-    A generator with an empty tail is the single term c*T_k^{d_k}, and every
-    multiple of T_k^{d_k} lies in the ideal.  `pure_lift` adds 2^31 - d_k to
-    the T_k field of a key and `pure_bits` holds that field's top bit, for
-    every such k: `(key + pure_lift) & pure_bits` is nonzero exactly when
-    the key, with no guard bit set, reaches d_k in some such T_k.  Both are 0
-    when no generator is a single term.
+    `drop` is the triple (lift, bits, exempt) of the system's one drop rule
+    (see the module docstring): with `mult = _prefix_mult(l)`, a key m lies
+    in the ideal when `(m * mult + lift) & bits` is nonzero and `m & exempt`
+    is zero.
+      - Graded, the prefix-degree rule: `mult` puts the degree P_i of a key
+        in T_1..T_i in field l + i, `lift` adds 2^31 - 1 - S_i there and
+        `bits` holds its top bit, for every i with S_i < 2^31.  `exempt` is
+        `_exact(l)`: below its bits the prefix sums do not carry, so the top
+        bits mark exactly P_i > S_i.  The degrees of the generators' terms
+        are read from the same prefix sums, so a term of degree 2^32 - l or
+        more may read low and make the system count as not graded, which
+        only changes the rule.
+      - Not graded, the single-term rule: for every g_k with an empty tail,
+        `lift` adds 2^31 - d_k to the T_k field and `bits` holds its top
+        bit.  `exempt` is the guard bits, so the top bits mark exactly a key
+        that reaches d_k in some such T_k.
 
-    The system is graded when no term of any g_j has lower total degree than
-    T_j^{d_j}; then a key whose degree P_i in T_1..T_i exceeds
-    S_i = sum_{k <= i} (d_k - 1) for some i lies in the ideal.  Multiplying
-    a key by `_prefix_mult(l)` puts P_i in field l + i, `degree_lift` adds
-    2^31 - 1 - S_i there and `degree_bits` holds its top bit, for every i
-    with S_i < 2^31: the top bits mark P_i > S_i when the key's exponents are
-    below `_exact(l)`'s bits.  Both are 0 when the system is not graded.  The
-    degrees of the generators' terms are read from the same prefix sums, so
-    a term of degree 2^32 - l or more may read low and make the system count
-    as not graded, which only turns the rule off.
-
-    Everything above except the tails follows from three facts per relation:
-    d_j, whether g_j is a single term, and whether the system is graded.  A
-    system made by `_deferred` is given those facts and a function that
-    builds g_j; g_j and its tail are built the first time something reads
-    them (`gens`, `tails`, `relation_texts`, `==`, `hash`, `repr`, or a
-    reduction that reaches level j), and a built relation that contradicts
-    its facts raises RuntimeError.  A relation that is never read is never
-    built.  The normal form cannot depend on when a relation is built: it is
-    fixed by the ideal and the leading terms T_j^{d_j}, and a reduction reads
-    g_j only to rewrite a term that reaches d_j in T_j.
+    Everything above except the tails follows from each d_j, whether the
+    system is graded and, if it is not, which g_j are single terms.  A
+    system made by `_deferred` is graded and given only each d_j and a
+    function that builds g_j; g_j and its tail are built the first time
+    something reads them (`gens`, `tails`, `relation_texts`, `==`, `hash`,
+    `repr`, or a reduction that reaches level j), and a built relation that
+    contradicts its degree or grading raises RuntimeError.  A relation that
+    is never read is never built; the normal form does not depend on it.
     """
 
-    __slots__ = (
-        "field", "nvars", "lead_degrees", "powers", "reach_lift",
-        "pure_lift", "pure_bits", "degree_lift", "degree_bits", "_build", "_gens", "_tails",
-    )
+    __slots__ = ("field", "nvars", "lead_degrees", "powers", "reach_lift", "drop", "_build", "_gens", "_tails")
 
     def __init__(self, gens):
         gens = tuple(gens)
@@ -507,45 +501,43 @@ class TriangularSystem:
                 raise InputError("mismatched field or variable count among generators")
             divided.append(_divide(g, j))
         degrees, tails, graded = zip(*divided)
-        self._set(field, degrees, [not tail for tail in tails], all(graded), None)
+        self._set(field, degrees, None if all(graded) else [not tail for tail in tails], None)
         self._gens[:] = gens
         self._tails[:] = tails
 
     @classmethod
-    def _deferred(cls, field, lead_degrees, single_terms, build):
+    def _deferred(cls, field, lead_degrees, build):
         """The graded system whose relation g_j is `build(j)`, with T_j-degree
-        `lead_degrees[j - 1]` and a single term exactly when
-        `single_terms[j - 1]`; `build(j)` runs when g_j is first read."""
+        `lead_degrees[j - 1]`; `build(j)` runs when g_j is first read."""
         system = object.__new__(cls)
-        system._set(field, lead_degrees, single_terms, True, build)
+        system._set(field, lead_degrees, None, build)
         return system
 
-    def _set(self, field, degrees, single_terms, graded, build):
+    def _set(self, field, degrees, single_terms, build):
+        """`single_terms` is None for a graded system, which takes the
+        prefix-degree rule; otherwise it says which g_j are single terms."""
         nvars = len(degrees)
         half = 1 << (BITS - 1)
         high = BITS * nvars
-        reach_lift = pure_lift = pure_bits = degree_lift = degree_bits = 0
-        excess = 0
-        for s, d, single in zip(_shifts(nvars), degrees, single_terms):
+        reach_lift = lift = bits = excess = 0
+        for j, (s, d) in enumerate(zip(_shifts(nvars), degrees)):
             if d > MAX_EXPONENT:
                 raise ResourceLimitError(f"lead degree {d} is above the limit of {MAX_EXPONENT}")
             reach_lift += (half - d) << s
-            if single:
-                pure_lift += (half - d) << s
-                pure_bits |= 1 << (s + BITS - 1)
             excess += d - 1
-            if excess < half:
-                degree_lift += (half - 1 - excess) << (high + s)
-                degree_bits |= 1 << (high + s + BITS - 1)
+            if single_terms is None:
+                if excess < half:
+                    lift += (half - 1 - excess) << (high + s)
+                    bits |= 1 << (high + s + BITS - 1)
+            elif single_terms[j]:
+                lift += (half - d) << s
+                bits |= 1 << (s + BITS - 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "lead_degrees", tuple(degrees))
         object.__setattr__(self, "powers", {})
         object.__setattr__(self, "reach_lift", reach_lift)
-        object.__setattr__(self, "pure_lift", pure_lift)
-        object.__setattr__(self, "pure_bits", pure_bits)
-        object.__setattr__(self, "degree_lift", degree_lift if graded else 0)
-        object.__setattr__(self, "degree_bits", degree_bits if graded else 0)
+        object.__setattr__(self, "drop", (lift, bits, _exact(nvars) if single_terms is None else _guard(nvars)))
         object.__setattr__(self, "_build", build)
         object.__setattr__(self, "_gens", [None] * nvars)
         object.__setattr__(self, "_tails", [None] * nvars)
@@ -559,9 +551,8 @@ class TriangularSystem:
         if tail is None:
             g = self._build(j)
             d, tail, graded = _divide(g, j)
-            stated = (self.field, self.nvars, self.lead_degrees[j - 1], self.pure_bits >> (BITS * j - 1) & 1)
-            if (g.field, g.nvars, d, int(not tail)) != stated or not graded:
-                raise RuntimeError(f"relation {j} contradicts the degree, shape or grading stated for it")
+            if (g.field, g.nvars, d) != (self.field, self.nvars, self.lead_degrees[j - 1]) or not graded:
+                raise RuntimeError(f"relation {j} contradicts the degree or grading stated for it")
             self._gens[j - 1] = g
             self._tails[j - 1] = tail
         return tail
@@ -652,13 +643,10 @@ def _reduce_level(p, j, system):
     rewritten, and the result's keys at the end.
 
     Every term of p, every far-power product and every rewritten term that
-    lies in the ideal by the system's single-term test (`pure_lift`,
-    `pure_bits`) or degree test (`degree_lift`, `degree_bits`) is dropped:
-    since the system is a Groebner basis the normal form of the rest is the
-    same.  One product and one addition make both tests: the key sits in
-    the low fields and its prefix sums in the high ones.  A key with a guard
-    bit set is never dropped, so the checks still see it, and the degree
-    test drops no key with an exponent in `_exact`'s bits.
+    lies in the ideal by the system's drop rule (`drop`) is dropped: since
+    the system is a Groebner basis the normal form of the rest is the same.
+    The rule exempts every key with a guard bit set, so the checks still
+    see it.
     """
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
@@ -666,16 +654,12 @@ def _reduce_level(p, j, system):
     clean = p.field.clean
     tail = system._tail(j)
     mult = _prefix_mult(p.nvars)
-    lift = system.pure_lift + system.degree_lift
-    bits = system.pure_bits | system.degree_bits
-    pure = system.pure_bits
-    guard = _guard(p.nvars)
-    exact = _exact(p.nvars)
+    lift, bits, exempt = system.drop
     levels = {}
     distant = []
     for m, c in p._terms.items():
         t = m * mult + lift
-        if t & bits and (not m & exact or t & pure and not m & guard):
+        if t & bits and not m & exempt:
             continue
         e = (m >> s) & MASK
         if e < far:
@@ -686,7 +670,7 @@ def _reduce_level(p, j, system):
         for mt, ct in _power_normal_form(system, j, e)._terms.items():
             mm = x + mt
             t = mm * mult + lift
-            if t & bits and (not mm & exact or t & pure and not mm & guard):
+            if t & bits and not mm & exempt:
                 continue
             level = levels.setdefault((mt >> s) & MASK, {})
             level[mm] = level.get(mm, 0) + c * ct
@@ -698,7 +682,7 @@ def _reduce_level(p, j, system):
             for mt, level, ct in targets:
                 mm = m + mt
                 t = mm * mult + lift
-                if t & bits and (not mm & exact or t & pure and not mm & guard):
+                if t & bits and not mm & exempt:
                     continue
                 level[mm] = level.get(mm, 0) + c * ct
     terms = {}

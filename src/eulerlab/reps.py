@@ -17,6 +17,12 @@ from .polyring import F2, Q, Poly, power, reduce
 # presentation's relation is an unreduced class, checked when it is built,
 # the first time something reads it (`cohomology.presentation`).
 MAX_EULER_TERMS = 100_000
+# Most decimal digits of a multiplicity.  A table has far fewer than 10^200
+# entries, so every dim and gap formed from tables, a doubled torus bound and
+# every table of `sympow` (which builds its result as a table) stay below the
+# interpreter's 4300-digit int/str limit and print.
+MAX_MULTIPLICITY_DIGITS = 4000
+_MULTIPLICITY_CAP = 10**MAX_MULTIPLICITY_DIGITS
 
 
 class _RepBase:
@@ -35,6 +41,8 @@ class _RepBase:
             m = require_int(m, f"multiplicity for {char}")
             if m < 1:
                 raise InputError(f"multiplicity for {char} must be positive, got {m}")
+            if m >= _MULTIPLICITY_CAP:
+                raise ResourceLimitError(f"multiplicity for {char} has more than {MAX_MULTIPLICITY_DIGITS} digits")
             if char in table:
                 raise InputError(f"duplicate character {char}")
             table[char] = m
@@ -128,6 +136,7 @@ class _Flag:
         # row k holds the flag coordinates of the k-th unit vector
         self._inverse = tuple(row[rank:] for row in reduced)
         self._known = {}  # label -> coordinates, filled by _coordinates
+        self._blocks = {}  # label -> block, filled by _block
 
     @classmethod
     def standard(cls, rank):
@@ -148,6 +157,14 @@ class _Flag:
                     acc = [c + x * r for c, r in zip(acc, row)]
             coords = self._known[char] = tuple(map(field.norm, acc))
         return coords
+
+    def _block(self, char):
+        """The flag block of a nontrivial label, counted from 0: the index of
+        its last nonzero flag coordinate, computed once per label."""
+        block = self._blocks.get(char)
+        if block is None:
+            block = self._blocks[char] = max(i for i, c in enumerate(self._coordinates(char)) if c)
+        return block
 
     def __eq__(self, other):
         return type(other) is type(self) and other.dual_basis == self.dual_basis
@@ -298,8 +315,7 @@ def decompose(rep, flag):
         if char == zero:
             fixed[char] = m
         else:
-            coords = flag._coordinates(char)
-            blocks[max(i for i, c in enumerate(coords) if c)][char] = m
+            blocks[flag._block(char)][char] = m
     cls = type(rep)
     return FlagDecomposition(
         blocks=tuple(cls._trusted(rep.rank, b) for b in blocks),
@@ -332,7 +348,10 @@ def fixed_subrep(rep, subgroup):
 def euler_poly(rep, flag, system=None):
     """Product of the table's labels, written as linear forms in flag coordinates.
 
-    Each label's power is taken by repeated squaring and then multiplied in.
+    Each label's power is taken by repeated squaring and then multiplied in,
+    lowest flag block first (ties in table order): a product of labels in
+    T_1..T_j stays in T_1..T_j, where a normal form is small, so the order
+    changes the cost but never the result.
     Without a system the product is built whole, and any product on the way
     with more than MAX_EULER_TERMS terms raises ResourceLimitError.  With a
     `TriangularSystem` every product is reduced as soon as it is formed, so
@@ -355,7 +374,7 @@ def euler_poly(rep, flag, system=None):
             return reduce(p, system)
         # reducing 1 checks that the system matches the flag's field and rank
         result = step(Poly.one(flag.field, rep.rank))
-    for char, m in rep.items():
+    for char, m in sorted(rep.items(), key=lambda item: flag._block(item[0])):
         form = Poly._linear(flag.field, flag._coordinates(char))
         result = step(result * power(form, m, step))
     return result

@@ -399,6 +399,22 @@ _BIG_TORUS_PAIR = json.dumps({
     "module": {"entries": [{"char": [1], "mult": 10001}]},
     "target": {"entries": [{"char": [3], "mult": 10000}]},
 })
+# multiplicities within the digit limit whose sums are not
+_NINES = int("9" * 4300)
+_NINES_E2 = json.dumps({
+    "group": {"kind": "elem_abelian_2", "rank": 2},
+    "module": {"entries": [{"char": [1, 0], "mult": _NINES}, {"char": [0, 1], "mult": _NINES}]},
+    "target": {"entries": []},
+})
+_NINES_TORUS = {
+    "group": {"kind": "torus", "rank": 1},
+    "module": {"entries": [{"char": [1], "mult": _NINES}, {"char": [2], "mult": _NINES}]},
+}
+# S^100 of 10^50 copies of one character has multiplicities of about 4840 digits
+_WIDE_SYMPOW = json.dumps({
+    "group": {"kind": "elem_abelian_2", "rank": 1},
+    "module": {"entries": [{"char": [1], "mult": 10**50}]},
+})
 
 
 @pytest.mark.parametrize("argv, seed, message", [
@@ -417,8 +433,16 @@ _BIG_TORUS_PAIR = json.dumps({
     (["bound", "--theorem", "torus-interior", "--inline", _BIG_TORUS_PAIR], None,
      "a coefficient has more than 4300 digits"),
     (["euler-check", "--inline", "[" * 100000], None, "invalid JSON input: nested too deeply"),
+    (["bound", "--theorem", "free-zero-set", "--inline", _NINES_E2], None,
+     "multiplicity for (1, 0) has more than 4000 digits"),
+    (["bound", "--theorem", "torus-annulus", "--inline", json.dumps({**_NINES_TORUS, "target": {"entries": []}})],
+     None, "multiplicity for (1,) has more than 4000 digits"),
+    (["torus-decompose", "--inline", json.dumps(_NINES_TORUS)], None,
+     "multiplicity for (1,) has more than 4000 digits"),
+    (["sympow", "-d", "100", "--inline", _WIDE_SYMPOW], None, "multiplicity for (0,) has more than 4000 digits"),
 ], ids=["coefficient", "denominator", "index", "exponent", "json", "bounds", "option", "seed",
-        "printed-normal-form", "printed-certificate", "json-depth"])
+        "printed-normal-form", "printed-certificate", "json-depth", "free-zero-set-evidence",
+        "torus-annulus-bound", "torus-decompose-dim", "sympow-table"])
 def test_input_or_output_past_the_digit_limit_exit_two(monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("EULERLAB_SEED", seed)

@@ -19,7 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eulerlab.errors import ResourceLimitError
-from eulerlab.polyring import F2, FAR_FACTOR, Q, Poly, TriangularSystem, _prefix_mult, parse_poly, reduce
+from eulerlab.polyring import (
+    F2,
+    FAR_FACTOR,
+    Q,
+    Poly,
+    TriangularSystem,
+    _exact,
+    _guard,
+    _prefix_mult,
+    parse_poly,
+    reduce,
+)
 from tests_support_random import reference_reduce_in_variable
 
 SETTINGS = settings(
@@ -94,6 +105,13 @@ def random_input(rng, field, system, far):
     return Poly(field, nvars, terms)
 
 
+def uses_degree_rule(system):
+    """Whether the system's drop triple is the prefix-degree rule's: bits in
+    the prefix-sum fields only, exempting `_exact`'s bits."""
+    lift, bits, exempt = system.drop
+    return bits and not bits & ((1 << 32 * system.nvars) - 1) and exempt == _exact(system.nvars)
+
+
 def degree_killed(system, m):
     """Whether some degree P_i of m in T_1..T_i exceeds S_i while no
     single-term relation kills m: a term only the degree rule drops."""
@@ -128,7 +146,7 @@ def test_reduce_matches_level_by_level_on_graded_systems():
     def check(field, nvars, linear, far, seed):
         rng = random.Random(seed)
         system = (linear_form_system if linear else spread_system)(rng, field, nvars, far)
-        assert system.degree_bits
+        assert uses_degree_rule(system)
         p = random_input(rng, field, system, far)
         expected, dropped = level_by_level(p, system)
         assert reduce(p, system) == expected
@@ -147,10 +165,11 @@ def test_reduce_matches_level_by_level_on_graded_systems():
 def test_a_system_that_is_not_graded_is_not_pruned():
     # T1^2 = -1 modulo T1^2 + 1: the constant term is below the lead's degree
     system = TriangularSystem([parse_poly("T1^2+1", Q, 1)])
-    assert (system.degree_lift, system.degree_bits) == (0, 0)
+    assert system.drop == (0, 0, _guard(1))
     assert reduce(parse_poly("T1^2", Q, 1), system) == parse_poly("-1", Q, 1)
+    # not graded, so only the single-term rule of g_1 drops
     mixed = TriangularSystem([parse_poly("T1^2", F2, 2), parse_poly("T2^2+T1*T2+T1", F2, 2)])
-    assert (mixed.degree_lift, mixed.degree_bits) == (0, 0)
+    assert mixed.drop == (2**31 - 2, 2**31, _guard(2))
     # T2^3 has degree 3 > S_2 = 2 yet survives, since g_2 has the term T1
     assert reduce(parse_poly("T2^3", F2, 2), mixed) == parse_poly("T1*T2", F2, 2)
 
@@ -159,7 +178,7 @@ def test_degree_test_fires_exactly_above_the_caps():
     # d = (2, 3, 2): S = (1, 3, 4)
     gens = ["T1^2", "T2^3+T1*T2^2", "T3^2+T1*T3+T2^2"]
     system = TriangularSystem([parse_poly(g, Q, 3) for g in gens])
-    mult, lift, bits = _prefix_mult(3), system.degree_lift, system.degree_bits
+    mult, (lift, bits, _) = _prefix_mult(3), system.drop
     for m, fires in [
         ((1, 0, 0), False), ((2, 0, 0), True),
         ((1, 2, 0), False), ((0, 3, 0), False), ((1, 3, 0), True), ((0, 4, 0), True),
@@ -181,7 +200,7 @@ def test_exponents_near_two_to_the_thirty_reduce_as_the_reference_does(exponent)
     gens = [f"T1^{2**30 + 2}", "T2^2+T1*T2", "T3^2+T2*T3+T1^2"]
     for field in (F2, Q):
         system = TriangularSystem([parse_poly(g, field, 3) for g in gens])
-        assert system.degree_bits
+        assert uses_degree_rule(system)
         for text in [f"T1^{exponent}*T2^3*T3^3", f"T1^{exponent}*T3^4+T2*T3^2", f"T1^{exponent}*T2*T3"]:
             p = parse_poly(text, field, 3)
             expected, _ = level_by_level(p, system)
@@ -192,6 +211,6 @@ def test_a_key_past_the_exact_prefix_sums_still_raises():
     # P_2 of T1^(2^31 - 2)*T2^2 exceeds S_2 = 2^31 - 1, but its exponents are
     # too large for the degree test, so rewriting by g_2 reaches the limit
     system = TriangularSystem([parse_poly(g, F2, 2) for g in ["T1^2147483647", "T2^2+T1^1073741824*T2"]])
-    assert system.degree_bits
+    assert uses_degree_rule(system)
     with pytest.raises(ResourceLimitError, match="above the limit of 2147483647"):
         reduce(parse_poly("T1^2147483646*T2^2", F2, 2), system)

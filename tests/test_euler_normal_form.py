@@ -6,6 +6,7 @@ built under a random flag from chosen flag coordinates, so block dims and
 leading coefficients are known without calling the code under test.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerlab import linalg
+from eulerlab import linalg, reps
 from eulerlab.cohomology import euler_nonvanishing, presentation
 from eulerlab.errors import InputError
 from eulerlab.polyring import F2, Q, reduce
-from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, euler_poly
+from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, decompose, euler_poly
 from tests_support_random import complete_flags, vectors2
 
 SETTINGS = settings(
@@ -104,6 +105,58 @@ def test_factorwise_reduction_matches_reduce_once_f2(pair):
 @given(flagged_pairs(Q, 3))
 def test_factorwise_reduction_matches_reduce_once_torus(pair):
     _check_against_oracle(pair)
+
+
+ORDER_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+def _orders(data, pair):
+    """V of the pair in a random order of its labels, and that table with its
+    labels taken block by block, lowest block first, each block in the
+    random order."""
+    _, V, flag, _, _, _ = pair
+    shuffled = type(V)(V.rank, dict(data.draw(st.permutations(V.items()))))
+    blocks = decompose(shuffled, flag).blocks
+    return shuffled, type(V)(V.rank, {c: m for block in blocks for c, m in block.items()})
+
+
+@ORDER_SETTINGS
+@given(st.sampled_from([(F2, 4), (Q, 3)]).flatmap(lambda fr: flagged_pairs(*fr)), st.data())
+def test_certificate_is_the_same_in_every_order(pair, data):
+    U, V, flag, _, _, _ = pair
+    shuffled, _ = _orders(data, pair)
+    assert euler_poly(shuffled, flag) == euler_poly(V, flag)
+    assert euler_nonvanishing(U, shuffled, flag)[1].text() == euler_nonvanishing(U, V, flag)[1].text()
+
+
+def test_a_shuffled_table_does_no_more_work_than_the_sorted_one(monkeypatch):
+    # work is the number of terms passed to `reduce`, which `euler_poly`
+    # calls after every product
+    terms = Counter()
+
+    def counting(p, system):
+        terms["now"] += p.term_count()
+        return reduce(p, system)
+
+    monkeypatch.setattr(reps, "reduce", counting)
+
+    def work(U, V, flag):
+        terms["now"] = 0
+        euler_nonvanishing(U, V, flag)
+        return terms["now"]
+
+    kinds = Counter()
+
+    @ORDER_SETTINGS
+    @given(st.sampled_from([(F2, 4), (Q, 3)]).flatmap(lambda fr: flagged_pairs(*fr)), st.data())
+    def check(pair, data):
+        U, _, flag, _, _, _ = pair
+        shuffled, ordered = _orders(data, pair)
+        assert work(U, shuffled, flag) <= work(U, ordered, flag)
+        kinds["out of block order"] += shuffled.items() != ordered.items()
+
+    check()
+    assert kinds["out of block order"] >= 20, kinds
 
 
 def _check_leading_monomial(pair):

@@ -1,21 +1,38 @@
 """`reduce` drops the terms that a single-term relation kills.
 
 A generator g_k = c*T_k^{d_k} makes every multiple of T_k^{d_k} zero in the
-quotient, and `reduce` drops such a term as soon as it meets or forms it.
-Oracle: the level-by-level division of `tests_support_random`, which rewrites
-every term down to T_1, on random triangular systems over F2 and Q in 1-4
-variables that mix single-term generators (at k = 1 and at k > 1) with
-generators that have tails, and on inputs that take the far-power path.
+quotient.  In a system that is not graded `reduce` drops such a term as soon
+as it meets or forms it; a graded system takes the prefix-degree rule
+instead, and the term vanishes at level k.  Oracle: the level-by-level
+division of `tests_support_random`, which rewrites every term down to T_1, on
+random triangular systems over F2 and Q in 1-4 variables, graded and not,
+that mix single-term generators (at k = 1 and at k > 1) with generators that
+have tails, and on inputs that take the far-power path.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerlab.polyring import F2, FAR_FACTOR, MAX_EXPONENT, Q, Poly, TriangularSystem, parse_poly, reduce
+from eulerlab.errors import ResourceLimitError
+from eulerlab.polyring import (
+    F2,
+    FAR_FACTOR,
+    MAX_EXPONENT,
+    Q,
+    Poly,
+    TriangularSystem,
+    _exact,
+    _guard,
+    _prefix_mult,
+    parse_poly,
+    reduce,
+)
 from tests_support_random import reference_reduce_in_variable
 
 SETTINGS = settings(
@@ -65,6 +82,11 @@ def random_input(rng, field, system, far):
     return Poly(field, nvars, terms)
 
 
+def is_graded(system):
+    """Whether no term of any g_j has lower total degree than T_j^{d_j}."""
+    return all(sum(m) >= d for g, d in zip(system.gens, system.lead_degrees) for m in g.terms())
+
+
 def level_by_level(p, system):
     """The reference sweep, and whether a term that some single-term g_k
     kills survived one of its levels (so that `reduce` has one to drop)."""
@@ -98,6 +120,9 @@ def test_reduce_matches_level_by_level_with_single_term_relations():
         kinds["single g_k, k > 1"] += any(single[1:])
         kinds["single and tailed"] += any(single) and not all(single)
         kinds["no single"] += not any(single)
+        graded = is_graded(system)
+        kinds["graded, single g_k"] += graded and any(single)
+        kinds["not graded"] += not graded
         kinds["far power"] += bool(system.powers)
         kinds["killed term"] += killed
 
@@ -107,15 +132,50 @@ def test_reduce_matches_level_by_level_with_single_term_relations():
     assert min(kinds.values()) >= 45, kinds
 
 
+def test_each_system_drops_by_exactly_one_rule():
+    # graded: the prefix-degree rule alone, also where some g_k is a single
+    # term; not graded: the single-term rule alone
+    kinds = Counter()
+
+    @SETTINGS
+    @given(st.sampled_from([F2, Q]), st.lists(st.booleans(), min_size=1, max_size=4), st.integers(0, 2**32))
+    def check(field, single, seed):
+        rng = random.Random(seed)
+        system = mixed_system(rng, field, single)
+        nvars, degrees = system.nvars, system.lead_degrees
+        graded = is_graded(system)
+        lift, bits, exempt = system.drop
+        assert exempt == (_exact(nvars) if graded else _guard(nvars))
+        caps = list(accumulate(d - 1 for d in degrees))
+        kept = set()
+        for _ in range(40):
+            m = [rng.randint(0, d) for d in degrees]
+            key = sum(e << 32 * i for i, e in enumerate(m))
+            over_cap = any(p > cap for p, cap in zip(accumulate(m), caps))
+            killed = any(s and e >= d for s, e, d in zip(single, m, degrees))
+            assert bool((key * _prefix_mult(nvars) + lift) & bits) == (over_cap if graded else killed), m
+            if graded and killed and not over_cap:
+                kept.add("graded, killed but kept")
+            if not graded and over_cap and not killed:
+                kept.add("not graded, over a cap but kept")
+        kinds.update(kept)
+        kinds["graded" if graded else "not graded"] += 1
+
+    check()
+    assert min(kinds.values()) >= 45, kinds
+
+
 def test_single_term_test_marks_exactly_the_killed_degrees():
+    # the constant term of g_2 makes the system not graded
     gens = ["T1^2", "T2^3+T1*T2+1", f"T3^{MAX_EXPONENT}"]
     system = TriangularSystem([parse_poly(g, F2, 3) for g in gens])
-    assert system.pure_bits == (1 << 31) | (1 << 95)
+    lift, bits, exempt = system.drop
+    assert (bits, exempt) == ((1 << 31) | (1 << 95), _guard(3))
     for m in [(0, 0, 0), (1, 9, MAX_EXPONENT - 1), (2, 0, 0), (0, 0, MAX_EXPONENT), (5, 7, MAX_EXPONENT)]:
         key = sum(e << 32 * i for i, e in enumerate(m))
-        assert bool((key + system.pure_lift) & system.pure_bits) == (m[0] >= 2 or m[2] >= MAX_EXPONENT)
+        assert bool((key * _prefix_mult(3) + lift) & bits) == (m[0] >= 2 or m[2] >= MAX_EXPONENT)
     tailed = TriangularSystem([parse_poly("T1^2+1", Q, 2), parse_poly("T2+T1", Q, 2)])
-    assert (tailed.pure_lift, tailed.pure_bits) == (0, 0)
+    assert tailed.drop == (0, 0, _guard(2))
 
 
 def test_a_killed_term_is_dropped_before_its_rewrite_passes_the_limit():
@@ -124,3 +184,11 @@ def test_a_killed_term_is_dropped_before_its_rewrite_passes_the_limit():
     system = TriangularSystem([parse_poly("T1^3", F2, 2), parse_poly("T2^2+T1^1073741824", F2, 2)])
     assert reduce(parse_poly("T1^3*T2^4", F2, 2), system).is_zero()
     assert reduce(parse_poly("T1^3*T2^4+T2", F2, 2), system) == parse_poly("T2", F2, 2)
+
+
+def test_a_graded_system_keeps_a_killed_term_past_the_exact_prefix_sums():
+    # graded, so only the prefix-degree rule drops: it exempts T1^(2^30), and
+    # rewriting by g_2 reaches T1^(2^31), above the limit
+    system = TriangularSystem([parse_poly("T1^3", F2, 2), parse_poly("T2^2+T1^1073741824", F2, 2)])
+    with pytest.raises(ResourceLimitError, match="an exponent reached 2\\^31"):
+        reduce(parse_poly("T1^1073741824*T2^4", F2, 2), system)
