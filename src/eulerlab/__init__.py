@@ -8,7 +8,7 @@ machine-checkable lower bounds on zero-set dimensions of equivariant maps.
 
 Everything is pure Python except the sampling of torus sphere maps in
 `torusmaps`, which imports numpy on its first sampling call; importing the
-package does not load numpy, nor `dataclasses` or `inspect`.
+package does not load numpy, nor `fractions`, `dataclasses` or `inspect`.
 """
 
 from .bounds import bound_free_zero_set, bound_stiefel, bound_torus

@@ -8,13 +8,11 @@ stiefel-* a flag and Q's block dims (stiefel-real also its two bound values)
 but no certificate; torus-annulus `{}`, as its boundary condition is assumed.
 """
 
-from __future__ import annotations
-
 from .cohomology import euler_nonvanishing
-from .errors import HypothesisError, InputError, require_int
+from .errors import HypothesisError, InputError, ResourceLimitError, require_int
 from .flagsearch import find_rational_flag, reduced_flag_search
 from .report import ASSUMED, FAIL, PASS, Report, checklist
-from .reps import RepE, RepT, decompose, flag_to_doc, require_tables
+from .reps import MAX_MULTIPLICITY_DIGITS, MULTIPLICITY_CAP, RepE, RepT, decompose, flag_to_doc, require_tables
 
 
 def _report(theorem, checks, bound=None, witness=None, notes=()):
@@ -47,8 +45,8 @@ def _check(checks, description, ok, evidence=""):
 def _certify(checks, U, V, flag, flag_item, survival_item):
     """Check that the flag is admissible for (U, V) and that e(V) survives.
 
-    Returns (U block dims, V block dims, certificate), or None after recording
-    the failed item.
+    Returns (U block dims, V block dims, certificate, its text), or None after
+    recording the failed item.
     """
     u_dims = decompose(U, flag).dims
     v_dims = decompose(V, flag).dims
@@ -64,9 +62,10 @@ def _certify(checks, U, V, flag, flag_item, survival_item):
     except HypothesisError as exc:
         _check(checks, "euler class nonvanishing", False, str(exc))
         return None
-    if not _check(checks, survival_item, nonzero, f"normal form {certificate.text()}"):
+    text = certificate.text()
+    if not _check(checks, survival_item, nonzero, f"normal form {text}"):
         return None
-    return u_dims, v_dims, certificate
+    return u_dims, v_dims, certificate, text
 
 
 def bound_free_zero_set(U, V):
@@ -102,7 +101,7 @@ def bound_free_zero_set(U, V):
     certified = _certify(checks, U1, V1, search.flag, flag_item, survival_item)
     if certified is None:
         return _report(theorem, checks)
-    u_dims, v_dims, certificate = certified
+    u_dims, v_dims, certificate, text = certified
 
     quotient_rank = U.rank - F.dim
     witness = {
@@ -112,7 +111,7 @@ def bound_free_zero_set(U, V):
         "module_block_dims": list(u_dims),
         "target_block_dims": list(v_dims),
         "relations": certificate.presentation.relation_texts(),
-        "certificate": certificate.text(),
+        "certificate": text,
     }
     note = (
         "the zero set contains a compact subspace of the fixed space of F, "
@@ -136,6 +135,8 @@ def bound_stiefel(P, Q, n, kind="real"):
     cls = RepE if real else RepT
     require_tables(cls, P, Q)
     n = require_int(n, "n")
+    if n >= MULTIPLICITY_CAP:  # else the bound, about 2*l*n, may pass the int/str digit limit
+        raise ResourceLimitError(f"n has more than {MAX_MULTIPLICITY_DIGITS} digits")
     l = P.rank
     theorem, checks = f"stiefel-{kind}", []
 
@@ -226,13 +227,13 @@ def bound_torus(U, V, variant="interior"):
     certified = _certify(checks, U, V, flag, flag_item, survival_item)
     if certified is None:
         return _report(theorem, checks)
-    u_dims, v_dims, certificate = certified
+    u_dims, v_dims, _, text = certified
 
     witness = {
         "flag": flag_to_doc(flag),
         "module_block_dims": list(u_dims),
         "target_block_dims": list(v_dims),
-        "certificate": certificate.text(),
+        "certificate": text,
     }
     note = "the zero set contains a compact subspace on which the torus acts with finite isotropy"
     return _report(theorem, checks, 2 * gap, witness, [note])

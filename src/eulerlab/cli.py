@@ -19,10 +19,12 @@ limit.  Exit codes: 0 success, 1 hypothesis failure, 2 input error or limit.
 
 Every call is a fresh process, so start-up is part of every answer.
 Importing this module and building the parser loads eulerlab's modules and
-the standard library's argparse, json, fractions, decimal, random and
-warnings (the last two through `cohomology`), and nothing heavier: no numpy,
-which only torus-example needs and loads when it samples, and no
-`dataclasses` or `inspect` (the result records are plain classes).
+the standard library's argparse, json, random and warnings (the last two
+through `cohomology`), and nothing heavier: no numpy, which only
+torus-example needs and loads when it samples; no fractions or decimal,
+which `polyring` loads at the first rational that may not be integral, so F2
+commands never do; and no `dataclasses` or `inspect` (the result records are
+plain classes).
 
 Every subcommand handler returns one `report.Report`, which renders itself:
 `to_text()` gives the human-readable text, `to_doc()` the document printed
@@ -34,8 +36,6 @@ label, value) rows, nesting the report of `verify_flag_ring` or
 from `failure`; errors raised before a report exists print `error: ...`
 (exit 2) or `hypothesis failure: ...` (exit 1).
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib

@@ -6,8 +6,6 @@ ring); deciding whether a class survives in the quotient is a normal-form
 computation with the nonzero remainder as certificate.
 """
 
-from __future__ import annotations
-
 import random
 import warnings
 from math import comb, perm

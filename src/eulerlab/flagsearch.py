@@ -11,8 +11,6 @@ support into every distinct fixed set, so it is exhaustive where it matters
 and stays desk-scale while k is at most MAX_SUBGROUP_RANK, whatever the rank.
 """
 
-from __future__ import annotations
-
 from operator import add
 
 from . import linalg

@@ -11,7 +11,9 @@ An element of F2 is the int 0 or 1.  An element of Q is an int when it is
 integral and a Fraction otherwise, so most coefficients of Euler classes and
 flag coordinates never build a Fraction.  Python's arithmetic, comparison and
 hashing are exact across int and Fraction, and `str(Fraction(2)) == "2"`, so
-callers never check which type an element has.
+callers never check which type an element has.  `fractions` loads only for a
+coefficient whose type is not exactly int, the inverse of other than 1 or -1,
+or coefficient text with a `/`; integral input over F2 never loads it.
 
 Monomials are exponent tuples at the interface (`Poly`, `parse_poly`, the
 read-only mapping `terms()`, `sorted_terms`, `quotient_basis`);
@@ -62,11 +64,8 @@ packed key: the product puts every prefix sum of the exponents in a field of
 its own.
 """
 
-from __future__ import annotations
-
 import re
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cache
 from functools import reduce as fold
 from itertools import product
@@ -155,6 +154,13 @@ def _key(m, nvars):
     return _pack(m)
 
 
+def _fraction(*args):
+    """Fraction(*args); `fractions` is imported on first use, not at start-up."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
 class Field(str):
     """A coefficient field that compares and hashes as its tag string.
 
@@ -170,12 +176,18 @@ class Field(str):
         """`value` as a field element in canonical form (over Q an int when
         it is integral, else a Fraction).  Only ints and Fractions are read:
         bools, floats and everything else are input errors, never rounded."""
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise InputError(f"coefficient {value!r} must be an int or a Fraction")
+        if type(value) is not int:
+            from fractions import Fraction
+
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise InputError(f"coefficient {value!r} must be an int or a Fraction")
         return self._element(value)
 
     def inverse(self, c):
-        return self.coerce(Fraction(1, c))
+        """1/c in canonical form; the int 1 or -1 is its own inverse."""
+        if type(c) is int and (c == 1 or c == -1):
+            return self._element(c)
+        return self.coerce(_fraction(1, c))
 
 
 class _F2(Field):
@@ -206,7 +218,7 @@ class _F2(Field):
 class _Q(Field):
     @staticmethod
     def _element(value):
-        return value if type(value) is int else _Q.norm(Fraction(value))
+        return value if type(value) is int else _Q.norm(_fraction(value))
 
     @staticmethod
     def norm(c):
@@ -802,7 +814,7 @@ def parse_poly(text, field, nvars):
                 factor = factor[1:]
             if _NUM_RE.match(factor):
                 try:
-                    coeff *= field.coerce(Fraction(factor))
+                    coeff *= field.coerce(_fraction(factor) if "/" in factor else int(factor))
                 except ZeroDivisionError:
                     raise InputError(f"zero denominator in {factor!r}") from None
                 except ValueError:

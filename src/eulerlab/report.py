@@ -14,8 +14,6 @@ the calculator sets.  The rows render both ways:
 `failure` is None on success and otherwise the stderr line of exit code 1.
 """
 
-from __future__ import annotations
-
 PASS = "pass"
 FAIL = "fail"
 ASSUMED = "assumed"

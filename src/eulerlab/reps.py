@@ -6,8 +6,6 @@ dual bases T_1..T_l; a character belongs to block i when i is the least index
 with the character inside span(T_1..T_i).
 """
 
-from __future__ import annotations
-
 from . import linalg
 from .errors import MAX_GROUP_RANK, HypothesisError, InputError, ResourceLimitError, require_count, require_int
 from .polyring import F2, Q, Poly, power, reduce
@@ -20,9 +18,10 @@ MAX_EULER_TERMS = 100_000
 # Most decimal digits of a multiplicity.  A table has far fewer than 10^200
 # entries, so every dim and gap formed from tables, a doubled torus bound and
 # every table of `sympow` (which builds its result as a table) stay below the
-# interpreter's 4300-digit int/str limit and print.
+# interpreter's 4300-digit int/str limit and print.  `bounds.bound_stiefel`
+# holds its n to the same cap.
 MAX_MULTIPLICITY_DIGITS = 4000
-_MULTIPLICITY_CAP = 10**MAX_MULTIPLICITY_DIGITS
+MULTIPLICITY_CAP = 10**MAX_MULTIPLICITY_DIGITS
 
 
 class _RepBase:
@@ -41,7 +40,7 @@ class _RepBase:
             m = require_int(m, f"multiplicity for {char}")
             if m < 1:
                 raise InputError(f"multiplicity for {char} must be positive, got {m}")
-            if m >= _MULTIPLICITY_CAP:
+            if m >= MULTIPLICITY_CAP:
                 raise ResourceLimitError(f"multiplicity for {char} has more than {MAX_MULTIPLICITY_DIGITS} digits")
             if char in table:
                 raise InputError(f"duplicate character {char}")

@@ -10,8 +10,6 @@ odd j and dim U times the trivial character for even j, and
 which two running sums of alternate powers carry, dividing exactly by d.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from . import linalg

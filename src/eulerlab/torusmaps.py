@@ -11,10 +11,7 @@ not at import; map descriptions are pure Python.  The rational-line blocks
 of a torus table are `reps.line_blocks`.
 """
 
-from __future__ import annotations
-
 from math import gcd, isfinite
-from numbers import Real
 
 from . import linalg
 from .errors import InputError, require_count, require_int
@@ -283,6 +280,8 @@ def verify_equivariance(m, samples=10000, tol=DEFAULT_EQUIVARIANCE_TOL, seed=0):
     `circle_example(1, 1, c)` reads a residual of about 3e-16 for every c up
     to 10^6, yet c >= 70,369 is refused at the default tol.
     """
+    from numbers import Real
+
     # a bool is a Real, but no tolerance
     if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol <= 0:
         raise InputError(f"tolerance must be a finite positive number, got {tol!r}")

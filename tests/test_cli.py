@@ -410,6 +410,15 @@ _NINES_TORUS = {
     "group": {"kind": "torus", "rank": 1},
     "module": {"entries": [{"char": [1], "mult": _NINES}, {"char": [2], "mult": _NINES}]},
 }
+# an n within the digit limit whose Stiefel bound is not
+_STIEFEL_LINES = {
+    kind: json.dumps({
+        "group": {"kind": kind, "rank": 2},
+        "module": {"entries": [{"char": [1, 0], "mult": 1}, {"char": [0, 1], "mult": 1}]},
+        "target": {"entries": []},
+    })
+    for kind in ("elem_abelian_2", "torus")
+}
 # S^100 of 10^50 copies of one character has multiplicities of about 4840 digits
 _WIDE_SYMPOW = json.dumps({
     "group": {"kind": "elem_abelian_2", "rank": 1},
@@ -440,9 +449,14 @@ _WIDE_SYMPOW = json.dumps({
     (["torus-decompose", "--inline", json.dumps(_NINES_TORUS)], None,
      "multiplicity for (1,) has more than 4000 digits"),
     (["sympow", "-d", "100", "--inline", _WIDE_SYMPOW], None, "multiplicity for (0,) has more than 4000 digits"),
+    (["bound", "--theorem", "stiefel-real", "-n", str(_NINES), "--inline", _STIEFEL_LINES["elem_abelian_2"]], None,
+     "n has more than 4000 digits"),
+    (["bound", "--theorem", "stiefel-complex", "-n", str(_NINES), "--inline", _STIEFEL_LINES["torus"]], None,
+     "n has more than 4000 digits"),
 ], ids=["coefficient", "denominator", "index", "exponent", "json", "bounds", "option", "seed",
         "printed-normal-form", "printed-certificate", "json-depth", "free-zero-set-evidence",
-        "torus-annulus-bound", "torus-decompose-dim", "sympow-table"])
+        "torus-annulus-bound", "torus-decompose-dim", "sympow-table", "stiefel-real-bound",
+        "stiefel-complex-bound"])
 def test_input_or_output_past_the_digit_limit_exit_two(monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("EULERLAB_SEED", seed)
