@@ -11,9 +11,9 @@ import warnings
 from math import comb, perm
 
 from .errors import HypothesisError, InputError, ResourceLimitError, require_count, require_int
-from .polyring import F2, Poly, TriangularSystem, format_poly, reduce
+from .polyring import F2, Poly, TriangularSystem, _shallow, format_poly, reduce
 from .report import FAIL, PASS, Report, checklist
-from .reps import FlagE, RepE, decompose, euler_poly
+from .reps import FlagE, RepE, _check_term_count, _euler_product, decompose, euler_poly
 
 
 class QuotientClass:
@@ -46,9 +46,14 @@ def presentation(U, flag):
     What a reduction needs before it reads g_j is read off the blocks: g_j is
     a product of dim U_j linear forms, each with a nonzero T_j-coefficient, so
     its lead degree is d_j = dim U_j and it is homogeneous, so the system is
-    graded.  g_j itself is built by `euler_poly`, with its MAX_EULER_TERMS
-    check, the first time something reads it (`polyring.TriangularSystem`);
-    a relation nobody reads is never built.
+    graded.  g_j itself is built only when something reads it
+    (`polyring.TriangularSystem`): whole by `euler_poly`, with its
+    MAX_EULER_TERMS check, for the printed relations, and for a reduction
+    only to the depth in T_1..T_{j-1} that its heads can read.  That build
+    multiplies the same factors in the same order and drops the deeper terms
+    of every partial product before the same term-count check; no factor
+    lowers that degree, so what is left is exactly g_j's terms of at most
+    that degree.  A relation nobody reads is never built.
     Normal forms are those of the system with every relation built: they
     depend only on the ideal and its leading terms T_j^{d_j}.
     """
@@ -62,9 +67,13 @@ def presentation(U, flag):
     for i, block in enumerate(blocks, start=1):
         if block.dim == 0:
             raise HypothesisError(f"flag block {i} is empty (dim U_{i} = 0)")
-    return TriangularSystem._deferred(
-        flag.field, [block.dim for block in blocks], lambda j: euler_poly(blocks[j - 1], flag)
-    )
+
+    def build(j, depth):
+        if depth is None:
+            return euler_poly(blocks[j - 1], flag)
+        return _euler_product(blocks[j - 1], flag, lambda p: _check_term_count(_shallow(p, j - 1, depth)))
+
+    return TriangularSystem._deferred(flag.field, [block.dim for block in blocks], build)
 
 
 def euler_nonvanishing(U, V, flag):
@@ -72,11 +81,13 @@ def euler_nonvanishing(U, V, flag):
 
     Returns (nonzero, certificate); the certificate's normal form is the
     nonzero residue on success and zero otherwise.  e(V) is never built
-    whole: `euler_poly` reduces after every linear factor.  The reduction
-    builds a relation g_j only when a term reaches d_j in T_j.  On an
-    admissible flag (dim V_i < dim U_i for every i) e(V) has T_l-degree
-    dim V_l < d_l, and reducing by g_1..g_{l-1} never raises it, so the top
-    relation g_l is not built unless the certificate's presentation is read.
+    whole: `euler_poly` reduces a product as soon as a term of it reaches a
+    lead degree.  The reduction builds a relation g_j only when a term that
+    the degree rule keeps reaches d_j in T_j, and only as deep in
+    T_1..T_{j-1} as such terms can read it.  On an admissible flag
+    (dim V_i < dim U_i for every i) e(V) has T_l-degree dim V_l < d_l, and
+    reducing by g_1..g_{l-1} never raises it, so the top relation g_l is not
+    built unless the certificate's presentation is read.
     """
     if V.fixed_dim:
         raise HypothesisError(f"V must have zero fixed part (dim = {V.fixed_dim})")

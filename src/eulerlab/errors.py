@@ -28,6 +28,8 @@ class ResourceLimitError(EulerlabError):
 
 def require_int(value, what):
     """`value` itself if it is an int; bools, floats and strings are rejected."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value

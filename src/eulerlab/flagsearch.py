@@ -2,13 +2,14 @@
 
 The chain search, shared by the F2 and Q flags, certifies step by step that
 each new flag block carries a strictly larger share of U than of V, and
-backtracks so that "no flag" means no admissible flag exists; its node count
-is capped by MAX_CHAIN_NODES.  An extension is named by its least candidate,
-else by its residual, the least vector of its coset over F2: so the F2 search
-lists no covectors, and the Q unit vectors only name classes.  The subgroup
-scan ANDs the 2^k - 1 hyperplane masks of the k-dimensional span of U's
-support into every distinct fixed set, so it is exhaustive where it matters
-and stays desk-scale while k is at most MAX_SUBGROUP_RANK, whatever the rank.
+backtracks so that "no flag" means no admissible flag exists; its work, the
+residuals it reduces, is capped by MAX_CHAIN_REDUCTIONS.  An extension is
+named by its least candidate, else by its residual, the least vector of its
+coset over F2: so the F2 search lists no covectors, and the Q unit vectors
+only name classes.  The subgroup scan ANDs the 2^k - 1 hyperplane masks of
+the k-dimensional span of U's support into every distinct fixed set, so it
+is exhaustive where it matters and stays desk-scale while k is at most
+MAX_SUBGROUP_RANK, whatever the rank.
 """
 
 from operator import add
@@ -19,7 +20,7 @@ from .polyring import F2, Q
 from .reps import RepE, RepT, Subgroup, fixed_subrep, line_blocks, require_no_fixed_part, require_tables
 
 MAX_SUBGROUP_RANK = 6
-MAX_CHAIN_NODES = 20000
+MAX_CHAIN_REDUCTIONS = 50_000
 
 
 def gap_table(U, V):
@@ -65,10 +66,12 @@ def _chain_search(field, rank, gaps, candidates, failure):
     Extensions go best summed gap first, ties to the least name, so the
     gap-maximizing path is returned whenever it never dead-ends.  Dead spans
     are memoized; on failure HypothesisError names one step past the longest
-    chain reached.
+    chain reached.  Each child costs one reduction per label and candidate
+    residual of its parent, and past MAX_CHAIN_REDUCTIONS in all the search
+    raises ResourceLimitError.
     """
     dead = set()
-    nodes = 0
+    spent = 0
     deepest = 0
     line = field.line
 
@@ -87,21 +90,21 @@ def _chain_search(field, rank, gaps, candidates, failure):
         return out
 
     def extend(rows, score, rep, remaining):
-        nonlocal nodes, deepest
+        nonlocal spent, deepest
         depth = len(rows)
         if depth == rank:
             return []
         key = tuple(row for _, row in rows)
         if key in dead:
             return None
-        nodes += 1
-        if nodes > MAX_CHAIN_NODES:
-            raise ResourceLimitError(f"flag search exceeded {MAX_CHAIN_NODES} chain nodes")
         deepest = max(deepest, depth)
         # every remaining step needs a gap of at least 1, and the steps
         # together cover every label not yet in the span
         if remaining >= rank - depth:
             for _, name, d in sorted((-s, rep.get(d, d), d) for d, s in score.items() if s > 0):
+                spent += len(score) + len(rep)
+                if spent > MAX_CHAIN_REDUCTIONS:
+                    raise ResourceLimitError(f"flag search exceeded {MAX_CHAIN_REDUCTIONS} residual reductions")
                 q = next(i for i, a in enumerate(d) if a)
                 grown = [(p, by(row, q, d)) for p, row in rows]
                 rest = extend(

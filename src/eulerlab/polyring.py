@@ -37,7 +37,7 @@ in the ideal), `quotient_basis(system)` the monomial basis, and the system
 carries its dimension and Hilbert series.  Those, and the packed constants
 of the drop rule below, need only each d_j, whether the system is graded
 and, when it is not, which relations are single terms.  So a graded system
-can be given its lead degrees alone and build each relation the first time
+can be given its lead degrees alone and build each relation only when
 something reads it (an Euler-class presentation does: its top relation is
 often never read).  The normal form cannot depend on which relations were
 built: it is fixed by the ideal and the leading terms, and a reduction reads
@@ -62,6 +62,23 @@ uses the single-term rule: a relation c*T_k^{d_k} kills every multiple of
 T_k^{d_k}.  Either test is one product, one addition and one AND on the
 packed key: the product puts every prefix sum of the exponents in a field of
 its own.
+
+A deferred system, whose relations are homogeneous, is read only as deep as
+the prefix-degree rule lets a relation matter.  Rewriting a head m, a term
+that reaches d_j, by g_j gives m - T_j^{d_j} + t for every other term t of
+g_j, of degree P_{j-1}(m) + P_{j-1}(t) in T_1..T_{j-1}; the rule drops it
+when that exceeds S_{j-1}.  So a term t deeper than the head's room
+S_{j-1} - P_{j-1}(m) only forms terms the rule drops, and every term the
+rewriting keeps has P_{j-1} at least its head's, so later heads have no more
+room.  A reduction at level j therefore builds g_j only to the largest room
+of its heads: the terms of degree at most that in T_1..T_{j-1}, which a
+build finds by dropping the deeper terms of each partial product (a factor
+never lowers that degree).  A deeper request builds it again, and reading
+the relation itself builds it whole.  The rule drops no key with a bit of
+`_exact` set, so a level reads its whole relation when a head has one, or
+when S_{j-1} + d_j reaches those bits and a kept term could gain one; then
+the reduction runs exactly as with every relation whole, exponent-limit
+refusals included.
 """
 
 import re
@@ -119,13 +136,17 @@ def _prefix_mult(nvars):
     return 1 + (sum(1 << s for s in _shifts(nvars)) << (BITS * nvars))
 
 
+def _exact_floor(nvars):
+    """2^t for the largest t with nvars * 2^t <= 2^31."""
+    return 1 << (BITS - 1 - (nvars - 1).bit_length())
+
+
 @cache
 def _exact(nvars):
-    """The bits of every field from 2^t up, for the largest t with
-    nvars * 2^t <= 2^31: a key with none of them set has every prefix sum
-    below 2^31, so the prefix sums of `_prefix_mult` do not carry."""
-    t = BITS - 1 - (nvars - 1).bit_length()
-    return sum(((1 << BITS) - (1 << t)) << s for s in _shifts(nvars))
+    """The bits of every field from `_exact_floor(nvars)` up: a key with none
+    of them set has every prefix sum below 2^31, so the prefix sums of
+    `_prefix_mult` do not carry."""
+    return sum(((1 << BITS) - _exact_floor(nvars)) << s for s in _shifts(nvars))
 
 
 def _check_exponents(keys, nvars):
@@ -416,15 +437,22 @@ class Poly:
         return f"Poly({self.field}, {self.nvars}, {format_poly(self)!r})"
 
 
-def _product(p, q):
-    """p * q for two Polys of the same ring; the kernel behind `*`."""
+def _times(a, b):
+    """The product of two term dicts, packed keys to field elements, with
+    its coefficients as raw sums; the kernel behind `*`."""
     terms = {}
     get = terms.get
-    right = q._terms.items()
-    for m1, c1 in p._terms.items():
+    right = b.items()
+    for m1, c1 in a.items():
         for m2, c2 in right:
             m = m1 + m2
             terms[m] = get(m, 0) + c1 * c2
+    return terms
+
+
+def _product(p, q):
+    """p * q for two Polys of the same ring."""
+    terms = _times(p._terms, q._terms)
     _check_exponents(terms, p.nvars)
     return Poly._trusted(p.field, p.nvars, terms)
 
@@ -485,15 +513,23 @@ class TriangularSystem:
 
     Everything above except the tails follows from each d_j, whether the
     system is graded and, if it is not, which g_j are single terms.  A
-    system made by `_deferred` is graded and given only each d_j and a
-    function that builds g_j; g_j and its tail are built the first time
-    something reads them (`gens`, `tails`, `relation_texts`, `==`, `hash`,
-    `repr`, or a reduction that reaches level j), and a built relation that
-    contradicts its degree or grading raises RuntimeError.  A relation that
-    is never read is never built; the normal form does not depend on it.
+    system made by `_deferred` has homogeneous relations and is given only
+    each d_j and a function that builds g_j, whole or to a depth in
+    T_1..T_{j-1}.  `gens`, `tails`, `relation_texts`, `==`, `hash` and
+    `repr` build every relation whole.  A reduction whose heads reach d_j
+    builds g_j only as deep as they can read it, by the argument in the
+    module docstring (`_room`), and keeps that tail until a deeper request
+    builds it again; `_depths` holds the depth of each kept tail, None when
+    whole, and `_rooms` the field of the rule that measures a head's room
+    (None where the level reads its relation whole).  A built relation that
+    contradicts its degree or homogeneity raises RuntimeError.  A relation
+    that is never read is never built; the normal form does not depend on
+    it.
     """
 
-    __slots__ = ("field", "nvars", "lead_degrees", "powers", "reach_lift", "drop", "_build", "_gens", "_tails")
+    __slots__ = (
+        "field", "nvars", "lead_degrees", "powers", "reach_lift", "drop", "_build", "_gens", "_tails", "_depths", "_rooms"
+    )
 
     def __init__(self, gens):
         gens = tuple(gens)
@@ -512,15 +548,18 @@ class TriangularSystem:
             if g.field != field or g.nvars != nvars:
                 raise InputError("mismatched field or variable count among generators")
             divided.append(_divide(g, j))
-        degrees, tails, graded = zip(*divided)
-        self._set(field, degrees, None if all(graded) else [not tail for tail in tails], None)
+        degrees, tails, totals = zip(*divided)
+        graded = all(min(total, default=d) >= d for d, total in zip(degrees, totals))
+        self._set(field, degrees, None if graded else [not tail for tail in tails], None)
         self._gens[:] = gens
         self._tails[:] = tails
 
     @classmethod
     def _deferred(cls, field, lead_degrees, build):
-        """The graded system whose relation g_j is `build(j)`, with T_j-degree
-        `lead_degrees[j - 1]`; `build(j)` runs when g_j is first read."""
+        """The graded system whose relation g_j is `build(j, None)`,
+        homogeneous of degree d_j = `lead_degrees[j - 1]`, and for which
+        `build(j, depth)` returns g_j's terms of degree at most `depth` in
+        T_1..T_{j-1} (more terms do no harm).  Nothing is built here."""
         system = object.__new__(cls)
         system._set(field, lead_degrees, None, build)
         return system
@@ -532,9 +571,14 @@ class TriangularSystem:
         half = 1 << (BITS - 1)
         high = BITS * nvars
         reach_lift = lift = bits = excess = 0
+        rooms = []
         for j, (s, d) in enumerate(zip(_shifts(nvars), degrees)):
             if d > MAX_EXPONENT:
                 raise ResourceLimitError(f"lead degree {d} is above the limit of {MAX_EXPONENT}")
+            # excess is S_{j-1} here; `_room` reads a head's room at level j
+            # off field l + j - 1 of the rule
+            shallow = build is not None and j > 0 and excess + d < _exact_floor(nvars)
+            rooms.append(high + s - BITS if shallow else None)
             reach_lift += (half - d) << s
             excess += d - 1
             if single_terms is None:
@@ -553,20 +597,33 @@ class TriangularSystem:
         object.__setattr__(self, "_build", build)
         object.__setattr__(self, "_gens", [None] * nvars)
         object.__setattr__(self, "_tails", [None] * nvars)
+        object.__setattr__(self, "_depths", [None] * nvars)
+        object.__setattr__(self, "_rooms", tuple(rooms))
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularSystem is immutable")
 
-    def _tail(self, j):
-        """The division tail of g_j, building g_j first if nothing has read it."""
-        tail = self._tails[j - 1]
-        if tail is None:
-            g = self._build(j)
-            d, tail, graded = _divide(g, j)
-            if (g.field, g.nvars, d) != (self.field, self.nvars, self.lead_degrees[j - 1]) or not graded:
-                raise RuntimeError(f"relation {j} contradicts the degree or grading stated for it")
-            self._gens[j - 1] = g
-            self._tails[j - 1] = tail
+    def _tail(self, j, depth=None):
+        """The division tail of g_j; given a depth, a tail that holds at least
+        the terms of degree at most `depth` in T_1..T_{j-1}.
+
+        A deferred g_j is built when no tail built so far holds that: to the
+        depth, or whole for no depth or a depth of d_j or more, which no term
+        of g_j exceeds.  Only a whole build is kept as the relation."""
+        i = j - 1
+        tail = self._tails[i]
+        if self._gens[i] is None:
+            if depth is not None and depth >= self.lead_degrees[i]:
+                depth = None
+            if tail is None or depth is None or depth > self._depths[i]:
+                g = self._build(j, depth)
+                d, tail, totals = _divide(g, j)
+                if (g.field, g.nvars, d) != (self.field, self.nvars, self.lead_degrees[i]) or not totals <= {d}:
+                    raise RuntimeError(f"relation {j} contradicts the degree or homogeneity stated for it")
+                if depth is None:
+                    self._gens[i] = g
+                self._tails[i] = tail
+                self._depths[i] = depth
         return tail
 
     def _complete(self):
@@ -612,9 +669,9 @@ class TriangularSystem:
 
 
 def _divide(g, j):
-    """(d_j, tail, graded) for g as the j-th generator of a triangular system:
-    its T_j-degree, its division tail, and whether no term of g has lower
-    total degree than T_j^{d_j}; an InputError if g cannot be g_j."""
+    """(d_j, tail, totals) for g as the j-th generator of a triangular system:
+    its T_j-degree, its division tail, and the set of total degrees of the
+    tail's terms; an InputError if g cannot be g_j."""
     if g.is_zero():
         raise InputError(f"generator {j} is zero")
     s = BITS * (j - 1)
@@ -633,13 +690,13 @@ def _divide(g, j):
     scale = -field.inverse(g._terms[top])
     ones = _prefix_mult(g.nvars) >> (BITS * g.nvars)
     tail = []
-    graded = True
+    totals = set()
     for m, c in g._terms.items():
         if m != top:
             tail.append((m - top, (m >> s) - d, field.norm(c * scale)))
             # the total degree of m is its prefix sum in field j
-            graded = graded and (m * ones >> s) & MASK >= d
-    return d, tuple(tail), graded
+            totals.add((m * ones >> s) & MASK)
+    return d, tuple(tail), totals
 
 
 def _reduce_level(p, j, system):
@@ -658,13 +715,13 @@ def _reduce_level(p, j, system):
     lies in the ideal by the system's drop rule (`drop`) is dropped: since
     the system is a Groebner basis the normal form of the rest is the same.
     The rule exempts every key with a guard bit set, so the checks still
-    see it.
+    see it.  The tail of g_j is read only as deep as the heads left after
+    that can use it (`_room`), and not at all when none is left.
     """
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
     far = FAR_FACTOR * d
     clean = p.field.clean
-    tail = system._tail(j)
     mult = _prefix_mult(p.nvars)
     lift, bits, exempt = system.drop
     levels = {}
@@ -686,6 +743,8 @@ def _reduce_level(p, j, system):
                 continue
             level = levels.setdefault((mt >> s) & MASK, {})
             level[mm] = level.get(mm, 0) + c * ct
+    reaching = [m for e, level in levels.items() if e >= d for m in level]
+    tail = system._tail(j, _room(system, j, reaching)) if reaching else ()
     while levels and (top := max(levels)) >= d:
         heads = levels.pop(top)
         _check_exponents(heads, p.nvars)
@@ -702,6 +761,31 @@ def _reduce_level(p, j, system):
         terms.update(level)
     _check_exponents(terms, p.nvars)
     return Poly._trusted(p.field, p.nvars, terms)
+
+
+def _room(system, j, heads):
+    """How deep in T_1..T_{j-1} a reduction by g_j reads its tail for these
+    heads, the terms that reach d_j: None for the whole tail.
+
+    A head m rewrites to m - T_j^{d_j} + t for each tail term t, of degree
+    P(m) + P(t) in T_1..T_{j-1}.  Above S_{j-1} the graded rule drops that
+    term, so t is read only when P(t) <= S_{j-1} - P(m), the head's room,
+    which is 2^31 - 1 minus field l + j - 1 of `m * mult + lift`.  A term the
+    rewriting forms and keeps has P of at least its head's and at most
+    S_{j-1}, so the rooms of later heads are no larger.  This holds while no
+    key carries an `_exact` bit, which would exempt it from the rule: so the
+    room is read only when no head has one and `_set` found S_{j-1} + d_j
+    below `_exact_floor` (the homogeneous g_j has no field above d_j); the
+    same condition gives S_{j-1} a rule bit.
+    """
+    shift = system._rooms[j - 1]
+    if shift is None:
+        return None
+    lift, _, exempt = system.drop
+    if fold(or_, heads, 0) & exempt:
+        return None
+    mult = _prefix_mult(system.nvars)
+    return MAX_EXPONENT - min((m * mult + lift) >> shift & MASK for m in heads)
 
 
 def reduce(p, system):
@@ -726,9 +810,11 @@ def _normal_form(p, system, top):
     keys finds the highest level at or below `top` that some term reaches
     (`reach_lift`, with a key that has a guard bit set counting as reaching,
     so that the limit checks run on it), and only that level is reduced
-    before the next pass looks below it.  It calls no name that the
+    before the next pass looks below it; a level reads its relation only as
+    deep as its heads can use (`_room`).  It calls no name that the
     benchmark traces (`reduce`, `*`, the `Poly` constructor), so squaring
-    moves none of its counters.
+    moves none of its counters; a relation it builds is built by the
+    system's own function, which may.
     """
     lift = system.reach_lift
     while True:
@@ -759,6 +845,14 @@ def _power_normal_form(system, j, e):
         t = step(Poly._trusted(system.field, system.nvars, {1 << BITS * (j - 1): system.field.coerce(1)}))
         nf = system.powers[(j, e)] = power(t, e, step, _product)
     return nf
+
+
+def _shallow(p, i, depth):
+    """The terms of p of degree at most `depth` in T_1..T_i, for i >= 1 and a
+    p whose keys have prefix sums below 2^32."""
+    mult = _prefix_mult(p.nvars)
+    shift = BITS * (p.nvars + i - 1)
+    return Poly._trusted(p.field, p.nvars, {m: c for m, c in p._terms.items() if (m * mult >> shift) & MASK <= depth})
 
 
 def quotient_basis(system):

@@ -6,9 +6,12 @@ dual bases T_1..T_l; a character belongs to block i when i is the least index
 with the character inside span(T_1..T_i).
 """
 
+from functools import reduce as fold
+from operator import mul, or_
+
 from . import linalg
 from .errors import MAX_GROUP_RANK, HypothesisError, InputError, ResourceLimitError, require_count, require_int
-from .polyring import F2, Q, Poly, power, reduce
+from .polyring import F2, Q, Poly, TriangularSystem, _check_exponents, _guard, _shifts, _times, power, reduce
 
 # Largest term count of an unreduced euler class or of any partial product
 # on the way to it; reduced classes are bounded by the quotient instead.  A
@@ -37,7 +40,8 @@ class _RepBase:
         items = multiplicities.items() if isinstance(multiplicities, dict) else (multiplicities or ())
         for char, m in items:
             char = self._validate_char(char, rank)
-            m = require_int(m, f"multiplicity for {char}")
+            if type(m) is not int:
+                m = require_int(m, f"multiplicity for {char}")
             if m < 1:
                 raise InputError(f"multiplicity for {char} must be positive, got {m}")
             if m >= MULTIPLICITY_CAP:
@@ -107,6 +111,8 @@ class _RepBase:
 
 
 def _binary_char(char, rank):
+    if type(char) is tuple and len(char) == rank and all(type(x) is int and 0 <= x <= 1 for x in char):
+        return char
     char = tuple(require_int(x, "character entry") for x in char)
     if len(char) != rank:
         raise InputError(f"character {char} does not have length {rank}")
@@ -119,7 +125,8 @@ class _Flag:
     """Complete flag of the dual space over `field`, carried as an adapted
     dual basis.  Subclasses set the field and validate covectors; the
     validated basis B goes to `linalg._rref` once, on [B | I], which both
-    checks that B is invertible and leaves B^-1 in the right half."""
+    checks that B is invertible and leaves B^-1 in the right half, kept
+    by columns."""
 
     def __init__(self, rank, dual_basis):
         rank = require_count(rank, "rank", MAX_GROUP_RANK, positive=True)
@@ -132,8 +139,8 @@ class _Flag:
             raise InputError("dual basis covectors are linearly dependent")
         self.rank = rank
         self.dual_basis = basis
-        # row k holds the flag coordinates of the k-th unit vector
-        self._inverse = tuple(row[rank:] for row in reduced)
+        # row k of B^-1 holds the flag coordinates of the k-th unit vector
+        self._columns = tuple(zip(*(row[rank:] for row in reduced)))
         self._known = {}  # label -> coordinates, filled by _coordinates
         self._blocks = {}  # label -> block, filled by _block
 
@@ -144,17 +151,13 @@ class _Flag:
     def _coordinates(self, char):
         """The coefficients c with sum_i c_i * T_i == char, for a label of
         length `rank` whose entries are field elements, such as a table's
-        label.  Each label is computed once per flag, as the field-normalised
-        combination sum_k char[k] * row k of the basis inverse, which the
-        constructor's elimination left in `_inverse`."""
+        label.  Each label is computed once per flag: c_i is the
+        field-normalised dot product of char with column i of the basis
+        inverse, which the constructor's elimination left in `_columns`."""
         coords = self._known.get(char)
         if coords is None:
-            field = self.field
-            acc = [field.coerce(0)] * self.rank
-            for x, row in zip(char, self._inverse):
-                if x:
-                    acc = [c + x * r for c, r in zip(acc, row)]
-            coords = self._known[char] = tuple(map(field.norm, acc))
+            norm = self.field.norm
+            coords = self._known[char] = tuple(norm(sum(map(mul, char, column))) for column in self._columns)
         return coords
 
     def _block(self, char):
@@ -351,13 +354,17 @@ def euler_poly(rep, flag, system=None):
     lowest flag block first (ties in table order): a product of labels in
     T_1..T_j stays in T_1..T_j, where a normal form is small, so the order
     changes the cost but never the result.
-    Without a system the product is built whole, and any product on the way
-    with more than MAX_EULER_TERMS terms raises ResourceLimitError.  With a
-    `TriangularSystem` every product is reduced as soon as it is formed, so
-    the result is the normal form of the class and no product on the way is
-    larger than two normal forms multiplied.  The empty table gives 1; a
-    trivial label with positive multiplicity makes the whole product vanish
-    and is rejected.
+    Without a system the product is built whole as `Poly` values and `*`,
+    and any product on the way with more than MAX_EULER_TERMS terms raises
+    ResourceLimitError.  With a `TriangularSystem` (of the flag's field and
+    rank, else an InputError) the running product is a dict of packed terms
+    multiplied by `polyring`'s own kernel, and a product goes to `reduce`
+    as soon as one of its terms reaches a lead degree d_j in T_j (the
+    system's `reach_lift`, as in `polyring._normal_form`); a product with no
+    such term is a normal form already.  So the result is the normal form of
+    the class and no product on the way is larger than two normal forms
+    multiplied.  The empty table gives 1; a trivial label with positive
+    multiplicity makes the whole product vanish and is rejected.
     """
     _check_pairing(rep, flag)
     if rep.fixed_dim:
@@ -366,14 +373,38 @@ def euler_poly(rep, flag, system=None):
             f"trivial label has multiplicity {rep.fixed_dim}"
         )
     if system is None:
-        step = _check_term_count
-        result = Poly.one(flag.field, rep.rank)
-    else:
-        def step(p):
-            return reduce(p, system)
-        # reducing 1 checks that the system matches the flag's field and rank
-        result = step(Poly.one(flag.field, rep.rank))
-    for char, m in sorted(rep.items(), key=lambda item: flag._block(item[0])):
+        return _euler_product(rep, flag, _check_term_count)
+    field, nvars = flag.field, rep.rank
+    if not isinstance(system, TriangularSystem):
+        raise InputError("reduce takes a Poly and a TriangularSystem")
+    if system.field != field or system.nvars != nvars:
+        raise InputError("polynomial and system have mismatched field or variable count")
+    lift, guard, clean = system.reach_lift, _guard(nvars), field.clean
+
+    def step(raw):
+        _check_exponents(raw, nvars)
+        terms = clean(raw)
+        if fold(or_, map(lift.__add__, terms), 0) & guard:
+            return reduce(Poly._trusted(field, nvars, terms), system)._terms
+        return terms
+
+    result = {0: 1}
+    for char, m in _factors(rep, flag):
+        form = {1 << s: c for s, c in zip(_shifts(nvars), flag._coordinates(char)) if c}
+        result = step(_times(result, power(form, m, step, _times)))
+    return Poly._trusted(field, nvars, result)
+
+
+def _factors(rep, flag):
+    """The table's (label, multiplicity) pairs, lowest flag block first."""
+    return sorted(rep.items(), key=lambda item: flag._block(item[0]))
+
+
+def _euler_product(rep, flag, step):
+    """The unreduced product of the table's labels, every product on the way
+    passed through `step`; the table is checked against the flag already."""
+    result = Poly.one(flag.field, rep.rank)
+    for char, m in _factors(rep, flag):
         form = Poly._linear(flag.field, flag._coordinates(char))
         result = step(result * power(form, m, step))
     return result

@@ -178,10 +178,10 @@ def test_euler_check_finds_flag_the_single_path_misses():
     assert out["nonvanishing"] is True
 
 
-def test_flag_search_node_limit_exit_two(monkeypatch):
+def test_flag_search_reduction_budget_exit_two(monkeypatch):
     from eulerlab import flagsearch
 
-    monkeypatch.setattr(flagsearch, "MAX_CHAIN_NODES", 1)
+    monkeypatch.setattr(flagsearch, "MAX_CHAIN_REDUCTIONS", 1)
     doc = {
         "group": {"kind": "elem_abelian_2", "rank": 2},
         "module": {"entries": [{"char": [1, 0], "mult": 2}, {"char": [0, 1], "mult": 1}]},
@@ -189,7 +189,7 @@ def test_flag_search_node_limit_exit_two(monkeypatch):
     }
     code, out, err = invoke(["euler-check", "--inline", json.dumps(doc)])
     assert code == 2
-    assert "chain nodes" in err
+    assert "flag search exceeded 1 residual reductions" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])

@@ -519,12 +519,25 @@ def test_find_rational_flag_backtracks_past_best_first_step():
     assert decompose(U, flag).dims == (3, 3) and decompose(V, flag).dims == (2, 2)
 
 
-def test_chain_search_node_limit(monkeypatch):
-    monkeypatch.setattr(flagsearch, "MAX_CHAIN_NODES", 1)
-    with pytest.raises(ResourceLimitError, match="chain nodes"):
+def test_chain_search_reduction_budget(monkeypatch):
+    monkeypatch.setattr(flagsearch, "MAX_CHAIN_REDUCTIONS", 1)
+    with pytest.raises(ResourceLimitError, match="exceeded 1 residual reductions"):
         find_flag(RepE(2, {A: 2, B: 1}), RepE(2, {}))
-    with pytest.raises(ResourceLimitError, match="chain nodes"):
+    with pytest.raises(ResourceLimitError, match="exceeded 1 residual reductions"):
         find_rational_flag(RepT(2, {(1, 0): 2, (0, 1): 2}), RepT(2, {}))
+
+
+def test_a_wide_chain_search_is_refused_by_its_budget():
+    # every label lies in x_16 = 0, so no flag exists, and the search backs
+    # out of ever more spans of the 15 unit labels and 50 others; the budget
+    # counts the residuals those spans reduce, not the spans
+    rng = random.Random(1)
+    labels = {tuple(int(i == k) for i in range(16)) for k in range(15)}
+    while len(labels) < 65:
+        labels.add(tuple(rng.randint(0, 1) for _ in range(15)) + (0,))
+    labels.discard((0,) * 16)
+    with pytest.raises(ResourceLimitError, match=f"exceeded {flagsearch.MAX_CHAIN_REDUCTIONS} residual reductions"):
+        find_flag(RepE(16, dict.fromkeys(labels, 1)), RepE(16, {}))
 
 
 # -- carried residuals against reduction by the whole span -------------------------
@@ -536,12 +549,12 @@ CHAIN_SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-NODE_LIMITS = st.one_of(st.integers(1, 6), st.just(flagsearch.MAX_CHAIN_NODES))
+BUDGETS = st.one_of(st.integers(1, 60), st.just(flagsearch.MAX_CHAIN_REDUCTIONS))
 
 
 def _search_outcome(search, field, rank, gaps, candidates, limit):
-    """The chain, or the kind and text of the error, with the node limit set."""
-    with mock.patch.object(flagsearch, "MAX_CHAIN_NODES", limit):
+    """The chain, or the kind and text of the error, with the reduction budget set."""
+    with mock.patch.object(flagsearch, "MAX_CHAIN_REDUCTIONS", limit):
         try:
             return "chain", search(field, rank, gaps, candidates, "no extension")
         except (HypothesisError, ResourceLimitError) as exc:
@@ -574,18 +587,23 @@ def q_gap_tables(draw):
 
 
 @CHAIN_SETTINGS
-@given(f2_gap_tables(), NODE_LIMITS)
+@given(f2_gap_tables(), BUDGETS)
 def test_chain_search_matches_whole_span_reduction_f2(table, limit):
     _check_chain_search(F2, table, limit)
     # over F2 every class is named by its residual, the least vector of its
-    # coset, so no candidates give what all 2^rank covectors give
+    # coset, so no candidates give what all 2^rank covectors give; listed
+    # candidates cost reductions, so that holds under the full budget
     rank, gaps, vectors = table
+    full = flagsearch.MAX_CHAIN_REDUCTIONS
+    assert _search_outcome(flagsearch._chain_search, F2, rank, gaps, (), full) == _search_outcome(
+        reference_chain_search, F2, rank, gaps, vectors, full
+    )
     assert _search_outcome(flagsearch._chain_search, F2, rank, gaps, (), limit) == _search_outcome(
-        reference_chain_search, F2, rank, gaps, vectors, limit
+        reference_chain_search, F2, rank, gaps, (), limit
     )
 
 
 @CHAIN_SETTINGS
-@given(q_gap_tables(), NODE_LIMITS)
+@given(q_gap_tables(), BUDGETS)
 def test_chain_search_matches_whole_span_reduction_q(table, limit):
     _check_chain_search(Q, table, limit)

@@ -1,5 +1,6 @@
 """Tests for representation tables, flags, subgroups, and Euler polynomials."""
 
+import enum
 import itertools
 import random
 import re
@@ -518,6 +519,45 @@ def test_constructors_reject_non_integers(make):
     with pytest.raises(InputError, match="must be an integer"):
         make()
 
+
+
+class Bit(enum.IntEnum):
+    OFF = 0
+    ON = 1
+
+
+def test_a_char_of_int_subclass_entries_is_accepted():
+    # the fast path takes tuples of exact 0/1 ints; anything else goes
+    # through the per-entry checks, which accept int subclasses
+    U = RepE(2, {(Bit.ON, Bit.OFF): 2, (1, 1): 1})
+    assert U.multiplicity((1, 0)) == 2 and U.dim == 3
+    assert FlagE(2, [(Bit.ON, Bit.OFF), [0, 1]]) == FlagE.standard(2)
+    assert Subgroup(2, [(Bit.OFF, Bit.ON)]) == Subgroup(2, [(0, 1)])
+    assert RepE(1, {(1,): Bit.ON}).dim == 1
+
+
+@pytest.mark.parametrize("char, message", [
+    ((True, 0), "character entry must be an integer, got True"),
+    ((1, 1.0), "character entry must be an integer, got 1.0"),
+    ((1, 2), "character (1, 2) must have 0/1 entries"),
+    ((1, -1), "character (1, -1) must have 0/1 entries"),
+    ((1, 0, 0), "character (1, 0, 0) does not have length 2"),
+    ([1, True], "character entry must be an integer, got True"),
+])
+def test_a_char_outside_exact_bits_is_refused_with_the_same_text(char, message):
+    for make in (lambda: RepE(2, [(char, 1)]), lambda: FlagE(2, [char, (0, 1)]), lambda: Subgroup(2, [char])):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+@pytest.mark.parametrize("mult, message", [
+    (True, "multiplicity for (1, 0) must be an integer, got True"),
+    (1.0, "multiplicity for (1, 0) must be an integer, got 1.0"),
+    (0, "multiplicity for (1, 0) must be positive, got 0"),
+])
+def test_a_multiplicity_is_named_by_its_char_when_refused(mult, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        RepE(2, {(1, 0): mult})
 
 
 def _circle():

@@ -117,9 +117,11 @@ def reference_chain_search(field, rank, gaps, candidates, failure):
     """`flagsearch._chain_search` as it was before residuals were carried
     down the search: every node reduces every label and every candidate by
     its whole span.  A class with no candidate is named by its residual.
-    Reads `flagsearch.MAX_CHAIN_NODES` when it runs."""
+    Each child is charged what the carried search reduces for it, one
+    residual per nonzero label class and candidate class of its parent,
+    against `flagsearch.MAX_CHAIN_REDUCTIONS`, read when it runs."""
     dead = set()
-    nodes = 0
+    spent = 0
     deepest = 0
 
     def residual(v, rows):
@@ -129,16 +131,13 @@ def reference_chain_search(field, rank, gaps, candidates, failure):
         return v
 
     def extend(rows, remaining):
-        nonlocal nodes, deepest
+        nonlocal spent, deepest
         depth = len(rows)
         if depth == rank:
             return []
         key = tuple(row for _, row in rows)
         if key in dead:
             return None
-        nodes += 1
-        if nodes > flagsearch.MAX_CHAIN_NODES:
-            raise ResourceLimitError(f"flag search exceeded {flagsearch.MAX_CHAIN_NODES} chain nodes")
         deepest = max(deepest, depth)
         if remaining >= rank - depth:
             score = {}
@@ -147,14 +146,22 @@ def reference_chain_search(field, rank, gaps, candidates, failure):
                 if any(d):
                     score[d] = score.get(d, 0) + gap
             rep = {}
+            classes = set()
             for w in candidates:
                 d = residual(w, rows)
+                if any(d):
+                    classes.add(d)
                 if score.get(d, 0) > 0:
                     rep.setdefault(d, w)
             for d, s in score.items():
                 if s > 0:
                     rep.setdefault(d, d)
             for d in sorted(rep, key=lambda d: (-score[d], rep[d])):
+                spent += len(score) + len(classes)
+                if spent > flagsearch.MAX_CHAIN_REDUCTIONS:
+                    raise ResourceLimitError(
+                        f"flag search exceeded {flagsearch.MAX_CHAIN_REDUCTIONS} residual reductions"
+                    )
                 q = next(i for i, a in enumerate(d) if a)
                 grown = [(p, residual(row, [(q, d)])) for p, row in rows] + [(q, d)]
                 rest = extend(sorted(grown), remaining - score[d])
