@@ -376,7 +376,7 @@ def euler_poly(rep, flag, system=None):
         return _euler_product(rep, flag, _check_term_count)
     field, nvars = flag.field, rep.rank
     if not isinstance(system, TriangularSystem):
-        raise InputError("reduce takes a Poly and a TriangularSystem")
+        raise InputError("euler_poly takes a TriangularSystem or None as its system")
     if system.field != field or system.nvars != nvars:
         raise InputError("polynomial and system have mismatched field or variable count")
     lift, guard, clean = system.reach_lift, _guard(nvars), field.clean

@@ -3,9 +3,12 @@
 import io
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulerlab import bounds, linalg
 from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
@@ -312,3 +315,85 @@ def test_certificate_failure_refuses_the_bound(monkeypatch, theorem, fault):
     assert code == 1
     assert err.getvalue() == f"hypothesis failure: {failed[0]}\n"
     assert json.loads(out.getvalue())["bound"] is None
+
+
+# -- the checklist flow, over every theorem ---------------------------------------------
+# A calculator runs down its checklist and stops at the first failed item, so a report
+# has at most one failed item, its last, and it has a bound exactly when none failed.
+
+FLOW_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def _random_table(rng, cls, labels, top):
+    table = {c: m for c in labels if (m := rng.randint(0, top))}
+    return cls(len(labels[0]), table)
+
+
+def _labels(rng, torus, rank):
+    """Every label of F2^rank, or a random handful of torus weights with entries in -2..2."""
+    if not torus:
+        return vectors2(rank)
+    return list({tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(4)})
+
+
+def _mostly_nontrivial(rng, labels):
+    """The labels, without the trivial one three times in four."""
+    if rng.random() < 0.75:
+        return [c for c in labels if any(c)] or labels
+    return labels
+
+
+def _random_lines(rng, cls, labels, l):
+    """About l labels of multiplicity 1, now and then one of multiplicity 2."""
+    chosen = rng.sample(labels, min(len(labels), max(1, l + rng.choice((-1, 0, 0, 0, 1)))))
+    table = dict.fromkeys(chosen, 1)
+    if rng.random() < 0.2:
+        table[chosen[0]] = 2
+    return cls(l, table)
+
+
+def _flow_case(theorem, rng):
+    torus = theorem.startswith(("torus", "stiefel-complex"))
+    cls = RepT if torus else RepE
+    rank = rng.randint(1, 2 if torus else 3)
+    if theorem.startswith("stiefel"):
+        P = _random_lines(rng, cls, _mostly_nontrivial(rng, _labels(rng, torus, rank)), rank)
+        Q = _random_table(rng, cls, _labels(rng, torus, rank), 2)
+        return bound_stiefel(P, Q, rng.randint(1, 5), kind=theorem.split("-")[1])
+    U = _random_table(rng, cls, _labels(rng, torus, rank), 3)
+    V = _random_table(rng, cls, _mostly_nontrivial(rng, _labels(rng, torus, rank)), 1)
+    if theorem == "free-zero-set":
+        return bound_free_zero_set(U, V)
+    return bound_torus(U, V, variant=theorem.split("-")[1])
+
+
+FLOW_THEOREMS = ["free-zero-set", "stiefel-real", "stiefel-complex", "torus-interior", "torus-annulus"]
+
+
+@pytest.mark.filterwarnings("ignore:fixed part of dimension")
+def test_a_failed_item_ends_the_checklist():
+    outcomes = Counter()
+
+    @FLOW_SETTINGS
+    @given(st.sampled_from(FLOW_THEOREMS), st.integers(0, 2**32))
+    def check(theorem, seed):
+        rep = _flow_case(theorem, random.Random(seed))
+        hypotheses = rep["hypotheses"]
+        failed = [i for i, h in enumerate(hypotheses) if h["status"] == "fail"]
+        assert failed in ([], [len(hypotheses) - 1])
+        assert (rep["bound"] is None) == bool(failed) == (not rep.applicable)
+        if failed:
+            assert rep.failure == f"hypothesis failure: {hypotheses[-1]['description']}"
+            assert rep["witness"] == {} and rep["notes"] == ["not applicable: a hypothesis failed"]
+        else:
+            assert rep.failure is None
+        outcomes[theorem, f"fails at item {len(hypotheses)}" if failed else "bound"] += 1
+
+    check()
+    seen = sorted(outcomes.items())
+    for theorem in FLOW_THEOREMS:
+        assert outcomes[theorem, "bound"] >= 5, seen
+        assert sum(n for (t, kind), n in outcomes.items() if t == theorem and kind != "bound") >= 5, seen
+    # refusals stop at several different items
+    assert len({kind for _, kind in outcomes} - {"bound"}) >= 4, seen

@@ -67,12 +67,21 @@ CASES = {
     "bound-stiefel-real": _bound("stiefel-real", _doc(E, 2, _LINES, [((1, 0), 1), ((1, 1), 1)]), "-n", "4"),
     "bound-stiefel-real-n": _bound("stiefel-real", _doc(E, 2, _LINES, [((1, 0), 1)], n=2)),
     "bound-stiefel-real-mults": _bound("stiefel-real", _doc(E, 2, [((1, 0), 2)], [((1, 0), 1)]), "-n", "4"),
+    "bound-stiefel-real-fixed-lines": _bound("stiefel-real", _doc(E, 2, [((0, 0), 1), ((0, 1), 1)], []), "-n", "4"),
+    "bound-stiefel-real-dependent": _bound(
+        "stiefel-real", _doc(E, 3, [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, 0), 1)], []), "-n", "5"),
+    "bound-stiefel-real-fixed-target": _bound("stiefel-real", _doc(E, 2, _LINES, [((0, 0), 1)]), "-n", "4"),
+    "bound-stiefel-real-caps": _bound("stiefel-real", _doc(E, 2, _LINES, [((0, 1), 3)]), "-n", "4"),
     "bound-stiefel-complex": _bound("stiefel-complex", _doc(T, 2, _LINES, [((1, 0), 1), ((1, 1), 1)]), "-n", "3"),
     "bound-stiefel-complex-caps": _bound("stiefel-complex", _doc(T, 2, _LINES, [((1, 0), 3)]), "-n", "3"),
+    "bound-stiefel-complex-fixed-lines": _bound(
+        "stiefel-complex", _doc(T, 2, [((0, 0), 1), ((1, 0), 1)], [((1, 0), 1)]), "-n", "3"),
     "bound-torus-interior": _bound("torus-interior", _TORUS_PAIR),
     "bound-torus-interior-no-flag": _bound("torus-interior", _doc(T, 1, [((1,), 1)], [((2,), 1)])),
     "bound-torus-interior-fixed": _bound("torus-interior", _doc(T, 1, [((0,), 1), ((1,), 2)], [((2,), 1)])),
+    "bound-torus-interior-fixed-target": _bound("torus-interior", _doc(T, 1, [((1,), 3)], [((0,), 1)])),
     "bound-torus-annulus": _bound("torus-annulus", _doc(T, 1, [((1,), 2)], [((1,), 1)])),
+    "bound-torus-annulus-fixed": _bound("torus-annulus", _doc(T, 1, [((0,), 1), ((1,), 2)], [((1,), 1)])),
     "bound-torus-annulus-gap": _bound("torus-annulus", _doc(T, 1, [((1,), 1)], [((1,), 1)])),
     "bound-torus-annulus-fixed-target": _bound("torus-annulus", _doc(T, 1, [((1,), 2)], [((0,), 1)])),
     "flag-ring": ["flag-ring", "-n", "4", "-l", "2"],

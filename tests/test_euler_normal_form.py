@@ -216,6 +216,19 @@ def test_euler_poly_rejects_mismatched_system():
             euler_poly(rep, flag, system)
 
 
+def test_euler_poly_refusals_name_its_system():
+    U = RepE(2, {(1, 0): 2, (0, 1): 2})
+    flag = FlagE.standard(2)
+    system = presentation(U, flag)
+    for wrong in (list(system.gens), system.gens[0], "T1^2"):
+        with pytest.raises(InputError) as refused:
+            euler_poly(U, flag, wrong)
+        assert str(refused.value) == "euler_poly takes a TriangularSystem or None as its system"
+    with pytest.raises(InputError) as refused:
+        euler_poly(RepE(1, {(1,): 1}), FlagE.standard(1), system)
+    assert str(refused.value) == "polynomial and system have mismatched field or variable count"
+
+
 def test_leading_coefficient_is_product_of_top_coordinates():
     # e(V) = (2 T1)(T1 - 3 T2) = 2 T1^2 - 6 T1 T2 in the standard flag, modulo T1^2 and T2^2
     U = RepT(2, {(1, 0): 2, (0, 1): 2})
