@@ -61,7 +61,20 @@ rule for single terms would only drop some terms sooner.  Any other system
 uses the single-term rule: a relation c*T_k^{d_k} kills every multiple of
 T_k^{d_k}.  Either test is one product, one addition and one AND on the
 packed key: the product puts every prefix sum of the exponents in a field of
-its own.
+its own.  Both rules exempt exactly the keys with a guard bit, so the
+exponent checks still see them.
+
+The prefix sums may pass 2^32 and carry, yet the prefix-degree test is exact.
+Call level i *lifted* when S_i < 2^31; S is nondecreasing, so the lifted
+levels come first, and the rule reads P_i at those levels only.
+  Lemma.  For a key m with no guard bit, `(m * _prefix_mult(l) + lift) & bits`
+  is nonzero exactly when P_i > S_i at some lifted level i.
+  Why: while P_k <= S_k, prefix field l + k holds P_k + 2^31 - 1 - S_k < 2^31
+  and carries nothing.  At the first lifted i with P_i > S_i,
+  P_i = P_{i-1} + e_i <= S_{i-1} + 2^31 - 1 <= S_i + 2^31 - 1 (P_0 = S_0 = 0),
+  so field l + i holds a value in [2^31, 2^32) and its rule bit is set.
+So on every key the test keeps, guard bits aside, field l + k of the product
+holds exactly P_k + 2^31 - 1 - S_k at every lifted level k.
 
 A deferred system, whose relations are homogeneous, is read only as deep as
 the prefix-degree rule lets a relation matter.  Rewriting a head m, a term
@@ -74,11 +87,10 @@ room.  A reduction at level j therefore builds g_j only to the largest room
 of its heads: the terms of degree at most that in T_1..T_{j-1}, which a
 build finds by dropping the deeper terms of each partial product (a factor
 never lowers that degree).  A deeper request builds it again, and reading
-the relation itself builds it whole.  The rule drops no key with a bit of
-`_exact` set, so a level reads its whole relation when a head has one, or
-when S_{j-1} + d_j reaches those bits and a kept term could gain one; then
-the reduction runs exactly as with every relation whole, exponent-limit
-refusals included.
+the relation itself builds it whole.  A level reads its relation to a depth
+only when level j - 1 is lifted, and whole when a head has a guard bit.  A
+term left unformed is one the rule drops or one past the exponent limit,
+which is then not refused; the normal form is the one whole relations give.
 """
 
 import re
@@ -134,19 +146,6 @@ def _prefix_mult(nvars):
     key in fields 1..l and puts the prefix sum P_i = e_1 + ... + e_i of its
     exponents in field l + i."""
     return 1 + (sum(1 << s for s in _shifts(nvars)) << (BITS * nvars))
-
-
-def _exact_floor(nvars):
-    """2^t for the largest t with nvars * 2^t <= 2^31."""
-    return 1 << (BITS - 1 - (nvars - 1).bit_length())
-
-
-@cache
-def _exact(nvars):
-    """The bits of every field from `_exact_floor(nvars)` up: a key with none
-    of them set has every prefix sum below 2^31, so the prefix sums of
-    `_prefix_mult` do not carry."""
-    return sum(((1 << BITS) - _exact_floor(nvars)) << s for s in _shifts(nvars))
 
 
 def _check_exponents(keys, nvars):
@@ -494,22 +493,20 @@ class TriangularSystem:
     which only `_deferred` can be given, raises ResourceLimitError, since
     2^31 - d_j would borrow from the next field.
 
-    `drop` is the triple (lift, bits, exempt) of the system's one drop rule
-    (see the module docstring): with `mult = _prefix_mult(l)`, a key m lies
-    in the ideal when `(m * mult + lift) & bits` is nonzero and `m & exempt`
-    is zero.
+    `drop` is the pair (lift, bits) of the system's one drop rule (see the
+    module docstring): with `mult = _prefix_mult(l)`, a key m with no guard
+    bit lies in the ideal when `(m * mult + lift) & bits` is nonzero.
       - Graded, the prefix-degree rule: `mult` puts the degree P_i of a key
         in T_1..T_i in field l + i, `lift` adds 2^31 - 1 - S_i there and
-        `bits` holds its top bit, for every i with S_i < 2^31.  `exempt` is
-        `_exact(l)`: below its bits the prefix sums do not carry, so the top
-        bits mark exactly P_i > S_i.  The degrees of the generators' terms
-        are read from the same prefix sums, so a term of degree 2^32 - l or
-        more may read low and make the system count as not graded, which
-        only changes the rule.
+        `bits` holds its top bit, for every lifted i (S_i < 2^31).  By the
+        lemma the top bits mark exactly P_i > S_i at a lifted i.  The
+        degrees of the generators' terms are read from the same prefix
+        sums, so a term of degree 2^32 - l or more may read low and make
+        the system count as not graded, which only changes the rule.
       - Not graded, the single-term rule: for every g_k with an empty tail,
         `lift` adds 2^31 - d_k to the T_k field and `bits` holds its top
-        bit.  `exempt` is the guard bits, so the top bits mark exactly a key
-        that reaches d_k in some such T_k.
+        bit, so the top bits mark exactly a key that reaches d_k in some
+        such T_k.
 
     Everything above except the tails follows from each d_j, whether the
     system is graded and, if it is not, which g_j are single terms.  A
@@ -576,8 +573,8 @@ class TriangularSystem:
             if d > MAX_EXPONENT:
                 raise ResourceLimitError(f"lead degree {d} is above the limit of {MAX_EXPONENT}")
             # excess is S_{j-1} here; `_room` reads a head's room at level j
-            # off field l + j - 1 of the rule
-            shallow = build is not None and j > 0 and excess + d < _exact_floor(nvars)
+            # off field l + j - 1 of the rule, exact where level j - 1 is lifted
+            shallow = build is not None and j > 0 and excess < half
             rooms.append(high + s - BITS if shallow else None)
             reach_lift += (half - d) << s
             excess += d - 1
@@ -593,7 +590,7 @@ class TriangularSystem:
         object.__setattr__(self, "lead_degrees", tuple(degrees))
         object.__setattr__(self, "powers", {})
         object.__setattr__(self, "reach_lift", reach_lift)
-        object.__setattr__(self, "drop", (lift, bits, _exact(nvars) if single_terms is None else _guard(nvars)))
+        object.__setattr__(self, "drop", (lift, bits))
         object.__setattr__(self, "_build", build)
         object.__setattr__(self, "_gens", [None] * nvars)
         object.__setattr__(self, "_tails", [None] * nvars)
@@ -723,12 +720,13 @@ def _reduce_level(p, j, system):
     far = FAR_FACTOR * d
     clean = p.field.clean
     mult = _prefix_mult(p.nvars)
-    lift, bits, exempt = system.drop
+    lift, bits = system.drop
+    guard = _guard(p.nvars)
     levels = {}
     distant = []
     for m, c in p._terms.items():
         t = m * mult + lift
-        if t & bits and not m & exempt:
+        if t & bits and not m & guard:
             continue
         e = (m >> s) & MASK
         if e < far:
@@ -739,7 +737,7 @@ def _reduce_level(p, j, system):
         for mt, ct in _power_normal_form(system, j, e)._terms.items():
             mm = x + mt
             t = mm * mult + lift
-            if t & bits and not mm & exempt:
+            if t & bits and not mm & guard:
                 continue
             level = levels.setdefault((mt >> s) & MASK, {})
             level[mm] = level.get(mm, 0) + c * ct
@@ -753,7 +751,7 @@ def _reduce_level(p, j, system):
             for mt, level, ct in targets:
                 mm = m + mt
                 t = mm * mult + lift
-                if t & bits and not mm & exempt:
+                if t & bits and not mm & guard:
                     continue
                 level[mm] = level.get(mm, 0) + c * ct
     terms = {}
@@ -770,20 +768,17 @@ def _room(system, j, heads):
     A head m rewrites to m - T_j^{d_j} + t for each tail term t, of degree
     P(m) + P(t) in T_1..T_{j-1}.  Above S_{j-1} the graded rule drops that
     term, so t is read only when P(t) <= S_{j-1} - P(m), the head's room,
-    which is 2^31 - 1 minus field l + j - 1 of `m * mult + lift`.  A term the
-    rewriting forms and keeps has P of at least its head's and at most
-    S_{j-1}, so the rooms of later heads are no larger.  This holds while no
-    key carries an `_exact` bit, which would exempt it from the rule: so the
-    room is read only when no head has one and `_set` found S_{j-1} + d_j
-    below `_exact_floor` (the homogeneous g_j has no field above d_j); the
-    same condition gives S_{j-1} a rule bit.
+    which is 2^31 - 1 minus field l + j - 1 of `m * mult + lift`: exact by
+    the lemma of the module docstring, as `_set` gives level j a room only
+    when level j - 1 is lifted and a head with a guard bit reads the whole
+    tail.  A kept term has P of at least its head's and at most S_{j-1} (one
+    with a guard bit is refused when its level is checked), so the rooms of
+    later heads are no larger.
     """
     shift = system._rooms[j - 1]
-    if shift is None:
+    if shift is None or fold(or_, heads, 0) & _guard(system.nvars):
         return None
-    lift, _, exempt = system.drop
-    if fold(or_, heads, 0) & exempt:
-        return None
+    lift, _ = system.drop
     mult = _prefix_mult(system.nvars)
     return MAX_EXPONENT - min((m * mult + lift) >> shift & MASK for m in heads)
 

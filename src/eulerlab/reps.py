@@ -31,7 +31,8 @@ class _RepBase:
     """Shared table mechanics for both group kinds.
 
     Each kind names its document `kind`, its `flag_type`, the `noun` of its
-    tables in messages, and the `letter` of the group in U^E or U^T.
+    tables in messages and the `letter` of the group in U^E or U^T, and
+    checks a label with `_validate_char(char, rank)`.
     """
 
     def __init__(self, rank, multiplicities=None):
@@ -60,10 +61,6 @@ class _RepBase:
         rep.rank = rank
         rep._table = table
         return rep
-
-    @staticmethod
-    def _validate_char(char, rank):
-        raise NotImplementedError
 
     @property
     def dim(self):
@@ -378,7 +375,7 @@ def euler_poly(rep, flag, system=None):
     if not isinstance(system, TriangularSystem):
         raise InputError("euler_poly takes a TriangularSystem or None as its system")
     if system.field != field or system.nvars != nvars:
-        raise InputError("polynomial and system have mismatched field or variable count")
+        raise InputError("flag and system have mismatched field or variable count")
     lift, guard, clean = system.reach_lift, _guard(nvars), field.clean
 
     def step(raw):

@@ -68,13 +68,7 @@ class MapDescription:
 
 def _minimal_cofactors(a, b):
     """Smallest a', b' >= 1 with a*a' - b*b' = 1 (a' minimal first)."""
-    if b == 1:
-        a0 = 1
-    else:
-        a0 = pow(a, -1, b)
-        if a0 == 0:
-            a0 = b
-    a_prime = a0
+    a_prime = pow(a, -1, b)
     while a_prime < 1 or (a * a_prime - 1) // b < 1:
         a_prime += b
     return a_prime, (a * a_prime - 1) // b

@@ -14,7 +14,7 @@ from eulerlab import bounds, linalg
 from eulerlab.bounds import bound_free_zero_set, bound_stiefel, bound_torus
 from eulerlab.cli import run
 from eulerlab.cohomology import QuotientClass, presentation
-from eulerlab.errors import HypothesisError
+from eulerlab.errors import HypothesisError, InputError
 from eulerlab.polyring import F2, Poly, format_poly, reduce
 from eulerlab.reps import (
     RepE,
@@ -315,6 +315,18 @@ def test_certificate_failure_refuses_the_bound(monkeypatch, theorem, fault):
     assert code == 1
     assert err.getvalue() == f"hypothesis failure: {failed[0]}\n"
     assert json.loads(out.getvalue())["bound"] is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bound_stiefel(RepE(1, {(1,): 1}), RepE(1, {}), 3, kind="quaternion"),
+     "kind must be real or complex, got 'quaternion'"),
+    (lambda: bound_torus(RepT(1, {(1,): 1}), RepT(1, {}), variant="outer"),
+     "variant must be interior or annulus, got 'outer'"),
+], ids=["kind", "variant"])
+def test_an_unknown_kind_or_variant_is_refused(call, message):
+    with pytest.raises(InputError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 # -- the checklist flow, over every theorem ---------------------------------------------

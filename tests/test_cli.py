@@ -735,6 +735,24 @@ def test_input_unread_by_the_mode_exit_two(argv, doc, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--theorem", "free-zero-set"], "an input document is required (-i PATH or --inline JSON)"),
+    (["reduce", "--inline", "[1]"], "the input document must be a JSON object"),
+    (["reduce", "--nvars", "1", "--poly", "T1", "--gen", "T1^2"],
+     "field must be F2 or Q (flag --field or document field)"),
+    (["bound", "--theorem", "stiefel-real", "--inline", json.dumps({**_RANK1_MODULE, "target": {"entries": []}})],
+     "the embedding dimension is required (-n or document n)"),
+    (["sympow", "--inline", json.dumps(_RANK1_MODULE)], "a degree is required (-d or document degree)"),
+    (["sympow", "-d", "-1", "--inline", json.dumps({**_RANK1_MODULE, "target": {"entries": []}})],
+     "degree target must be nonnegative"),
+    (["flag-ring", "-n", "3", "-l", "0"], "need at least one flag step"),
+    (["reduce", "--field", "F2", "--nvars", "2", "--poly", "T1**T2", "--gen", "T1^2", "--gen", "T2^2"],
+     "malformed term 'T1**T2'"),
+])
+def test_missing_or_malformed_input_exit_two(argv, message):
+    assert invoke(argv) == (2, "", f"error: {message}\n")
+
+
 # flag-ring takes --seed but samples only with --verify
 @pytest.mark.parametrize("argv", [
     _NON_SAMPLING["reduce"], _NON_SAMPLING["bound"], ["flag-ring", "-n", "3", "-l", "2"],

@@ -18,14 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerlab.errors import ResourceLimitError
 from eulerlab.polyring import (
     F2,
     FAR_FACTOR,
+    MAX_EXPONENT,
     Q,
     Poly,
     TriangularSystem,
-    _exact,
     _guard,
     _prefix_mult,
     parse_poly,
@@ -106,10 +105,10 @@ def random_input(rng, field, system, far):
 
 
 def uses_degree_rule(system):
-    """Whether the system's drop triple is the prefix-degree rule's: bits in
-    the prefix-sum fields only, exempting `_exact`'s bits."""
-    lift, bits, exempt = system.drop
-    return bits and not bits & ((1 << 32 * system.nvars) - 1) and exempt == _exact(system.nvars)
+    """Whether the system's drop pair is the prefix-degree rule's: bits in
+    the prefix-sum fields only."""
+    lift, bits = system.drop
+    return bits and not bits & ((1 << 32 * system.nvars) - 1)
 
 
 def degree_killed(system, m):
@@ -165,11 +164,11 @@ def test_reduce_matches_level_by_level_on_graded_systems():
 def test_a_system_that_is_not_graded_is_not_pruned():
     # T1^2 = -1 modulo T1^2 + 1: the constant term is below the lead's degree
     system = TriangularSystem([parse_poly("T1^2+1", Q, 1)])
-    assert system.drop == (0, 0, _guard(1))
+    assert system.drop == (0, 0)
     assert reduce(parse_poly("T1^2", Q, 1), system) == parse_poly("-1", Q, 1)
     # not graded, so only the single-term rule of g_1 drops
     mixed = TriangularSystem([parse_poly("T1^2", F2, 2), parse_poly("T2^2+T1*T2+T1", F2, 2)])
-    assert mixed.drop == (2**31 - 2, 2**31, _guard(2))
+    assert mixed.drop == (2**31 - 2, 2**31)
     # T2^3 has degree 3 > S_2 = 2 yet survives, since g_2 has the term T1
     assert reduce(parse_poly("T2^3", F2, 2), mixed) == parse_poly("T1*T2", F2, 2)
 
@@ -178,7 +177,7 @@ def test_degree_test_fires_exactly_above_the_caps():
     # d = (2, 3, 2): S = (1, 3, 4)
     gens = ["T1^2", "T2^3+T1*T2^2", "T3^2+T1*T3+T2^2"]
     system = TriangularSystem([parse_poly(g, Q, 3) for g in gens])
-    mult, (lift, bits, _) = _prefix_mult(3), system.drop
+    mult, (lift, bits) = _prefix_mult(3), system.drop
     for m, fires in [
         ((1, 0, 0), False), ((2, 0, 0), True),
         ((1, 2, 0), False), ((0, 3, 0), False), ((1, 3, 0), True), ((0, 4, 0), True),
@@ -207,10 +206,57 @@ def test_exponents_near_two_to_the_thirty_reduce_as_the_reference_does(exponent)
             assert reduce(p, system) == expected, text
 
 
-def test_a_key_past_the_exact_prefix_sums_still_raises():
-    # P_2 of T1^(2^31 - 2)*T2^2 exceeds S_2 = 2^31 - 1, but its exponents are
-    # too large for the degree test, so rewriting by g_2 reaches the limit
+def test_a_key_over_a_cap_near_the_exponent_limit_is_dropped():
+    # S = (2^31 - 2, 2^31 - 1), both caps below 2^31.  P_2 of
+    # T1^(2^31 - 2)*T2^2 is 2^31 > S_2, so the key has normal form 0: the
+    # degree test drops it before rewriting by g_2 could reach the limit
     system = TriangularSystem([parse_poly(g, F2, 2) for g in ["T1^2147483647", "T2^2+T1^1073741824*T2"]])
     assert uses_degree_rule(system)
-    with pytest.raises(ResourceLimitError, match="above the limit of 2147483647"):
-        reduce(parse_poly("T1^2147483646*T2^2", F2, 2), system)
+    assert reduce(parse_poly("T1^2147483646*T2^2", F2, 2), system).is_zero()
+
+
+def test_the_degree_test_marks_exactly_a_lifted_prefix_sum_over_its_cap():
+    # the lemma of the polyring module docstring: for a key with no guard
+    # bit, the packed test marks exactly the keys with P_i > S_i at some
+    # lifted level i (S_i < 2^31), although prefix sums past 2^32 carry.
+    # Systems of single-term relations are graded, so the degree rule is the
+    # only rule; lead degrees up to MAX_EXPONENT put S_i on both sides of
+    # 2^31, and the keys aim their prefix sums at S_i - 1, S_i, S_i + 1 and
+    # 2^31.  The oracle reads the unpacked exponents.
+    half = 2**31
+    kinds = Counter()
+
+    def degree(rng):
+        return rng.choice([rng.randint(1, 3), rng.randint(1, MAX_EXPONENT), MAX_EXPONENT, 2**30 + rng.randint(-2, 2)])
+
+    def exponents(rng, caps):
+        m, total = [], 0
+        for cap in caps:
+            target = rng.choice([cap - 1, cap, cap + 1, half - 1, half, total + rng.randint(0, MAX_EXPONENT)])
+            e = min(max(target - total, 0), MAX_EXPONENT)
+            m.append(e)
+            total += e
+        return m
+
+    @SETTINGS
+    @given(st.integers(1, 8), st.integers(0, 2**32))
+    def check(nvars, seed):
+        rng = random.Random(seed)
+        degrees = [degree(rng) for _ in range(nvars)]
+        system = TriangularSystem([Poly(F2, nvars, {monomial(nvars, [0] * j + [d]): 1}) for j, d in enumerate(degrees)])
+        assert uses_degree_rule(system)
+        lift, bits = system.drop
+        caps = list(accumulate(d - 1 for d in degrees))
+        mult = _prefix_mult(nvars)
+        for _ in range(40):
+            m = exponents(rng, caps)
+            key = sum(e << 32 * i for i, e in enumerate(m))
+            assert not key & _guard(nvars)
+            over = [p for p, cap in zip(accumulate(m), caps) if cap < half and p > cap]
+            assert bool((key * mult + lift) & bits) == bool(over), (degrees, m)
+            kinds["first over-cap prefix sum >= 2^31"] += bool(over) and over[0] >= half
+        kinds["system with an unlifted level"] += caps[-1] >= half
+
+    check()
+    assert kinds["first over-cap prefix sum >= 2^31"] >= 100, kinds
+    assert kinds["system with an unlifted level"] >= 50, kinds

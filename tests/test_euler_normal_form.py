@@ -226,7 +226,7 @@ def test_euler_poly_refusals_name_its_system():
         assert str(refused.value) == "euler_poly takes a TriangularSystem or None as its system"
     with pytest.raises(InputError) as refused:
         euler_poly(RepE(1, {(1,): 1}), FlagE.standard(1), system)
-    assert str(refused.value) == "polynomial and system have mismatched field or variable count"
+    assert str(refused.value) == "flag and system have mismatched field or variable count"
 
 
 def test_leading_coefficient_is_product_of_top_coordinates():

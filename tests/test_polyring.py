@@ -171,6 +171,19 @@ def test_values_that_are_not_polys_or_systems_are_input_errors(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Poly.variable(F2, 2, 3), "variable index 3 out of range 1..2"),
+    (lambda: P("T1") + 1, "expected a Poly, got int"),
+    (lambda: TriangularSystem([P("T1", F2, 2), P("T2", Q, 2)]), "mismatched field or variable count among generators"),
+    (lambda: reduce(P("T1"), TriangularSystem([P("T1^2", Q)])),
+     "polynomial and system have mismatched field or variable count"),
+], ids=["variable-index", "operand", "mixed-generators", "mismatched-system"])
+def test_refusals_name_the_value_at_fault(make, message):
+    with pytest.raises(InputError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 # -- reduction properties -----------------------------------------------------
 
 def test_reduce_is_linear_and_idempotent():

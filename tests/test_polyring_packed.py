@@ -210,6 +210,8 @@ def test_reduced_euler_class_of_a_huge_multiplicity():
     (["T1^2", "T2+T3", "T3"], "generator 2 involves a variable beyond T2"),
     (["T1^2", "T1", "T3"], "generator 2 has no T2 term"),
     (["T1^2", "T1*T2^2+T2", "T3"], "leading T2-coefficient of generator 2 is not constant"),
+    ([], "a triangular system needs at least one generator"),
+    (["T1^2", "T2^2"], "need exactly one generator per variable, got 2 for 3 variables"),
 ])
 def test_triangular_system_validation(gens, message):
     with pytest.raises(InputError, match=message):

@@ -587,6 +587,28 @@ def test_library_entry_points_reject_non_integers(call):
     with pytest.raises(InputError, match="must be an integer"):
         call()
 
+_TORUS_GROUP = {"kind": "torus", "rank": 1}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RationalFlag(2, [(1, 0, 0), (0, 1)]), "covector (1, 0, 0) does not have length 2"),
+    (lambda: RepT(2, {(1,): 1}), "weight (1,) does not have length 2"),
+    (lambda: rep_from_doc({"group": _TORUS_GROUP, "module": {"entries": [5]}}), "module entry must be a JSON object"),
+    (lambda: rep_from_doc({"group": {"rank": 1}, "module": {"entries": []}}), "bad group document: 'kind'"),
+    (lambda: rep_from_doc({"module": {"entries": []}}), "document is missing the group field"),
+    (lambda: rep_from_doc({"group": _TORUS_GROUP, "module": {"entries": 5}}), "module.entries must be a list"),
+    (lambda: rep_from_doc({"group": _TORUS_GROUP, "module": {"entries": [{"char": [1]}]}}),
+     "each module entry needs char and mult"),
+    (lambda: flag_from_doc({}, "torus", 1), "flag document needs dual_basis"),
+    (lambda: flag_from_doc({"dual_basis": 5}, "torus", 1), "flag dual_basis must be a list, got 5"),
+], ids=["covector-length", "weight-length", "entry", "group-kind", "group", "entries", "mult", "dual-basis",
+        "dual-basis-list"])
+def test_malformed_tables_and_documents_are_refused(make, message):
+    with pytest.raises(InputError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_documents_reject_non_list_vectors():
     with pytest.raises(InputError, match="must be a list"):
         rep_from_doc({"group": {"kind": "torus", "rank": 1}, "module": {"entries": [{"char": 1, "mult": 1}]}})

@@ -115,6 +115,22 @@ def test_cofactor_identity_exact():
                 ap, bp = m.params["a_prime"], m.params["b_prime"]
                 assert a * ap - b * bp == 1
                 assert ap >= 1 and bp >= 1
+                # a' is the least cofactor that leaves b' >= 1
+                assert ap == next(x for x in range(1, a * b + b + 2) if (a * x - 1) % b == 0 and a * x - 1 >= b)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: embed_on_line(circle_example(2, 3, 1), (2, 4)), "line must be a primitive, sign-normalized vector"),
+    (lambda: embed_on_line(embed_on_line(circle_example(2, 3, 1), (1, 1)), (1, 1)), "embed_on_line relabels rank-1 maps"),
+    (lambda: embed_on_line(identity_map(RepT(1, {(-1,): 1})), (1, 1)), "embed_on_line requires positive weights"),
+    (lambda: join_assemble({}), "join needs at least one part"),
+    (lambda: join_assemble({(2,): identity_map(RepT(1, {(2,): 1}))}), "line (2,) is not primitive and sign-normalized"),
+    (lambda: verify_equivariance(identity_map(RepT(1, {}))), "the source representation is zero"),
+], ids=["embed-line", "embed-rank", "embed-weight", "join-empty", "join-line", "zero-source"])
+def test_maps_and_lines_outside_the_domain_are_refused(call, message):
+    with pytest.raises(InputError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_circle_example_evaluator_formula():
