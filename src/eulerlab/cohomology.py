@@ -81,9 +81,12 @@ def euler_nonvanishing(U, V, flag):
 
     Returns (nonzero, certificate); the certificate's normal form is the
     nonzero residue on success and zero otherwise.  e(V) is never built
-    whole: `euler_poly` reduces a product as soon as a term of it reaches a
-    lead degree.  The reduction builds a relation g_j only when a term that
-    the degree rule keeps reaches d_j in T_j, and only as deep in
+    whole: `euler_poly` drops every term of a product that the degree rule
+    marks as lying in the ideal as soon as it forms it, and reduces the rest
+    as soon as a term of it reaches a lead degree.  So when dim V exceeds
+    S_l = sum_j (d_j - 1), the product that completes e(V) loses every term
+    and is never reduced.  The reduction builds a relation g_j only when a
+    term that the degree rule keeps reaches d_j in T_j, and only as deep in
     T_1..T_{j-1} as such terms can read it.  On an admissible flag
     (dim V_i < dim U_i for every i) e(V) has T_l-degree dim V_l < d_l, and
     reducing by g_1..g_{l-1} never raises it, so the top relation g_l is not

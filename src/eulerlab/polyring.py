@@ -62,7 +62,10 @@ uses the single-term rule: a relation c*T_k^{d_k} kills every multiple of
 T_k^{d_k}.  Either test is one product, one addition and one AND on the
 packed key: the product puts every prefix sum of the exponents in a field of
 its own.  Both rules exempt exactly the keys with a guard bit, so the
-exponent checks still see them.
+exponent checks still see them.  `reps.euler_poly` applies the same rule to
+every product it forms, right after checking its exponents, so a term of
+e(V) that the rule marks is dropped there and never multiplied again or
+handed to `reduce`; `reduce` drops the marked terms of any other input.
 
 The prefix sums may pass 2^32 and carry, yet the prefix-degree test is exact.
 Call level i *lifted* when S_i < 2^31; S is nondecreasing, so the lifted
@@ -311,9 +314,9 @@ class _TermsView(Mapping):
 class Poly:
     """Immutable sparse polynomial in canonical form (no zero coefficients).
 
-    The constructor validates every term; arithmetic builds its results with
-    `_trusted`, which only cleans the coefficients and drops zeros.  `_terms`
-    maps packed monomial keys to coefficients.
+    The constructor validates every term and cleans the sums; arithmetic
+    cleans its raw sums itself (`Field.clean`) and wraps them with
+    `_trusted`.  `_terms` maps packed monomial keys to coefficients.
     """
 
     __slots__ = ("field", "nvars", "_terms")
@@ -326,18 +329,22 @@ class Poly:
         for m, c in items:
             key = _key(m, nvars)
             raw[key] = raw.get(key, 0) + field.coerce(c)
-        self._set(field, nvars, raw)
+        self._set(field, nvars, field.clean(raw))
 
-    def _set(self, field, nvars, raw):
+    def _set(self, field, nvars, terms):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", field.clean(raw))
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
-    def _trusted(cls, field, nvars, raw):
-        """Poly from valid packed monomials and raw sums of field elements."""
+    def _trusted(cls, field, nvars, terms):
+        """Poly holding `terms` as given: valid packed monomials mapped to
+        nonzero elements of `field` in canonical form.  A caller that holds
+        raw sums cleans them first (`Field.clean`); so `reps.euler_poly`, whose
+        running product is clean already, hands it to `reduce` and returns
+        it without a second pass."""
         p = object.__new__(cls)
-        p._set(field, nvars, raw)
+        p._set(field, nvars, terms)
         return p
 
     def __setattr__(self, name, value):
@@ -362,7 +369,7 @@ class Poly:
     @classmethod
     def _linear(cls, field, coeffs):
         """sum_j coeffs[j] * T_{j+1}, for coefficients that are canonical elements of `field`."""
-        return cls._trusted(field, len(coeffs), {1 << s: c for s, c in zip(_shifts(len(coeffs)), coeffs)})
+        return cls._trusted(field, len(coeffs), {1 << s: c for s, c in zip(_shifts(len(coeffs)), coeffs) if c})
 
     # -- inspection ---------------------------------------------------------
 
@@ -396,10 +403,10 @@ class Poly:
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Poly._trusted(self.field, self.nvars, terms)
+        return Poly._trusted(self.field, self.nvars, self.field.clean(terms))
 
     def __neg__(self):
-        return Poly._trusted(self.field, self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._trusted(self.field, self.nvars, self.field.clean({m: -c for m, c in self._terms.items()}))
 
     def __sub__(self, other):
         return self + (-other)
@@ -453,7 +460,7 @@ def _product(p, q):
     """p * q for two Polys of the same ring."""
     terms = _times(p._terms, q._terms)
     _check_exponents(terms, p.nvars)
-    return Poly._trusted(p.field, p.nvars, terms)
+    return Poly._trusted(p.field, p.nvars, p.field.clean(terms))
 
 
 def power(p, exponent, step, mul=mul):
@@ -758,7 +765,7 @@ def _reduce_level(p, j, system):
     for level in levels.values():
         terms.update(level)
     _check_exponents(terms, p.nvars)
-    return Poly._trusted(p.field, p.nvars, terms)
+    return Poly._trusted(p.field, p.nvars, clean(terms))
 
 
 def _room(system, j, heads):

@@ -54,8 +54,8 @@ def test_workload_cases_pass_their_oracles(name, count):
 # move them; arithmetic builds its results through Poly._trusted, so
 # Poly.__init__ runs only for the polynomials built from outside, one Poly.one
 # per block relation built.  e(V) is multiplied on packed terms, with no `*`
-# and no Poly.one, and goes to `reduce` only when a term reaches a lead
-# degree.  The flags are admissible, so the reduction of e(V) never reads a
+# and no Poly.one; every product loses the terms the degree rule marks, and
+# goes to `reduce` only when a term left reaches a lead degree.  The flags are admissible, so the reduction of e(V) never reads a
 # top relation e(U_5), and it reads each lower relation only as deep in the
 # lower variables as its heads can use: the multiplies and their terms count
 # only those truncated builds, and the largest euler_poly is the largest
@@ -63,9 +63,9 @@ def test_workload_cases_pass_their_oracles(name, count):
 EULER_F2_COUNTERS = {
     "polyring.mul.calls": 55,
     "polyring.mul.out_terms.sum": 170,
-    "polyring.reduce.calls": 44,
-    "polyring.reduce.in_terms.sum": 397,
-    "polyring.reduce.out_terms.sum": 177,
+    "polyring.reduce.calls": 24,
+    "polyring.reduce.in_terms.sum": 178,
+    "polyring.reduce.out_terms.sum": 122,
     "reps.euler_poly.out_terms.max": 9,
     "polyring.Poly.calls": 7,
 }

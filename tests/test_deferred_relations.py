@@ -4,9 +4,10 @@ and a reduction builds it only as deep in T_1..T_{j-1} as its heads can use.
 Oracle: the eager system `TriangularSystem([euler_poly(b, flag) for b in
 decompose(U, flag).blocks])`, on random pairs over F2 of rank 1-5 and over the
 torus of rank 1-3, under admissible flags (dim V_j < dim U_j for every j) and
-under flags that are not, among them pairs whose V reaches d_l in T_l, so that
-the top level is reduced; and, over F2 and Q at ranks 2-5, the full relation's
-terms for every depth, and reductions that force a deeper build.
+under flags that are not, among them pairs whose V reaches d_l in T_l with
+dim V <= S_l, so that the top level is reduced; and, over F2 and Q at ranks
+2-5, the full relation's terms for every depth, and reductions that force a
+deeper build.
 """
 
 import io
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 from eulerlab import polyring, reps
 from eulerlab.cli import run
 from eulerlab.cohomology import euler_nonvanishing, presentation
-from eulerlab.errors import InputError, ResourceLimitError
+from eulerlab.errors import ResourceLimitError
 from eulerlab.polyring import F2, MAX_EXPONENT, Q, Poly, TriangularSystem, parse_poly, reduce
-from eulerlab.reps import FlagE, RationalFlag, RepE, RepT, decompose, euler_poly
+from eulerlab.reps import FlagE, RepE, decompose, euler_poly
+from tests_support_random import random_pair
 
 SETTINGS = settings(
     max_examples=300,
@@ -32,54 +34,6 @@ SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def random_flag(rng, torus, rank=None):
-    """A random complete flag: by default rank 1-3 with covector entries in
-    -2..2 for the torus, rank 1-5 with 0/1 entries over F2."""
-    rank = rank or rng.randint(1, 3 if torus else 5)
-    while True:
-        rows = [[rng.randint(-2, 2) if torus else rng.randint(0, 1) for _ in range(rank)] for _ in range(rank)]
-        try:
-            return (RationalFlag if torus else FlagE)(rank, rows)
-        except InputError:
-            continue
-
-
-def block_label(rng, flag, j, torus):
-    """A label of block j: sum_i c_i T_i with c_j nonzero; below j the
-    coefficients are all zero about a third of the time, so that single-term
-    relations occur."""
-    below = rng.random() < 1 / 3
-    coeffs = [0 if below else (rng.randint(-2, 2) if torus else rng.randint(0, 1)) for _ in range(j)]
-    coeffs.append(rng.choice([-2, -1, 1, 2]) if torus else 1)
-    label = [0] * flag.rank
-    for c, t in zip(coeffs, flag.dual_basis):
-        label = [a + c * b for a, b in zip(label, t)]
-    return tuple(x % 2 for x in label) if not torus else tuple(label)
-
-
-def block_table(rng, flag, dims, torus):
-    table = {}
-    for j, dim in enumerate(dims):
-        for _ in range(dim):
-            label = block_label(rng, flag, j, torus)
-            table[label] = table.get(label, 0) + 1
-    return (RepT if torus else RepE)(flag.rank, table)
-
-
-def random_pair(rng, torus, admissible, rank=None):
-    """(U, V, flag) with every block of U nonempty; when not admissible, the
-    top block of V is as large as U's or larger half of the time."""
-    flag = random_flag(rng, torus, rank)
-    u_dims = [rng.randint(1, 3) for _ in range(flag.rank)]
-    if admissible:
-        v_dims = [rng.randint(0, u - 1) for u in u_dims]
-    else:
-        v_dims = [rng.randint(0, u + 1) for u in u_dims]
-        if rng.random() < 0.5:
-            v_dims[-1] = u_dims[-1] + rng.randint(0, 1)
-    return block_table(rng, flag, u_dims, torus), block_table(rng, flag, v_dims, torus), flag
 
 
 def eager_presentation(U, flag):

@@ -1,4 +1,5 @@
-"""Shared random generators, small F2 helpers (every vector of F2^n, spans),
+"""Shared random generators (among them flagged (U, V) pairs whose V may
+reach a lead degree), small F2 helpers (every vector of F2^n, spans),
 the subspace enumeration oracle, the chain search that reduces by the whole
 span at every node, the level-by-level reduction oracle, the Fraction-only
 reference field over Q and the identity torus map for the test suite."""
@@ -8,9 +9,9 @@ from itertools import combinations, product
 from operator import add
 
 from eulerlab import flagsearch, linalg
-from eulerlab.errors import HypothesisError, ResourceLimitError
+from eulerlab.errors import HypothesisError, InputError, ResourceLimitError
 from eulerlab.polyring import F2, Poly, TriangularSystem, _Q
-from eulerlab.reps import FlagE
+from eulerlab.reps import FlagE, RationalFlag, RepE, RepT
 from eulerlab.torusmaps import MapDescription
 
 
@@ -174,6 +175,60 @@ def reference_chain_search(field, rank, gaps, candidates, failure):
     if chain is None:
         raise HypothesisError(f"{failure} at step {deepest + 1}")
     return chain
+
+
+def random_flag(rng, torus, rank=None):
+    """A random complete flag: by default rank 1-3 with covector entries in
+    -2..2 for the torus, rank 1-5 with 0/1 entries over F2."""
+    rank = rank or rng.randint(1, 3 if torus else 5)
+    while True:
+        rows = [[rng.randint(-2, 2) if torus else rng.randint(0, 1) for _ in range(rank)] for _ in range(rank)]
+        try:
+            return (RationalFlag if torus else FlagE)(rank, rows)
+        except InputError:
+            continue
+
+
+def block_label(rng, flag, j, torus):
+    """A label of block j: sum_i c_i T_i with c_j nonzero; below j the
+    coefficients are all zero about a third of the time, so that single-term
+    relations occur."""
+    below = rng.random() < 1 / 3
+    coeffs = [0 if below else (rng.randint(-2, 2) if torus else rng.randint(0, 1)) for _ in range(j)]
+    coeffs.append(rng.choice([-2, -1, 1, 2]) if torus else 1)
+    label = [0] * flag.rank
+    for c, t in zip(coeffs, flag.dual_basis):
+        label = [a + c * b for a, b in zip(label, t)]
+    return tuple(x % 2 for x in label) if not torus else tuple(label)
+
+
+def block_table(rng, flag, dims, torus):
+    table = {}
+    for j, dim in enumerate(dims):
+        for _ in range(dim):
+            label = block_label(rng, flag, j, torus)
+            table[label] = table.get(label, 0) + 1
+    return (RepT if torus else RepE)(flag.rank, table)
+
+
+def random_pair(rng, torus, admissible, rank=None):
+    """(U, V, flag) with every block of U nonempty.  When not admissible, the
+    top block of V is as large as U's or larger two times in three, and then
+    V's lower blocks are cut, in random order, until dim V <= S_l =
+    sum_j (dim U_j - 1) or they are empty: a term of degree above S_l lies in
+    the ideal and is dropped as soon as it is formed, so most pairs above S_l
+    never reduce their top level."""
+    flag = random_flag(rng, torus, rank)
+    u_dims = [rng.randint(1, 3) for _ in range(flag.rank)]
+    if admissible:
+        v_dims = [rng.randint(0, u - 1) for u in u_dims]
+    else:
+        v_dims = [rng.randint(0, u + 1) for u in u_dims]
+        if rng.random() < 2 / 3:
+            v_dims[-1] = u_dims[-1] + rng.randint(0, 1)
+            for i in rng.sample(range(flag.rank - 1), flag.rank - 1):
+                v_dims[i] -= min(v_dims[i], max(0, sum(v_dims) - sum(u_dims) + flag.rank))
+    return block_table(rng, flag, u_dims, torus), block_table(rng, flag, v_dims, torus), flag
 
 
 def random_triangular(rng, field, nvars, dmax=6):
