@@ -26,7 +26,8 @@ a T_j-degree is `(m >> 32(j-1)) & MASK`.  The top bit of every field is a
 guard bit: exponents are capped at MAX_EXPONENT = 2^31 - 1 and never wrap.  A
 larger exponent given to `Poly` or `parse_poly` is an InputError; one
 produced by a product, a power or a reduction sets a guard bit on a result
-key and raises ResourceLimitError.
+key and raises ResourceLimitError, unless the drop rule below shows that the
+key lies in the ideal.
 
 A triangular system consists of one relation per variable, the j-th having an
 invertible constant coefficient on its top power of T_j, so multivariate
@@ -61,22 +62,29 @@ rule for single terms would only drop some terms sooner.  Any other system
 uses the single-term rule: a relation c*T_k^{d_k} kills every multiple of
 T_k^{d_k}.  Either test is one product, one addition and one AND on the
 packed key: the product puts every prefix sum of the exponents in a field of
-its own.  Both rules exempt exactly the keys with a guard bit, so the
-exponent checks still see them.  `reps.euler_poly` applies the same rule to
-every product it forms, right after checking its exponents, so a term of
-e(V) that the rule marks is dropped there and never multiplied again or
-handed to `reduce`; `reduce` drops the marked terms of any other input.
+its own.  A key that the rule marks is dropped, and only a kept key is
+refused: the exponent checks run on what the rule keeps.  `reps.euler_poly`
+applies the same rule to every product it forms, so a term of e(V) that the
+rule marks is dropped there and never multiplied again or handed to
+`reduce`; `reduce` drops the marked terms of any other input.
 
 The prefix sums may pass 2^32 and carry, yet the prefix-degree test is exact.
 Call level i *lifted* when S_i < 2^31; S is nondecreasing, so the lifted
 levels come first, and the rule reads P_i at those levels only.
-  Lemma.  For a key m with no guard bit, `(m * _prefix_mult(l) + lift) & bits`
-  is nonzero exactly when P_i > S_i at some lifted level i.
+  Lemma.  For a key m whose fields are below 2^32,
+  `(m * _prefix_mult(l) + lift) & bits` is nonzero only when P_i > S_i at
+  some lifted level i, and for m with no guard bit exactly then.
   Why: while P_k <= S_k, prefix field l + k holds P_k + 2^31 - 1 - S_k < 2^31
-  and carries nothing.  At the first lifted i with P_i > S_i,
+  and carries nothing, so no rule bit is set before the first lifted i with
+  P_i > S_i.  With no guard bit,
   P_i = P_{i-1} + e_i <= S_{i-1} + 2^31 - 1 <= S_i + 2^31 - 1 (P_0 = S_0 = 0),
   so field l + i holds a value in [2^31, 2^32) and its rule bit is set.
-So on every key the test keeps, guard bits aside, field l + k of the product
+The single-term test is one-way in the same way: a carry out of field k
+needs e_k >= 2^31 + d_k.  Every key the rules read has no guard bit or is
+the sum of two keys with none: a head less T_j^{d_j} and a term of g_j, a
+far factor and a power's normal form, or two factors.  So its fields are
+below 2^32, and a key the rule marks lies in the ideal whatever its guard
+bits.  On every kept key with no guard bit, field l + k of the product
 holds exactly P_k + 2^31 - 1 - S_k at every lifted level k.
 
 A deferred system, whose relations are homogeneous, is read only as deep as
@@ -91,9 +99,9 @@ of its heads: the terms of degree at most that in T_1..T_{j-1}, which a
 build finds by dropping the deeper terms of each partial product (a factor
 never lowers that degree).  A deeper request builds it again, and reading
 the relation itself builds it whole.  A level reads its relation to a depth
-only when level j - 1 is lifted, and whole when a head has a guard bit.  A
-term left unformed is one the rule drops or one past the exponent limit,
-which is then not refused; the normal form is the one whole relations give.
+only when level j - 1 is lifted.  A term left unformed lies in the ideal (a
+whole relation may form it past the exponent limit and refuse it); the
+normal form is the one whole relations give.
 """
 
 import re
@@ -501,19 +509,20 @@ class TriangularSystem:
     2^31 - d_j would borrow from the next field.
 
     `drop` is the pair (lift, bits) of the system's one drop rule (see the
-    module docstring): with `mult = _prefix_mult(l)`, a key m with no guard
-    bit lies in the ideal when `(m * mult + lift) & bits` is nonzero.
+    module docstring): with `mult = _prefix_mult(l)`, a key m whose fields
+    are below 2^32 lies in the ideal when `(m * mult + lift) & bits` is
+    nonzero.
       - Graded, the prefix-degree rule: `mult` puts the degree P_i of a key
         in T_1..T_i in field l + i, `lift` adds 2^31 - 1 - S_i there and
         `bits` holds its top bit, for every lifted i (S_i < 2^31).  By the
-        lemma the top bits mark exactly P_i > S_i at a lifted i.  The
+        lemma the top bits mark only P_i > S_i at a lifted i.  The
         degrees of the generators' terms are read from the same prefix
         sums, so a term of degree 2^32 - l or more may read low and make
         the system count as not graded, which only changes the rule.
       - Not graded, the single-term rule: for every g_k with an empty tail,
         `lift` adds 2^31 - d_k to the T_k field and `bits` holds its top
-        bit, so the top bits mark exactly a key that reaches d_k in some
-        such T_k.
+        bit, so the top bits mark only a key that reaches d_k in some such
+        T_k.
 
     Everything above except the tails follows from each d_j, whether the
     system is graded and, if it is not, which g_j are single terms.  A
@@ -716,11 +725,11 @@ def _reduce_level(p, j, system):
     rewritten, and the result's keys at the end.
 
     Every term of p, every far-power product and every rewritten term that
-    lies in the ideal by the system's drop rule (`drop`) is dropped: since
-    the system is a Groebner basis the normal form of the rest is the same.
-    The rule exempts every key with a guard bit set, so the checks still
-    see it.  The tail of g_j is read only as deep as the heads left after
-    that can use it (`_room`), and not at all when none is left.
+    lies in the ideal by the system's drop rule (`drop`) is dropped before
+    any check sees it: since the system is a Groebner basis the normal form
+    of the rest is the same.  The tail of g_j is read only as deep as the
+    heads left after that can use it (`_room`), and not at all when none is
+    left.
     """
     s = BITS * (j - 1)
     d = system.lead_degrees[j - 1]
@@ -728,12 +737,10 @@ def _reduce_level(p, j, system):
     clean = p.field.clean
     mult = _prefix_mult(p.nvars)
     lift, bits = system.drop
-    guard = _guard(p.nvars)
     levels = {}
     distant = []
     for m, c in p._terms.items():
-        t = m * mult + lift
-        if t & bits and not m & guard:
+        if (m * mult + lift) & bits:
             continue
         e = (m >> s) & MASK
         if e < far:
@@ -743,8 +750,7 @@ def _reduce_level(p, j, system):
     for x, e, c in distant:
         for mt, ct in _power_normal_form(system, j, e)._terms.items():
             mm = x + mt
-            t = mm * mult + lift
-            if t & bits and not mm & guard:
+            if (mm * mult + lift) & bits:
                 continue
             level = levels.setdefault((mt >> s) & MASK, {})
             level[mm] = level.get(mm, 0) + c * ct
@@ -757,8 +763,7 @@ def _reduce_level(p, j, system):
         for m, c in clean(heads).items():
             for mt, level, ct in targets:
                 mm = m + mt
-                t = mm * mult + lift
-                if t & bits and not mm & guard:
+                if (mm * mult + lift) & bits:
                     continue
                 level[mm] = level.get(mm, 0) + c * ct
     terms = {}
@@ -777,13 +782,13 @@ def _room(system, j, heads):
     term, so t is read only when P(t) <= S_{j-1} - P(m), the head's room,
     which is 2^31 - 1 minus field l + j - 1 of `m * mult + lift`: exact by
     the lemma of the module docstring, as `_set` gives level j a room only
-    when level j - 1 is lifted and a head with a guard bit reads the whole
-    tail.  A kept term has P of at least its head's and at most S_{j-1} (one
-    with a guard bit is refused when its level is checked), so the rooms of
-    later heads are no larger.
+    when level j - 1 is lifted, and the heads are keys of p, with no guard
+    bit (a far product lands below d_j).  A kept term has P of at least its
+    head's and at most S_{j-1} (one with a guard bit is refused when its
+    level is checked), so the rooms of later heads are no larger.
     """
     shift = system._rooms[j - 1]
-    if shift is None or fold(or_, heads, 0) & _guard(system.nvars):
+    if shift is None:
         return None
     lift, _ = system.drop
     mult = _prefix_mult(system.nvars)
@@ -810,18 +815,16 @@ def _normal_form(p, system, top):
     This is `reduce`'s sweep, with every T_j-exponent of at least
     FAR_FACTOR * d_j cleared through `_power_normal_form`.  One pass over the
     keys finds the highest level at or below `top` that some term reaches
-    (`reach_lift`, with a key that has a guard bit set counting as reaching,
-    so that the limit checks run on it), and only that level is reduced
-    before the next pass looks below it; a level reads its relation only as
-    deep as its heads can use (`_room`).  It calls no name that the
+    (`reach_lift`; no key of p has a guard bit), and only that level is
+    reduced before the next pass looks below it; a level reads its relation
+    only as deep as its heads can use (`_room`).  It calls no name that the
     benchmark traces (`reduce`, `*`, the `Poly` constructor), so squaring
     moves none of its counters; a relation it builds is built by the
     system's own function, which may.
     """
     lift = system.reach_lift
     while True:
-        keys = p._terms
-        reach = fold(or_, map(lift.__add__, keys), fold(or_, keys, 0)) & _guard(top)
+        reach = fold(or_, map(lift.__add__, p._terms), 0) & _guard(top)
         if not reach:
             return p
         top = reach.bit_length() // BITS
@@ -870,6 +873,9 @@ def quotient_basis(system):
 # ASCII digits only: on a str, \d would also match other scripts' digits
 _NUM_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)
 _VAR_RE = re.compile(r"T(\d+)(?:\^(\d+))?\Z", re.ASCII)
+# a factor whose `^` is not followed by ASCII digits, as the user wrote it:
+# the sign of `T1^-1` would otherwise split the factor
+_BAD_POWER_RE = re.compile(r"[^*+-]*\^(?![0-9])[+-]?[^*+-]*")
 
 
 def format_poly(p):
@@ -894,7 +900,10 @@ def parse_poly(text, field, nvars):
     nvars = require_count(nvars, "variable count", MAX_GROUP_RANK)
     if not isinstance(text, str):
         raise InputError(f"polynomial text must be a string, got {text!r}")
-    terms = [term for term in "".join(text.split()).replace("-", "+-").split("+") if term]
+    text = "".join(text.split())
+    if bad := _BAD_POWER_RE.search(text):
+        raise InputError(f"unrecognized factor {bad.group()!r}")
+    terms = [term for term in text.replace("-", "+-").split("+") if term]
     if not terms:
         raise InputError("empty polynomial text")
     acc = {}

@@ -357,16 +357,16 @@ def euler_poly(rep, flag, system=None):
     and any product on the way with more than MAX_EULER_TERMS terms raises
     ResourceLimitError.  With a `TriangularSystem` (of the flag's field and
     rank, else an InputError) the running product is a dict of packed terms
-    multiplied by `polyring`'s own kernel.  Each product has its exponents
-    checked and its coefficients cleaned, and then loses every term that
-    the system's drop rule marks as lying in the ideal (`system.drop`, read
-    as `polyring._reduce_level` reads it; no key has a guard bit after the
-    check): the ideal absorbs every multiple of such a term and the normal
-    form is linear, so dropping it changes nothing, and no term of the
-    ideal is multiplied again or handed to `reduce`.  What is left goes to
-    `reduce` as soon as one of its terms reaches a lead degree d_j in T_j
-    (the system's `reach_lift`, as in `polyring._normal_form`); a product
-    with no such term is a normal form already.  So the result is the
+    multiplied by `polyring`'s own kernel.  Each product has its
+    coefficients cleaned and loses every term that the system's drop rule
+    marks as lying in the ideal (`system.drop`, read as
+    `polyring._reduce_level` reads it), and only then are the exponents of
+    what it keeps checked: the ideal absorbs every multiple of such a term
+    and the normal form is linear, so dropping it changes nothing, and no
+    term of the ideal is multiplied again or handed to `reduce`.  What is
+    left goes to `reduce` as soon as one of its terms reaches a lead degree
+    d_j in T_j (the system's `reach_lift`, as in `polyring._normal_form`); a
+    product with no such term is a normal form already.  So the result is the
     normal form of the class and no product on the way is larger than two
     normal forms multiplied.  The empty table gives 1; a trivial label with
     positive multiplicity makes the whole product vanish and is rejected.
@@ -388,8 +388,8 @@ def euler_poly(rep, flag, system=None):
     mult, (lift, bits) = _prefix_mult(nvars), system.drop
 
     def step(raw):
-        _check_exponents(raw, nvars)
         terms = {m: c for m, c in clean(raw).items() if not (m * mult + lift) & bits}
+        _check_exponents(terms, nvars)
         if fold(or_, map(reach.__add__, terms), 0) & guard:
             return reduce(Poly._trusted(field, nvars, terms), system)._terms
         return terms

@@ -2,8 +2,10 @@
 trace shim (`tracing.py`) wraps eulerlab names given as (module, attribute
 path), and every one must resolve to a callable; the workloads (`workloads.py`)
 call the library and the CLI, and their oracles must accept a few cases of each.
-So a rename or an API change fails the test suite, not only a benchmark run."""
+So a rename or an API change fails the test suite, not only a benchmark run.
+Whole seeded pools must also give the outputs pinned here, byte for byte."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -111,3 +113,27 @@ def test_traced_bound_workloads_read_their_reports():
     metrics = tracer.metrics()
     assert metrics["bounds.bound_free_zero_set.calls"] + metrics["bounds.bound_torus.calls"] > 0
     assert metrics["bounds.applicable_frac"] > 0
+
+
+# sha256 of the JSON list of `run` outputs over a whole seeded pool.  They pin
+# every answer, refusal and --machine byte the benchmark sees, so a change
+# that claims to keep the outputs shows it here.  cli-mix leaves out its
+# torus-example cases: their floats come from numpy sampling and BLAS, whose
+# last digits may differ from host to host.
+POOL_DIGESTS = {
+    ("subgroup-scan", 101): "430a62a9369c45450bb2d3b9ee815f6d98b48218ab6ed7302c61d92d21c205e6",
+    ("subgroup-scan", 7919): "b3e07c67dc02f7547d2b0aca79378dd4320ee6474a3f2ab53130a90c5a072814",
+    ("euler-f2", 101): "248792dc4f34eb9991d8cf68bfd682dadfac5971a5660ddc0f3f994ab1863ea1",
+    ("euler-f2", 7919): "3511b8d6afbcb926cbf44961da3f22f0de1ca8333109453a1fd7ab5db558e55b",
+    ("cli-mix", 101): "f5a0994ffbf2d012551517abb2e920d6e3da7f64a3e700621432afc4b63a78a3",
+    ("cli-mix", 7919): "33f78c2cf5e56362e7970be964623dedf10b62dc28f12fbfb3bce50791ece184",
+}
+
+
+@pytest.mark.filterwarnings("ignore:fixed part of dimension")
+@pytest.mark.parametrize("name, seed", list(POOL_DIGESTS))
+def test_pool_outputs_are_pinned(name, seed):
+    workload = load("workloads").WORKLOADS[name]
+    cases = [case for case in workload.cases(seed) if not (isinstance(case, dict) and case["kind"] == "torus-example")]
+    outputs = json.dumps([workload.run(case) for case in cases])
+    assert hashlib.sha256(outputs.encode()).hexdigest() == POOL_DIGESTS[name, seed]

@@ -216,24 +216,30 @@ def test_a_key_over_a_cap_near_the_exponent_limit_is_dropped():
 
 
 def test_the_degree_test_marks_exactly_a_lifted_prefix_sum_over_its_cap():
-    # the lemma of the polyring module docstring: for a key with no guard
-    # bit, the packed test marks exactly the keys with P_i > S_i at some
-    # lifted level i (S_i < 2^31), although prefix sums past 2^32 carry.
-    # Systems of single-term relations are graded, so the degree rule is the
-    # only rule; lead degrees up to MAX_EXPONENT put S_i on both sides of
-    # 2^31, and the keys aim their prefix sums at S_i - 1, S_i, S_i + 1 and
-    # 2^31.  The oracle reads the unpacked exponents.
+    # the lemma of the polyring module docstring: on a key whose fields are
+    # below 2^32, as on every sum of two keys with no guard bit, the packed
+    # test marks only keys with P_i > S_i at some lifted level i
+    # (S_i < 2^31), and on a key with no guard bit exactly those, although
+    # prefix sums past 2^32 carry.  Systems of single-term relations are
+    # graded, so the degree rule is the only rule; lead degrees up to
+    # MAX_EXPONENT put S_i on both sides of 2^31.  The keys aim their prefix
+    # sums at S_i - 1, S_i, S_i + 1 and 2^31, and half of them, whose fields
+    # run up to 2^32 - 2, also at 2^31 + 1 + S_i and above, where field l + i
+    # of the product wraps.  The oracle reads the unpacked exponents.
     half = 2**31
+    widest = 2 * MAX_EXPONENT
     kinds = Counter()
 
     def degree(rng):
         return rng.choice([rng.randint(1, 3), rng.randint(1, MAX_EXPONENT), MAX_EXPONENT, 2**30 + rng.randint(-2, 2)])
 
-    def exponents(rng, caps):
+    def exponents(rng, caps, top):
         m, total = [], 0
         for cap in caps:
-            target = rng.choice([cap - 1, cap, cap + 1, half - 1, half, total + rng.randint(0, MAX_EXPONENT)])
-            e = min(max(target - total, 0), MAX_EXPONENT)
+            targets = [cap - 1, cap, cap + 1, half - 1, half, total + rng.randint(0, top)]
+            if top > MAX_EXPONENT:
+                targets += [half + 1 + cap + rng.randint(0, 2), total + widest]
+            e = min(max(rng.choice(targets) - total, 0), top)
             m.append(e)
             total += e
         return m
@@ -248,15 +254,22 @@ def test_the_degree_test_marks_exactly_a_lifted_prefix_sum_over_its_cap():
         lift, bits = system.drop
         caps = list(accumulate(d - 1 for d in degrees))
         mult = _prefix_mult(nvars)
-        for _ in range(40):
-            m = exponents(rng, caps)
+        for n in range(40):
+            m = exponents(rng, caps, widest if n % 2 else MAX_EXPONENT)
             key = sum(e << 32 * i for i, e in enumerate(m))
-            assert not key & _guard(nvars)
+            guarded = bool(key & _guard(nvars))
             over = [p for p, cap in zip(accumulate(m), caps) if cap < half and p > cap]
-            assert bool((key * mult + lift) & bits) == bool(over), (degrees, m)
-            kinds["first over-cap prefix sum >= 2^31"] += bool(over) and over[0] >= half
+            marked = bool((key * mult + lift) & bits)
+            assert not marked or over, (degrees, m)
+            if not guarded:
+                assert marked == bool(over), (degrees, m)
+                kinds["first over-cap prefix sum >= 2^31"] += bool(over) and over[0] >= half
+            kinds["marked, with a guard bit"] += marked and guarded
+            kinds["over a lifted cap, with a guard bit, not marked"] += bool(over) and not marked
         kinds["system with an unlifted level"] += caps[-1] >= half
 
     check()
     assert kinds["first over-cap prefix sum >= 2^31"] >= 100, kinds
     assert kinds["system with an unlifted level"] >= 50, kinds
+    assert kinds["marked, with a guard bit"] >= 1000, kinds
+    assert kinds["over a lifted cap, with a guard bit, not marked"] >= 500, kinds

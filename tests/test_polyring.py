@@ -177,7 +177,10 @@ def test_values_that_are_not_polys_or_systems_are_input_errors(make):
     (lambda: TriangularSystem([P("T1", F2, 2), P("T2", Q, 2)]), "mismatched field or variable count among generators"),
     (lambda: reduce(P("T1"), TriangularSystem([P("T1^2", Q)])),
      "polynomial and system have mismatched field or variable count"),
-], ids=["variable-index", "operand", "mixed-generators", "mismatched-system"])
+    # the sign after `^` is no exponent, and the factor is quoted whole
+    (lambda: P("T1^-1"), "unrecognized factor 'T1^-1'"),
+    (lambda: P("T1^+1"), "unrecognized factor 'T1^+1'"),
+], ids=["variable-index", "operand", "mixed-generators", "mismatched-system", "minus-exponent", "plus-exponent"])
 def test_refusals_name_the_value_at_fault(make, message):
     with pytest.raises(InputError) as refused:
         make()

@@ -7,10 +7,12 @@ from the generators' tuple terms (the reduction is shared with other tests
 through `tests_support_random`).  Random F2 and Q polynomials in 1-6
 variables must give the same terms both ways, and every path that could
 produce an exponent of 2^31 or more must raise instead of wrapping into the
-next variable's field.
+next variable's field, unless the drop rule shows that the key lies in the
+ideal: then it is dropped and the answer is exact.
 """
 
 import io
+import json
 import random
 from fractions import Fraction
 from operator import add
@@ -166,26 +168,72 @@ def test_product_or_power_above_the_limit_raises(make):
         make()
 
 
-# g_2 = T2^2 + T1^(2^30): T2^4 reduces to T1^(2^31), and T2^8 would reach
-# T1^(2^32), one carry into the T2 field, if the rewrite went on
+# A graded system with S_1 = 2^31 - 2, so level 1 is lifted.  Rewriting by
+# g_2 = T2^2 + T1^(2^30) takes T2^4 to T2^2*T1^(2^30) and then to T1^(2^31), a
+# multiple of g_1 = T1^(2^31 - 1): it lies in the ideal, and P_1 = 2^31 > S_1
+# marks it although its T1 field has its guard bit set, so it is dropped
+# before any exponent check sees it.  T2^8 and T2^9 form only such keys.
 GUARD_GENS = ["T1^2147483647", "T2^2+T1^1073741824"]
 
 
-@pytest.mark.parametrize("text", ["T2^4", "T2^8", "T2^9+T1"])
-def test_reduction_above_the_limit_raises(text):
+@pytest.mark.parametrize("text, expected", [("T2^4", "0"), ("T2^8", "0"), ("T2^9+T1", "T1")])
+def test_a_marked_key_past_the_limit_is_dropped(text, expected):
+    # T2^4 = T1^(2^31) in the quotient, a multiple of T1^(2^31 - 1)
     system = TriangularSystem([parse_poly(g, F2, 2) for g in GUARD_GENS])
-    with pytest.raises(ResourceLimitError, match="above the limit of 2147483647"):
-        reduce(parse_poly(text, F2, 2), system)
+    assert reduce(parse_poly(text, F2, 2), system) == parse_poly(expected, F2, 2)
     assert reduce(parse_poly("T2^3", F2, 2), system) == parse_poly("T1^1073741824*T2", F2, 2)
 
 
-def test_reduction_above_the_limit_exits_two():
+def test_a_marked_key_past_the_limit_exits_zero():
+    # T2^8 = T1^(2^32) in the quotient: the rule drops T1^(2^31) on the way
     argv = ["reduce", "--field", "F2", "--nvars", "2", "--poly", "T2^8"]
     for g in GUARD_GENS:
         argv += ["--gen", g]
     out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 0 and err.getvalue() == ""
+    assert "normal form: 0" in out.getvalue()
+
+
+# Graded, with S_1 = 2^31 - 2 lifted and S_2 = 2^32 - 4 not.  Rewriting by
+# g_3 takes T3^4 to T2^(2^31): P_1 = 0 is within S_1 and level 2 is not read,
+# so no test marks the key, and the exponent check refuses it.
+KEPT_GENS = ["T1^2147483647", "T2^2147483647+T1^2147483647", "T3^2+T2^1073741824"]
+
+
+def test_a_kept_key_past_the_limit_is_refused():
+    system = TriangularSystem([parse_poly(g, F2, 3) for g in KEPT_GENS])
+    with pytest.raises(ResourceLimitError, match=r"an exponent reached 2\^31, above the limit of 2147483647"):
+        reduce(parse_poly("T3^4", F2, 3), system)
+    assert reduce(parse_poly("T3^3", F2, 3), system) == parse_poly("T2^1073741824*T3", F2, 3)
+
+
+def test_a_kept_key_past_the_limit_exits_two():
+    argv = ["reduce", "--field", "F2", "--nvars", "3", "--poly", "T3^4"]
+    for g in KEPT_GENS:
+        argv += ["--gen", g]
+    out, err = io.StringIO(), io.StringIO()
     assert run(argv, out, err) == 2 and out.getvalue() == ""
-    assert "above the limit of 2147483647" in err.getvalue()
+    assert "an exponent reached 2^31, above the limit of 2147483647" in err.getvalue()
+
+
+# U = (2^30 + 1)*(1) presents T1^(2^30 + 1) = 0, so S_1 = 2^30.  Squaring T1 on
+# the way to e(V) = T1^(3*2^30) forms T1^(2^31), which P_1 = 2^31 > S_1 marks
+# and drops before its guard bit is checked: e(V) = 0 in the quotient.
+EULER_DOC = {
+    "group": {"kind": "elem_abelian_2", "rank": 1},
+    "module": {"entries": [{"char": [1], "mult": 2**30 + 1}]},
+    "target": {"entries": [{"char": [1], "mult": 3 * 2**30}]},
+    "flag": {"dual_basis": [[1]]},
+}
+
+
+def test_euler_class_with_a_marked_square_past_the_limit_vanishes():
+    U, V = RepE(1, {(1,): 2**30 + 1}), RepE(1, {(1,): 3 * 2**30})
+    nonzero, certificate = cohomology.euler_nonvanishing(U, V, FlagE(1, [[1]]))
+    assert (nonzero, certificate.text()) == (False, "0")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["euler-check", "--inline", json.dumps(EULER_DOC)], out, err) == 0 and err.getvalue() == ""
+    assert "nonvanishing: no" in out.getvalue() and "certificate: 0" in out.getvalue()
 
 
 def test_unreduced_euler_class_above_the_limit_raises():

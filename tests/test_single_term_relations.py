@@ -172,6 +172,51 @@ def test_single_term_test_marks_exactly_the_killed_degrees():
     tailed = TriangularSystem([parse_poly("T1^2+1", Q, 2), parse_poly("T2+T1", Q, 2)])
     assert tailed.drop == (0, 0)
 
+    # on a key whose fields are below 2^32, as on every sum of two keys with
+    # no guard bit, the test marks only a key that reaches d_k at some
+    # single-term g_k (a carry out of field k needs e_k >= 2^31 + d_k), and
+    # on a key with no guard bit exactly those.  The random systems are not
+    # graded: at least one g_j is T_j^{d_j} + 1.  The keys aim each field at
+    # d_k - 1, d_k, 2^31 - 1, 2^31, 2^31 + d_k - 1, 2^31 + d_k and 2^32 - 2.
+    half = 2**31
+    widest = 2 * MAX_EXPONENT
+    kinds = Counter()
+
+    @SETTINGS
+    @given(st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, 2**32))
+    def check(single, seed):
+        rng = random.Random(seed)
+        nvars = len(single)
+        single[rng.randrange(nvars)] = False
+        degrees = [rng.choice([rng.randint(1, 3), rng.randint(1, MAX_EXPONENT), MAX_EXPONENT]) for _ in single]
+        gens = []
+        for j, (s, d) in enumerate(zip(single, degrees)):
+            terms = {tuple(d if i == j else 0 for i in range(nvars)): 1}
+            if not s:
+                terms[(0,) * nvars] = 1
+            gens.append(Poly(F2, nvars, terms))
+        system = TriangularSystem(gens)
+        lift, bits = system.drop
+        mult = _prefix_mult(nvars)
+        for _ in range(40):
+            m = [min(rng.choice([d - 1, d, half - 1, half, half + d - 1, half + d, widest, rng.randint(0, widest)]), widest)
+                 for d in degrees]
+            key = sum(e << 32 * i for i, e in enumerate(m))
+            guarded = max(m) > MAX_EXPONENT
+            killed = any(s and e >= d for s, e, d in zip(single, m, degrees))
+            marked = bool((key * mult + lift) & bits)
+            assert not marked or killed, (single, degrees, m)
+            if not guarded:
+                assert marked == killed, (single, degrees, m)
+            kinds["marked, with a guard bit"] += marked and guarded
+            kinds["marked, no guard bit"] += marked and not guarded
+            kinds["killed, with a guard bit, not marked"] += killed and not marked
+
+    check()
+    assert kinds["marked, with a guard bit"] >= 2000, kinds
+    assert kinds["marked, no guard bit"] >= 100, kinds
+    assert kinds["killed, with a guard bit, not marked"] >= 100, kinds
+
 
 def test_a_killed_term_is_dropped_before_its_rewrite_passes_the_limit():
     # T1^3*T2^4 lies in the ideal; rewriting it by g_2 would reach
